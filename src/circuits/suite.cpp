@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <stdexcept>
 
 #include "circuits/aes_sbox.hpp"
@@ -14,6 +15,7 @@
 #include "circuits/misc.hpp"
 #include "circuits/random_logic.hpp"
 #include "netlist/verilog.hpp"
+#include "util/fileio.hpp"
 
 namespace polaris::circuits {
 namespace {
@@ -186,17 +188,35 @@ Design get_design(const std::string& name, double scale) {
   throw std::invalid_argument("unknown design: " + name);
 }
 
-Design load_design(const std::string& name_or_path, double scale) {
-  if (name_or_path.size() > 2 &&
-      name_or_path.compare(name_or_path.size() - 2, 2, ".v") == 0) {
-    Design design;
-    design.name = name_or_path;
-    design.netlist = netlist::read_verilog_file(name_or_path);
-    design.roles.assign(design.netlist.primary_inputs().size(),
-                        InputRole::kData);
-    return design;
+DesignSource resolve_design(const std::string& name_or_path, double scale) {
+  // Also keeps NaN, negative and unbounded scales away from the size_t
+  // casts in scaled().
+  if (!(scale > 0.0 && scale <= 1.0)) {
+    char text[32];
+    char* end = std::to_chars(text, text + sizeof(text), scale).ptr;
+    throw std::invalid_argument("design scale must be in (0, 1], got " +
+                                std::string(text, end));
   }
-  return get_design(name_or_path, scale);
+  DesignSource source;
+  source.name = name_or_path;
+  source.scale = scale;
+  source.from_file = name_or_path.size() > 2 &&
+                     name_or_path.compare(name_or_path.size() - 2, 2, ".v") == 0;
+  if (source.from_file) source.verilog = util::read_file(name_or_path);
+  return source;
+}
+
+Design build_design(const DesignSource& source) {
+  if (!source.from_file) return get_design(source.name, source.scale);
+  Design design;
+  design.name = source.name;
+  design.netlist = netlist::from_verilog(source.verilog);
+  design.roles.assign(design.netlist.primary_inputs().size(), InputRole::kData);
+  return design;
+}
+
+Design load_design(const std::string& name_or_path, double scale) {
+  return build_design(resolve_design(name_or_path, scale));
 }
 
 }  // namespace polaris::circuits

@@ -33,10 +33,32 @@ struct Design {
 /// std::invalid_argument for unknown names.
 [[nodiscard]] Design get_design(const std::string& name, double scale = 1.0);
 
-/// Loads a design by suite name OR structural-Verilog path (anything ending
-/// in ".v"; all inputs default to the sensitive role). The lookup the CLI
-/// and the serve daemon share, so a served request resolves to exactly the
-/// netlist an offline invocation would.
+/// A design request resolved to its source, before any netlist is built:
+/// a suite name with its scale, or a structural-Verilog path (anything
+/// ending in ".v") with the file's bytes. build_design is a pure function
+/// of the source, so two equal sources always build the same design.
+struct DesignSource {
+  std::string name;        // suite name or .v path
+  double scale = 1.0;      // suite designs only; in (0, 1]
+  bool from_file = false;  // `name` is a .v path and `verilog` its bytes
+  std::string verilog;
+};
+
+/// Checks `scale` and, for a .v path, reads the file - the only read of it.
+/// Throws std::invalid_argument for a scale outside (0, 1] (NaN included)
+/// and std::runtime_error when the file cannot be read.
+[[nodiscard]] DesignSource resolve_design(const std::string& name_or_path,
+                                          double scale = 1.0);
+
+/// Builds the design a resolved source names; never touches the
+/// filesystem. A .v design parses `source.verilog` and gives every input
+/// the sensitive role. Throws std::invalid_argument for an unknown suite
+/// name and std::runtime_error for malformed Verilog.
+[[nodiscard]] Design build_design(const DesignSource& source);
+
+/// resolve_design + build_design: the lookup the CLI and the serve daemon
+/// share, so a served request resolves to exactly the netlist an offline
+/// invocation would.
 [[nodiscard]] Design load_design(const std::string& name_or_path,
                                  double scale = 1.0);
 

@@ -93,10 +93,9 @@ void write_config(serialize::Writer& out, const PolarisConfig& config);
 [[nodiscard]] std::uint64_t config_fingerprint(const PolarisConfig& config);
 
 /// FNV-1a hash over a design's content identity: name, input roles, and
-/// the canonical structural-Verilog serialization of the netlist. Together
-/// with config_fingerprint this keys the serve daemon's result cache -
-/// equal fingerprints guarantee byte-identical audit/mask/score results
-/// (every knob that can change a result is covered by one of the two).
+/// the canonical structural-Verilog serialization of the netlist. Shard
+/// workers key installed designs on it and check it after decode, so a
+/// design that arrives mangled is never filed under another's key.
 [[nodiscard]] std::uint64_t design_fingerprint(const circuits::Design& design);
 
 /// Instantiates the configured classifier.

@@ -2,13 +2,17 @@
 //
 // The serve daemon's value proposition is "train once, mask many"; this
 // cache adds "compute once, answer many": a repeated audit/mask/score of
-// an unchanged design under an unchanged config is O(lookup). Keys are
-// 64-bit fingerprints combining core::config_fingerprint (what was
-// configured) with core::design_fingerprint (what was analyzed) plus any
-// request parameters; values are opaque encoded response bodies, replayed
-// byte-identically on a hit - a cached answer is indistinguishable from a
-// recomputed one because every input that could change the bytes is part
-// of the key.
+// an unchanged design under an unchanged config is O(lookup). The daemon
+// computes each 64-bit key from the request alone, before any netlist is
+// built: core::config_fingerprint (the request's config for audit, the
+// bundle's for mask and score), the request kind and its parameters, and
+// the design source - a suite name with the bit pattern of its scale, or
+// a .v path with a hash of the file's bytes. The key is exact because a
+// suite design is a pure function of (name, scale) and a .v design of
+// (path, bytes): equal keys mean equal inputs, so a hit's replayed body is
+// indistinguishable from a recomputed one. The trade-off: two scales that
+// happen to build the same netlist (des3 at 0.3 and 0.4) keep separate
+// entries. Values are opaque encoded response bodies.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cctype>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -250,11 +249,7 @@ void write_verilog_file(const Netlist& netlist, const std::string& path) {
 }
 
 Netlist read_verilog_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return from_verilog(buffer.str());
+  return from_verilog(util::read_file(path));
 }
 
 }  // namespace polaris::netlist

@@ -6,8 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <initializer_list>
+#include <string_view>
 #include <utility>
 
 #include "netlist/verilog.hpp"
@@ -33,6 +35,29 @@ std::uint64_t combine_all(std::uint64_t key,
                           std::initializer_list<std::uint64_t> values) {
   for (const auto value : values) key = core::ResultCache::combine(key, value);
   return key;
+}
+
+/// FNV-1a 64 over `bytes`, continuing from `hash`.
+std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) {
+  for (const char c : bytes) {
+    hash = (hash ^ static_cast<std::uint8_t>(c)) * 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// A design's cache identity, computed from its source without building
+/// it: the length-prefixed name, then the bit pattern of the scale for a
+/// suite design or a hash of the file's bytes for a .v path. A suite
+/// design is a pure function of (name, scale) and a .v design of (path,
+/// bytes), so equal identities build equal designs. A name ending in ".v"
+/// is always a file, so the two forms never share a name.
+std::uint64_t source_identity(const circuits::DesignSource& source) {
+  constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+  const std::uint64_t name = fnv1a(
+      core::ResultCache::combine(kFnvOffset, source.name.size()), source.name);
+  return core::ResultCache::combine(
+      name, source.from_file ? fnv1a(kFnvOffset, source.verilog)
+                             : std::bit_cast<std::uint64_t>(source.scale));
 }
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -523,132 +548,132 @@ core::ResultCache::Body Server::serve_audit_stream(int fd,
 core::ResultCache::Body Server::audit_body(const AuditRequest& request,
                                            bool& cache_hit,
                                            tvla::ProgressFn progress) {
-  circuits::Design design;
   try {
     core::validate(request.config);
-    design = circuits::load_design(request.design, request.scale);
   } catch (const std::exception& error) {
     throw ServerError(Status::kBadRequest, error.what());
   }
   // Streaming and non-streaming audits share one cache key (the compute
   // and the reply bytes are identical); a streamed request that hits the
   // cache replays the final body and emits zero partial frames.
-  const std::uint64_t key = combine_all(
-      core::config_fingerprint(request.config),
-      {core::design_fingerprint(design),
-       static_cast<std::uint64_t>(RequestKind::kAudit)});
-  if (auto cached = cache_.get(key)) {
-    cache_hit = true;
-    return cached;
-  }
-  try {
-    tvla::LeakageReport report{{}, {}, 0.0};
-    if (pool_) {
-      // Distributed backend: same shards, same ascending merge, same
-      // bits - which is exactly why the cache key above is unchanged.
-      report = pool_->audit({&design, 1}, lib_, request.config,
-                            std::move(progress))[0];
-    } else {
-      auto pending = core::submit_audits(scheduler_, {&design, 1}, lib_,
-                                         request.config, std::move(progress));
-      scheduler_.drain();
-      report = pending[0].get();
-    }
-    AuditReply reply;
-    reply.design_name = design.name;
-    reply.gate_count = design.netlist.gate_count();
-    reply.traces = request.config.tvla.traces;
-    reply.report = std::move(report);
-    reply.traces_used = reply.report.traces_used();
-    reply.early_stopped = reply.report.early_stopped();
-    auto body = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_audit_reply(reply));
-    cache_.put(key, body);
-    return body;
-  } catch (const std::exception& error) {
-    throw ServerError(Status::kServerError, error.what());
-  }
+  const std::uint64_t key =
+      combine_all(core::config_fingerprint(request.config),
+                  {static_cast<std::uint64_t>(RequestKind::kAudit)});
+  return serve_cached(
+      request.design, request.scale, key, cache_hit,
+      [&](const circuits::Design& design) {
+        tvla::LeakageReport report{{}, {}, 0.0};
+        if (pool_) {
+          // Distributed backend: same shards, same ascending merge, same
+          // bits - which is exactly why the cache key above is unchanged.
+          report = pool_->audit({&design, 1}, lib_, request.config,
+                                std::move(progress))[0];
+        } else {
+          auto pending =
+              core::submit_audits(scheduler_, {&design, 1}, lib_,
+                                  request.config, std::move(progress));
+          scheduler_.drain();
+          report = pending[0].get();
+        }
+        AuditReply reply;
+        reply.design_name = design.name;
+        reply.gate_count = design.netlist.gate_count();
+        reply.traces = request.config.tvla.traces;
+        reply.report = std::move(report);
+        reply.traces_used = reply.report.traces_used();
+        reply.early_stopped = reply.report.early_stopped();
+        return encode_audit_reply(reply);
+      });
 }
 
 core::ResultCache::Body Server::serve_mask(serialize::Reader& in,
                                            bool& cache_hit) {
   const MaskRequest request = decode_mask_request(in);
-  circuits::Design design;
-  try {
-    design = circuits::load_design(request.design, request.scale);
-  } catch (const std::exception& error) {
-    throw ServerError(Status::kBadRequest, error.what());
-  }
   const std::size_t mask_size =
       request.mask_size != 0 ? request.mask_size : polaris_.config().mask_size;
   const std::uint64_t key = combine_all(
       info_.config_fingerprint,
-      {core::design_fingerprint(design),
-       static_cast<std::uint64_t>(RequestKind::kMask), mask_size,
+      {static_cast<std::uint64_t>(RequestKind::kMask), mask_size,
        static_cast<std::uint64_t>(request.mode),
        static_cast<std::uint64_t>(request.verify)});
-  if (auto cached = cache_.get(key)) {
-    cache_hit = true;
-    return cached;
-  }
-  try {
-    auto outcome = polaris_.mask_design(design, lib_, mask_size, request.mode,
-                                        /*verify=*/false);
-    MaskReply reply;
-    reply.design_name = design.name;
-    reply.gate_count = design.netlist.gate_count();
-    reply.masked_gate_count = outcome.masked.gate_count();
-    reply.selected = std::move(outcome.selected);
-    reply.seconds = outcome.seconds;
-    reply.verilog = netlist::to_verilog(outcome.masked);
-    if (request.verify) {
-      // Sign-off campaigns (before on the original, after on the masked
-      // netlist) drain the shared queue together, interleaved with every
-      // other client's shards.
-      const auto tvla_config = core::tvla_config_for(polaris_.config(), design);
-      auto before = tvla::submit_fixed_vs_random(
-          scheduler_, design.netlist, lib_, tvla_config, {},
-          design.name + ":before");
-      auto after = tvla::submit_fixed_vs_random(
-          scheduler_, outcome.masked, lib_, tvla_config, {},
-          design.name + ":after");
-      scheduler_.drain();
-      reply.before = before.get();
-      reply.after = after.get();
-    }
-    auto body = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_mask_reply(reply));
-    cache_.put(key, body);
-    return body;
-  } catch (const std::exception& error) {
-    throw ServerError(Status::kServerError, error.what());
-  }
+  return serve_cached(
+      request.design, request.scale, key, cache_hit,
+      [&](const circuits::Design& design) {
+        auto outcome = polaris_.mask_design(design, lib_, mask_size,
+                                            request.mode, /*verify=*/false);
+        MaskReply reply;
+        reply.design_name = design.name;
+        reply.gate_count = design.netlist.gate_count();
+        reply.masked_gate_count = outcome.masked.gate_count();
+        reply.selected = std::move(outcome.selected);
+        reply.seconds = outcome.seconds;
+        reply.verilog = netlist::to_verilog(outcome.masked);
+        if (request.verify) {
+          // Sign-off campaigns (before on the original, after on the masked
+          // netlist) drain the shared queue together, interleaved with
+          // every other client's shards.
+          const auto tvla_config =
+              core::tvla_config_for(polaris_.config(), design);
+          auto before = tvla::submit_fixed_vs_random(
+              scheduler_, design.netlist, lib_, tvla_config, {},
+              design.name + ":before");
+          auto after = tvla::submit_fixed_vs_random(
+              scheduler_, outcome.masked, lib_, tvla_config, {},
+              design.name + ":after");
+          scheduler_.drain();
+          reply.before = before.get();
+          reply.after = after.get();
+        }
+        return encode_mask_reply(reply);
+      });
 }
 
 core::ResultCache::Body Server::serve_score(serialize::Reader& in,
                                             bool& cache_hit) {
   const ScoreRequest request = decode_score_request(in);
-  circuits::Design design;
+  const std::uint64_t key =
+      combine_all(info_.config_fingerprint,
+                  {static_cast<std::uint64_t>(RequestKind::kScore),
+                   static_cast<std::uint64_t>(request.mode)});
+  return serve_cached(request.design, request.scale, key, cache_hit,
+                      [&](const circuits::Design& design) {
+                        ScoreReply reply;
+                        reply.design_name = design.name;
+                        reply.scores =
+                            polaris_.score_gates(design, request.mode);
+                        return encode_score_reply(reply);
+                      });
+}
+
+core::ResultCache::Body Server::serve_cached(const std::string& design,
+                                             double scale,
+                                             std::uint64_t request_key,
+                                             bool& cache_hit,
+                                             const Compute& compute) {
+  static auto& designs_built =
+      obs::Registry::global().counter("server.designs_built");
+  circuits::DesignSource source;
   try {
-    design = circuits::load_design(request.design, request.scale);
+    source = circuits::resolve_design(design, scale);
   } catch (const std::exception& error) {
     throw ServerError(Status::kBadRequest, error.what());
   }
-  const std::uint64_t key = combine_all(
-      info_.config_fingerprint,
-      {core::design_fingerprint(design),
-       static_cast<std::uint64_t>(RequestKind::kScore),
-       static_cast<std::uint64_t>(request.mode)});
+  const std::uint64_t key =
+      core::ResultCache::combine(request_key, source_identity(source));
   if (auto cached = cache_.get(key)) {
     cache_hit = true;
     return cached;
   }
+  circuits::Design built;
   try {
-    ScoreReply reply;
-    reply.design_name = design.name;
-    reply.scores = polaris_.score_gates(design, request.mode);
-    auto body = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_score_reply(reply));
+    built = circuits::build_design(source);
+  } catch (const std::exception& error) {
+    throw ServerError(Status::kBadRequest, error.what());
+  }
+  designs_built.add();
+  try {
+    auto body =
+        std::make_shared<const std::vector<std::uint8_t>>(compute(built));
     cache_.put(key, body);
     return body;
   } catch (const std::exception& error) {

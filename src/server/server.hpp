@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -134,13 +135,27 @@ class Server {
   /// cache entries (a cache hit streams zero partials).
   core::ResultCache::Body serve_audit_stream(int fd, serialize::Reader& in,
                                              bool& cache_hit);
-  /// Shared audit implementation behind both kinds: validate, cache
-  /// lookup, submit + drain, encode, cache fill.
+  /// Shared audit implementation behind both kinds: validate, then
+  /// serve_cached with a submit + drain + encode compute.
   core::ResultCache::Body audit_body(const AuditRequest& request,
                                      bool& cache_hit,
                                      tvla::ProgressFn progress);
   core::ResultCache::Body serve_mask(serialize::Reader& in, bool& cache_hit);
   core::ResultCache::Body serve_score(serialize::Reader& in, bool& cache_hit);
+
+  /// Encodes the reply body for one built design (throws on failure).
+  using Compute =
+      std::function<std::vector<std::uint8_t>(const circuits::Design&)>;
+  /// The request path audit, mask and score share. Keys the request on
+  /// `request_key` (config fingerprint, kind and parameters) plus the
+  /// design source's identity, with no netlist built, and answers a hit
+  /// from the cache. On a miss it builds the design from that same source
+  /// (a .v file's bytes are read once, hashed for the key and parsed from
+  /// memory), runs `compute` and caches the body. A bad scale, name or
+  /// file answers kBadRequest; a failed compute kServerError.
+  core::ResultCache::Body serve_cached(const std::string& design, double scale,
+                                       std::uint64_t request_key,
+                                       bool& cache_hit, const Compute& compute);
 
   ServerOptions options_;
   net::Endpoint endpoint_;

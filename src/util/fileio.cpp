@@ -6,7 +6,10 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace polaris::util {
 
@@ -63,6 +66,14 @@ void write_file_atomic(const std::string& path, std::string_view contents) {
   if (!sync_directory(dir.empty() ? std::filesystem::path(".") : dir)) {
     throw std::runtime_error("cannot sync directory of " + path);
   }
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw std::runtime_error("cannot open for read: " + path);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return std::move(buffer).str();
 }
 
 }  // namespace polaris::util

@@ -1,7 +1,7 @@
-// Atomic whole-file writes. The masked-netlist outputs (`polaris_cli
-// mask`, `polaris_cli client mask`, the server's own artifacts) must never
-// leave a truncated file behind: a downstream ASIC flow picking up a
-// half-written .v is worse than no file at all.
+// Whole-file I/O. Writes are atomic: the masked-netlist outputs
+// (`polaris_cli mask`, `polaris_cli client mask`, the server's own
+// artifacts) must never leave a truncated file behind, because a downstream
+// ASIC flow picking up a half-written .v is worse than no file at all.
 #pragma once
 
 #include <string>
@@ -17,5 +17,9 @@ namespace polaris::util {
 /// std::runtime_error is thrown; the target is either untouched or fully
 /// replaced, never truncated.
 void write_file_atomic(const std::string& path, std::string_view contents);
+
+/// Returns the whole contents of `path`, byte for byte. Throws
+/// std::runtime_error when the file cannot be opened.
+[[nodiscard]] std::string read_file(const std::string& path);
 
 }  // namespace polaris::util

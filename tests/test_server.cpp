@@ -13,8 +13,10 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -30,6 +32,7 @@
 #include "server/server.hpp"
 #include "techlib/techlib.hpp"
 #include "tvla/tvla.hpp"
+#include "util/fileio.hpp"
 
 namespace {
 
@@ -127,13 +130,23 @@ std::vector<std::uint8_t> ping_frame_bytes() {
   return frame;
 }
 
-/// Reads the server's response on a raw socket and returns its status.
-server::Status read_status(int fd) {
+/// Reads the server's response on a raw socket.
+server::Response read_response(int fd) {
   std::vector<std::uint8_t> payload;
   const auto result =
       server::read_frame(fd, server::kDefaultMaxFrame, payload);
   EXPECT_EQ(result, server::FrameResult::kFrame);
-  return server::decode_response(std::move(payload)).status;
+  return server::decode_response(std::move(payload));
+}
+
+/// Reads the server's response on a raw socket and returns its status.
+server::Status read_status(int fd) { return read_response(fd).status; }
+
+/// One request on a raw socket, answered with the raw reply body: the
+/// cache tests compare the bytes the daemon sent, not a decoded copy.
+server::Response raw_roundtrip(int fd, const std::vector<std::uint8_t>& payload) {
+  server::write_frame(fd, payload);
+  return read_response(fd);
 }
 
 class ServerTest : public ::testing::Test {
@@ -467,6 +480,123 @@ TEST_F(ServerTest, BadRequestsGetBadRequestStatus) {
   }
   // The connection survives the rejected request.
   EXPECT_EQ(client.ping().protocol, server::kProtocolVersion);
+
+  // A scale outside (0, 1] is refused before any key is computed or design
+  // built: no cache lookup, no build, and the connection keeps serving.
+  auto& built = obs::Registry::global().counter("server.designs_built");
+  const std::uint64_t built_before = built.value();
+  const std::uint64_t misses_before = daemon->stats().cache_misses;
+  request.design = "des3";
+  for (const double scale : {std::nan(""), 0.0, -1.0,
+                             std::numeric_limits<double>::infinity(), 2.0}) {
+    request.scale = scale;
+    try {
+      (void)client.audit(request);
+      ADD_FAILURE() << "scale " << scale << " accepted";
+    } catch (const server::ServerError& error) {
+      EXPECT_EQ(error.status, server::Status::kBadRequest) << scale;
+      EXPECT_NE(std::string(error.what()).find("scale"), std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(client.ping().protocol, server::kProtocolVersion) << scale;
+  }
+  EXPECT_EQ(daemon->stats().cache_misses, misses_before);
+  EXPECT_EQ(built.value(), built_before);
+}
+
+TEST_F(ServerTest, CacheHitsBuildNoDesignAndEachMissBuildsOne) {
+  // The registry is process-global; only this test's daemon serves while
+  // it runs, so the counter's deltas are this daemon's builds.
+  auto& built = obs::Registry::global().counter("server.designs_built");
+  auto daemon = make_server(2);
+  server::Client client(daemon->socket_path());
+  server::AuditRequest audit;
+  audit.design = "square";
+  audit.scale = 0.3;
+  audit.config = audit_config();
+  server::MaskRequest mask;
+  mask.design = "square";
+  mask.scale = 0.3;
+  mask.mask_size = 10;
+  server::ScoreRequest score;
+  score.design = "square";
+  score.scale = 0.3;
+
+  std::uint64_t before = built.value();
+  EXPECT_FALSE(client.audit(audit).cache_hit);
+  EXPECT_EQ(built.value(), before + 1);
+  EXPECT_FALSE(client.mask(mask).cache_hit);
+  EXPECT_EQ(built.value(), before + 2);
+  EXPECT_FALSE(client.score(score).cache_hit);
+  EXPECT_EQ(built.value(), before + 3);
+
+  before = built.value();
+  EXPECT_TRUE(client.audit(audit).cache_hit);
+  EXPECT_TRUE(client.audit_stream(audit, {}).cache_hit);
+  EXPECT_TRUE(client.mask(mask).cache_hit);
+  EXPECT_TRUE(client.score(score).cache_hit);
+  EXPECT_EQ(built.value(), before);
+}
+
+TEST_F(ServerTest, VerilogDesignsAreKeyedByFileContent) {
+  const std::string path = ::testing::TempDir() + "polaris_served_" +
+                           std::to_string(::getpid()) + ".v";
+  const std::string first = netlist::to_verilog(circuits::make_multiplier(4));
+  const std::string second = netlist::to_verilog(circuits::make_adder(6));
+  const auto config = audit_config();
+  server::AuditRequest audit;
+  audit.design = path;
+  audit.config = config;
+  server::MaskRequest mask;
+  mask.design = path;
+  mask.mask_size = 8;
+
+  auto daemon = make_server(2);
+  const int fd = raw_connect(daemon->socket_path());
+  ASSERT_GE(fd, 0);
+  // Miss, hit, edit the file in place (a miss computed from the new
+  // bytes), then restore it (a hit on the first entry).
+  const auto sequence = [&](const std::vector<std::uint8_t>& payload,
+                            const auto& expect_offline) {
+    util::write_file_atomic(path, first);
+    const auto miss = raw_roundtrip(fd, payload);
+    ASSERT_EQ(miss.status, server::Status::kOk) << miss.message;
+    EXPECT_FALSE(miss.cache_hit);
+    const auto hit = raw_roundtrip(fd, payload);
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.body, miss.body);
+
+    util::write_file_atomic(path, second);
+    const auto edited = raw_roundtrip(fd, payload);
+    ASSERT_EQ(edited.status, server::Status::kOk) << edited.message;
+    EXPECT_FALSE(edited.cache_hit);
+    EXPECT_NE(edited.body, miss.body);
+    expect_offline(edited.body, circuits::load_design(path));
+
+    util::write_file_atomic(path, first);
+    const auto restored = raw_roundtrip(fd, payload);
+    EXPECT_TRUE(restored.cache_hit);
+    EXPECT_EQ(restored.body, miss.body);
+  };
+  sequence(server::encode_audit_request(audit),
+           [&](const std::vector<std::uint8_t>& body,
+               const circuits::Design& design) {
+             const auto offline =
+                 core::audit_designs({&design, 1}, lib(), config);
+             expect_reports_bit_identical(
+                 server::decode_audit_reply(body).report, offline[0]);
+           });
+  sequence(server::encode_mask_request(mask),
+           [&](const std::vector<std::uint8_t>& body,
+               const circuits::Design& design) {
+             const auto offline = polaris_->mask_design(
+                 design, lib(), 8, core::InferenceMode::kModel);
+             const auto reply = server::decode_mask_reply(body);
+             EXPECT_EQ(reply.selected, offline.selected);
+             EXPECT_EQ(reply.verilog, netlist::to_verilog(offline.masked));
+           });
+  ::close(fd);
+  std::remove(path.c_str());
 }
 
 // --- shutdown ---------------------------------------------------------------
