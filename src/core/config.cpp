@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,9 +11,21 @@
 #include "ml/decision_tree.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbdt.hpp"
-#include "netlist/verilog.hpp"
+#include "netlist/netlist_io.hpp"
 
 namespace polaris::core {
+
+namespace {
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a 64
+  for (const std::uint8_t byte : bytes) {
+    hash = (hash ^ byte) * 1099511628211ULL;
+  }
+  return hash;
+}
+
+}  // namespace
 
 std::string to_string(ModelKind kind) {
   switch (kind) {
@@ -226,28 +239,18 @@ std::uint64_t config_fingerprint(const PolarisConfig& config) {
   canonical.tvla.threads = 0;
   serialize::Writer writer;
   write_config(writer, canonical);
-  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a 64
-  for (const std::uint8_t byte : writer.bytes()) {
-    hash = (hash ^ byte) * 1099511628211ULL;
-  }
-  return hash;
+  return fnv1a(writer.bytes());
 }
 
 std::uint64_t design_fingerprint(const circuits::Design& design) {
-  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a 64
-  const auto mix = [&hash](const char* data, std::size_t size) {
-    for (std::size_t i = 0; i < size; ++i) {
-      hash = (hash ^ static_cast<std::uint8_t>(data[i])) * 1099511628211ULL;
-    }
-  };
-  mix(design.name.data(), design.name.size());
-  hash = (hash ^ design.roles.size()) * 1099511628211ULL;
+  serialize::Writer writer;
+  writer.str(design.name);
+  writer.u64(design.roles.size());
   for (const auto role : design.roles) {
-    hash = (hash ^ static_cast<std::uint8_t>(role)) * 1099511628211ULL;
+    writer.u8(static_cast<std::uint8_t>(role));
   }
-  const std::string verilog = netlist::to_verilog(design.netlist);
-  mix(verilog.data(), verilog.size());
-  return hash;
+  netlist::write_netlist(writer, design.netlist);
+  return fnv1a(writer.bytes());
 }
 
 std::unique_ptr<ml::Classifier> make_model(const PolarisConfig& config) {

@@ -92,10 +92,13 @@ void write_config(serialize::Writer& out, const PolarisConfig& config);
 /// results, regardless of where or how parallel the run was.
 [[nodiscard]] std::uint64_t config_fingerprint(const PolarisConfig& config);
 
-/// FNV-1a hash over a design's content identity: name, input roles, and
-/// the canonical structural-Verilog serialization of the netlist. Shard
-/// workers key installed designs on it and check it after decode, so a
-/// design that arrives mangled is never filed under another's key.
+/// FNV-1a hash over a design's content identity: the length-prefixed
+/// name, the input roles, and the netlist's exact archive bytes
+/// (netlist::write_netlist: net names, gates in id order with their group
+/// ids, and the port lists). Shard workers key installed designs on it and
+/// check it after decode, so a design that arrives mangled is never filed
+/// under another's key. An in-process key only: it is never persisted, so
+/// a change to the netlist codec may change it.
 [[nodiscard]] std::uint64_t design_fingerprint(const circuits::Design& design);
 
 /// Instantiates the configured classifier.

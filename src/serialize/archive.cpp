@@ -97,6 +97,14 @@ void Writer::i32(std::int32_t value) { u32(static_cast<std::uint32_t>(value)); }
 
 void Writer::f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
 
+void Writer::varint(std::uint64_t value) {
+  while (value >= 0x80) {
+    buffer_.push_back(static_cast<std::uint8_t>(value | 0x80));
+    value >>= 7;
+  }
+  buffer_.push_back(static_cast<std::uint8_t>(value));
+}
+
 void Writer::str(std::string_view value) {
   u64(value.size());
   buffer_.insert(buffer_.end(), value.begin(), value.end());
@@ -256,6 +264,18 @@ std::uint64_t Reader::u64() {
 std::int32_t Reader::i32() { return static_cast<std::int32_t>(u32()); }
 
 double Reader::f64() { return std::bit_cast<double>(u64()); }
+
+std::uint64_t Reader::varint() {
+  std::uint64_t value = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    require(1, "varint");
+    const std::uint8_t byte = buffer_[pos_++];
+    // Nine bytes carry 63 bits, so the 10th may only hold the top bit.
+    if (shift == 63 && byte > 1) fail("varint overflows 64 bits");
+    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return value;
+  }
+}
 
 std::string Reader::str() {
   const std::uint64_t length = u64();

@@ -52,6 +52,9 @@ class Writer {
   void u64(std::uint64_t value);
   void i32(std::int32_t value);
   void f64(double value);
+  /// Unsigned LEB128: 7 bits per byte, low group first, high bit set on
+  /// every byte but the last. 1 byte below 128, at most 10 for 2^64-1.
+  void varint(std::uint64_t value);
   void boolean(bool value) { u8(value ? 1 : 0); }
   void str(std::string_view value);
   void f64_vec(std::span<const double> values);
@@ -104,6 +107,9 @@ class Reader {
   [[nodiscard]] std::uint64_t u64();
   [[nodiscard]] std::int32_t i32();
   [[nodiscard]] double f64();
+  /// Reads a Writer::varint. Throws on truncation and on an encoding that
+  /// overflows 64 bits (a 10th byte above 1, which also rules out an 11th).
+  [[nodiscard]] std::uint64_t varint();
   [[nodiscard]] bool boolean() { return u8() != 0; }
   [[nodiscard]] std::string str();
   [[nodiscard]] std::vector<double> f64_vec();

@@ -3,6 +3,7 @@
 #include <errno.h>
 #include <netdb.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -221,7 +222,10 @@ int connect_endpoint(const Endpoint& endpoint) {
       last_errno = errno;
       continue;
     }
-    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
+    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
+      set_nodelay(fd, endpoint);
+      break;
+    }
     last_errno = errno;
     ::close(fd);
     fd = -1;
@@ -234,6 +238,12 @@ int connect_endpoint(const Endpoint& endpoint) {
                              " (is the worker/daemon running?)");
   }
   return fd;
+}
+
+void set_nodelay(int fd, const Endpoint& endpoint) {
+  if (!endpoint.tcp) return;
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 void unlink_if_uds(const Endpoint& endpoint) {

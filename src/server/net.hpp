@@ -43,9 +43,17 @@ struct Endpoint {
 /// port 0 to the kernel-assigned port. UDS endpoints return unchanged.
 [[nodiscard]] Endpoint bound_endpoint(int listen_fd, const Endpoint& endpoint);
 
-/// Connects a stream socket to the endpoint. Throws std::runtime_error
-/// (with the spec in the message) when nothing listens there.
+/// Connects a stream socket to the endpoint (with set_nodelay applied).
+/// Throws std::runtime_error (with the spec in the message) when nothing
+/// listens there.
 [[nodiscard]] int connect_endpoint(const Endpoint& endpoint);
+
+/// Sets TCP_NODELAY on a connected TCP stream; a no-op for UDS. Every
+/// frame goes out as two writes (header, then payload), and with Nagle's
+/// algorithm on, the second write waits for the peer's delayed ACK of the
+/// first: tens of milliseconds per small frame. Called on both ends of
+/// every TCP connection (connect_endpoint and the accept loops).
+void set_nodelay(int fd, const Endpoint& endpoint);
 
 /// Removes a UDS endpoint's socket file; no-op for TCP.
 void unlink_if_uds(const Endpoint& endpoint);

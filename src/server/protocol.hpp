@@ -146,8 +146,8 @@ struct ScoreRequest {
 };
 
 /// Installs a design in a worker's compiled-plan cache. Carries the FULL
-/// netlist (nets, gates, groups, ports) plus per-input roles, keyed by the
-/// same content fingerprint the result cache uses - the worker recomputes
+/// netlist (nets, gates, groups, ports) plus per-input roles, keyed by its
+/// content fingerprint (core::design_fingerprint) - the worker recomputes
 /// the fingerprint after decoding and rejects a mismatch, so a corrupted
 /// design can never silently contaminate shard results.
 struct DesignRequest {

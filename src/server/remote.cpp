@@ -7,7 +7,6 @@
 #include <chrono>
 #include <deque>
 #include <optional>
-#include <set>
 #include <thread>
 
 #include "obs/obs.hpp"
@@ -22,6 +21,10 @@ constexpr int kFeederPollMs = 100;
 
 obs::Counter& shards_out_counter() {
   static auto& counter = obs::Registry::global().counter("net.shards_out");
+  return counter;
+}
+obs::Counter& installs_counter() {
+  static auto& counter = obs::Registry::global().counter("net.installs");
   return counter;
 }
 obs::Counter& moments_in_counter() {
@@ -50,9 +53,17 @@ struct WorkerPool::Batch {
     std::size_t end = 0;
   };
 
+  /// The moments layout each campaign's shards must have; a worker reply
+  /// is checked against it before any store (the merge indexes by it).
+  struct Shape {
+    std::size_t groups = 0;
+    std::size_t multis = 0;
+  };
+
   std::span<const circuits::Design> designs;
   const core::PolarisConfig* config = nullptr;
   std::vector<std::uint64_t> fingerprints;  // per design
+  std::vector<Shape> shapes;                // per design
   std::vector<std::unique_ptr<tvla::ShardRunner>> runners;
   std::vector<std::vector<std::optional<tvla::CampaignMoments>>> slots;
 
@@ -159,12 +170,15 @@ std::vector<tvla::LeakageReport> WorkerPool::audit(
   // and cost_weight() drives the LPT chunk order below.
   batch.runners.reserve(designs.size());
   batch.fingerprints.reserve(designs.size());
+  batch.shapes.reserve(designs.size());
   batch.slots.resize(designs.size());
   std::size_t total_shards = 0;
   for (std::size_t d = 0; d < designs.size(); ++d) {
     batch.fingerprints.push_back(core::design_fingerprint(designs[d]));
     batch.runners.push_back(std::make_unique<tvla::ShardRunner>(
         designs[d].netlist, lib, core::tvla_config_for(config, designs[d])));
+    const tvla::CampaignMoments empty = batch.runners[d]->empty_moments();
+    batch.shapes.push_back({empty.group_count(), empty.multi_group_count()});
     batch.slots[d].resize(batch.runners[d]->shard_count());
     total_shards += batch.runners[d]->shard_count();
   }
@@ -277,7 +291,6 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
     std::size_t bytes = 0;    // request payload size (admission control)
   };
   std::deque<Pending> outstanding;
-  std::set<std::size_t> installed;  // designs installed on this connection
   std::size_t inflight_bytes = 0;
   int fd = -1;
 
@@ -316,17 +329,25 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
         // chunk back before withdrawing, or Batch::remaining never
         // reaches zero and every surviving lane spins forever.
         try {
-          if (installed.find(chunk->design) == installed.end()) {
+          const std::uint64_t fingerprint = batch.fingerprints[chunk->design];
+          bool needs_install = false;
+          {
+            const std::lock_guard<std::mutex> lock(slot.installed_mutex);
+            needs_install = slot.installed.insert(fingerprint).second;
+          }
+          // The worker serves a connection's frames in order, so the
+          // install lands before the shard request that follows it.
+          if (needs_install) {
             const auto install =
                 encode_design_request(batch.designs[chunk->design]);
             write_frame(fd, install, probe);
             slot.bytes_out.fetch_add(install.size());
             bytes_counter().add(install.size());
+            installs_counter().add();
             outstanding.push_back(Pending{});
-            installed.insert(chunk->design);
           }
           ShardRequest request;
-          request.fingerprint = batch.fingerprints[chunk->design];
+          request.fingerprint = fingerprint;
           request.config = *batch.config;
           request.shard_begin = chunk->begin;
           request.shard_end = chunk->end;
@@ -385,9 +406,13 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
       inflight_bytes -= pending.bytes;
       slot.inflight.fetch_sub(1);
       if (response.status == Status::kUnknownDesign) {
-        // Worker restarted between install and shard request: force a
-        // re-install on the next send and give the chunk back.
-        installed.erase(pending.chunk.design);
+        // The worker restarted since the install (or another audit's
+        // install has not landed yet): forget the design so the next
+        // send installs it, and give the chunk back.
+        {
+          const std::lock_guard<std::mutex> lock(slot.installed_mutex);
+          slot.installed.erase(batch.fingerprints[pending.chunk.design]);
+        }
         slot.resends.fetch_add(pending.chunk.end - pending.chunk.begin);
         resends_counter().add(pending.chunk.end - pending.chunk.begin);
         batch.requeue(pending.chunk);
@@ -415,12 +440,22 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
         // check on purpose: a duplicate in-range index would
         // double-store one slot and double-decrement Batch::remaining,
         // flipping `done` with shards still unstored - then the merge
-        // replay dereferences an empty slot. Network input never gets to
-        // do that, which is why validation completes before any store.
+        // replay dereferences an empty slot. Likewise every block must
+        // have the campaign's own layout: the merge indexes a block by
+        // the totals' group counts, so a short one is read out of
+        // bounds. Network input never gets to do either, which is why
+        // validation completes before any store.
+        const Batch::Shape shape = batch.shapes[pending.chunk.design];
         for (std::size_t i = 0; i < reply.shards.size(); ++i) {
           if (reply.shards[i].shard != pending.chunk.begin + i) {
             throw std::runtime_error("polaris net: worker '" + slot.display +
                                      "' answered an unrequested shard");
+          }
+          const tvla::CampaignMoments& moments = reply.shards[i].moments;
+          if (moments.group_count() != shape.groups ||
+              moments.multi_group_count() != shape.multis) {
+            throw std::runtime_error("polaris net: worker '" + slot.display +
+                                     "' answered moments of the wrong shape");
           }
         }
         for (auto& result_in : reply.shards) {
@@ -449,6 +484,10 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
       slot.resends.fetch_add(pending.chunk.end - pending.chunk.begin);
       resends_counter().add(pending.chunk.end - pending.chunk.begin);
       batch.requeue(pending.chunk);
+    }
+    {
+      const std::lock_guard<std::mutex> lock(slot.installed_mutex);
+      slot.installed.clear();
     }
     slot.alive.store(false);
   }

@@ -21,6 +21,13 @@
 // on the shared queue (counted as resends) and are completed by the
 // remaining lanes - a campaign always finishes as long as the
 // coordinator itself lives, because local lanes can run anything.
+//
+// Installs: each worker slot remembers the design fingerprints it has
+// sent to that worker, across audit() calls, so a design crosses the wire
+// once per worker rather than once per audit. A worker that restarted and
+// lost its designs answers a shard request with kUnknownDesign; the
+// feeder then forgets the design and requeues the chunk, and the next
+// send installs it again. A lost worker's set is cleared.
 #pragma once
 
 #include <atomic>
@@ -29,6 +36,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
@@ -89,8 +97,8 @@ class WorkerPool {
   [[nodiscard]] Totals totals() const;
 
  private:
-  /// Cumulative per-worker stats; feeder threads update them across
-  /// audit() calls, health() snapshots them.
+  /// Cumulative per-worker state; feeder threads update it across
+  /// audit() calls, health() snapshots the stats.
   struct WorkerSlot {
     net::Endpoint endpoint;
     std::string display;
@@ -100,6 +108,10 @@ class WorkerPool {
     std::atomic<std::uint64_t> bytes_out{0};
     std::atomic<std::uint64_t> bytes_in{0};
     std::atomic<std::uint64_t> resends{0};
+    /// Design fingerprints sent to this worker. Concurrent audit() calls
+    /// (the daemon's) share the slot, hence the mutex.
+    std::mutex installed_mutex;
+    std::unordered_set<std::uint64_t> installed;
   };
 
   struct Batch;  // one audit() call's shared state (remote.cpp)

@@ -201,6 +201,7 @@ void Server::accept_loop() {
     timeout.tv_usec = kHandlerPollMs * 1000;
     (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+    net::set_nodelay(fd, endpoint_);
     connections_accepted_.fetch_add(1);
     {
       static auto& opened =

@@ -88,6 +88,7 @@ void Worker::accept_loop() {
     timeout.tv_usec = kHandlerPollMs * 1000;
     (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+    net::set_nodelay(fd, endpoint_);
     auto connection = std::make_unique<Connection>();
     Connection* raw = connection.get();
     {

@@ -27,15 +27,15 @@ MomentAccumulator read_accumulator(serialize::Reader& in) {
 }  // namespace
 
 void write_moments(serialize::Writer& out, const CampaignMoments& moments) {
-  out.begin_chunk("MOMS");
+  out.begin_chunk("MOMV");
   out.u64(moments.n_fixed());
   out.u64(moments.n_random());
   out.u64(moments.group_count());
-  for (std::size_t g = 0; g < moments.group_count(); ++g) {
-    out.u64(moments.single_ones_fixed(g));
-    out.u64(moments.single_ones_random(g));
-  }
   out.u64(moments.multi_group_count());
+  for (std::size_t g = 0; g < moments.group_count(); ++g) {
+    out.varint(moments.single_ones_fixed(g));
+    out.varint(moments.single_ones_random(g));
+  }
   for (std::size_t i = 0; i < moments.multi_group_count(); ++i) {
     write_accumulator(out, moments.multi_fixed(i));
     write_accumulator(out, moments.multi_random(i));
@@ -44,26 +44,19 @@ void write_moments(serialize::Writer& out, const CampaignMoments& moments) {
 }
 
 CampaignMoments read_moments(serialize::Reader& in) {
-  in.enter_chunk("MOMS");
+  in.enter_chunk("MOMV");
   const std::uint64_t n_fixed = in.u64();
   const std::uint64_t n_random = in.u64();
-  // Check-before-allocate: a single group is exactly 16 payload bytes, a
-  // multi group two 40-byte accumulators - hostile counts are rejected
-  // before any reserve.
   const std::uint64_t groups = in.u64();
-  if (groups > in.remaining() / 16) {
+  const std::uint64_t multis = in.u64();
+  // Check-before-allocate: a single group is at least two 1-byte varints,
+  // a multi group exactly two 40-byte accumulators - hostile counts are
+  // rejected before the block is sized.
+  if (groups > in.remaining() / 2) {
     throw std::runtime_error("polaris tvla: moments group count exceeds "
                              "payload size");
   }
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> singles;
-  singles.reserve(groups);
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    const std::uint64_t fixed = in.u64();
-    const std::uint64_t random = in.u64();
-    singles.emplace_back(fixed, random);
-  }
-  const std::uint64_t multis = in.u64();
-  if (multis > in.remaining() / 80) {
+  if (multis > (in.remaining() - 2 * groups) / 80) {
     throw std::runtime_error("polaris tvla: moments multi-group count "
                              "exceeds payload size");
   }
@@ -71,8 +64,13 @@ CampaignMoments read_moments(serialize::Reader& in) {
                           static_cast<std::size_t>(multis));
   moments.add_lane_counts(n_fixed, n_random);
   for (std::uint64_t g = 0; g < groups; ++g) {
-    moments.add_single_ones(static_cast<std::size_t>(g), singles[g].first,
-                            singles[g].second);
+    const std::uint64_t fixed = in.varint();
+    const std::uint64_t random = in.varint();
+    if (fixed > n_fixed || random > n_random) {
+      throw std::runtime_error("polaris tvla: moments toggle count exceeds "
+                               "its class total");
+    }
+    moments.add_single_ones(static_cast<std::size_t>(g), fixed, random);
   }
   for (std::uint64_t i = 0; i < multis; ++i) {
     MomentAccumulator fixed = read_accumulator(in);

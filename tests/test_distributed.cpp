@@ -12,6 +12,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "circuits/suite.hpp"
 #include "core/polaris.hpp"
 #include "netlist/netlist_io.hpp"
+#include "obs/obs.hpp"
 #include "server/client.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
@@ -96,26 +98,102 @@ struct Fleet {
 // --- wire codecs -------------------------------------------------------------
 
 TEST(DistributedCodec, MomentsRoundTripBitExactly) {
-  const auto design = circuits::load_design("voter", 0.3);
-  const auto config = audit_config();
-  tvla::ShardRunner runner(design.netlist, lib(),
-                           core::tvla_config_for(config, design));
-  ASSERT_GE(runner.shard_count(), 2u);
-  const auto moments = runner.run_shard(1);
+  // voter carries multi-member groups (the accumulator path); des3 at the
+  // benchmark's 65536 traces is the large single-group case the varint
+  // counters shrink.
+  struct Case {
+    const char* name;
+    double scale;
+    std::size_t traces;
+  };
+  for (const Case& c : {Case{"voter", 0.3, 512}, Case{"des3", 1.0, 65536}}) {
+    SCOPED_TRACE(c.name);
+    const auto design = circuits::load_design(c.name, c.scale);
+    auto config = audit_config();
+    config.tvla.traces = c.traces;
+    tvla::ShardRunner runner(design.netlist, lib(),
+                             core::tvla_config_for(config, design));
+    ASSERT_GE(runner.shard_count(), 2u);
+    const auto moments = runner.run_shard(1);
 
+    serialize::Writer out;
+    tvla::write_moments(out, moments);
+    const auto bytes = out.finish();
+
+    serialize::Reader in(bytes);
+    const auto back = tvla::read_moments(in);
+
+    // Re-encoding the decoded state must reproduce the archive byte for
+    // byte - the accumulator survived the trip with every IEEE-754 bit
+    // pattern intact, which is exactly what the merge replay requires.
+    serialize::Writer again;
+    tvla::write_moments(again, back);
+    EXPECT_EQ(bytes, again.finish());
+
+    if (std::string(c.name) == "des3") {
+      // The same block in the dense layout of older builds: archive
+      // framing (16 bytes), chunk prefix (12), four u64 counts, two u64
+      // per single group and two 40-byte accumulators per multi group.
+      const std::size_t dense = 16 + 12 + 32 + 16 * moments.group_count() +
+                                80 * moments.multi_group_count();
+      EXPECT_LT(bytes.size() * 4, dense);
+    }
+  }
+}
+
+/// A "MOMV" chunk with the given header and raw bytes after it.
+std::vector<std::uint8_t> raw_moments_block(std::uint64_t n_fixed,
+                                            std::uint64_t n_random,
+                                            std::uint64_t groups,
+                                            std::uint64_t multis,
+                                            std::vector<std::uint8_t> body) {
   serialize::Writer out;
-  tvla::write_moments(out, moments);
-  const auto bytes = out.finish();
+  out.begin_chunk("MOMV");
+  out.u64(n_fixed);
+  out.u64(n_random);
+  out.u64(groups);
+  out.u64(multis);
+  for (const std::uint8_t byte : body) out.u8(byte);
+  out.end_chunk();
+  return out.finish();
+}
 
-  serialize::Reader in(bytes);
-  const auto back = tvla::read_moments(in);
+tvla::CampaignMoments decode_moments(std::vector<std::uint8_t> bytes) {
+  serialize::Reader in(std::move(bytes));
+  return tvla::read_moments(in);
+}
 
-  // Re-encoding the decoded state must reproduce the archive byte for
-  // byte - the accumulator survived the trip with every IEEE-754 bit
-  // pattern intact, which is exactly what the merge replay requires.
-  serialize::Writer again;
-  tvla::write_moments(again, back);
-  EXPECT_EQ(bytes, again.finish());
+TEST(DistributedCodec, MomentsDecoderRejectsHostileBlocks) {
+  // Three groups need at least six bytes; one byte short is refused
+  // before the block is sized, and a huge count never reaches the
+  // allocator (which would throw something other than runtime_error).
+  EXPECT_EQ(decode_moments(raw_moments_block(
+                4, 4, 3, 0, std::vector<std::uint8_t>(6, 0)))
+                .group_count(),
+            3u);
+  EXPECT_THROW((void)decode_moments(raw_moments_block(
+                   4, 4, 3, 0, std::vector<std::uint8_t>(5, 0))),
+               std::runtime_error);
+  EXPECT_THROW((void)decode_moments(raw_moments_block(
+                   4, 4, std::uint64_t{1} << 60, 0, {})),
+               std::runtime_error);
+  EXPECT_THROW((void)decode_moments(raw_moments_block(
+                   4, 4, 0, std::uint64_t{1} << 60, {})),
+               std::runtime_error);
+
+  // A toggle count above its class total cannot come from a real shard.
+  EXPECT_NO_THROW((void)decode_moments(raw_moments_block(4, 2, 1, 0, {4, 2})));
+  EXPECT_THROW((void)decode_moments(raw_moments_block(4, 2, 1, 0, {5, 0})),
+               std::runtime_error);
+  EXPECT_THROW((void)decode_moments(raw_moments_block(4, 2, 1, 0, {0, 3})),
+               std::runtime_error);
+
+  // The dense "MOMS" layout of older builds is refused, not misread.
+  serialize::Writer dense;
+  dense.begin_chunk("MOMS");
+  for (const std::uint64_t value : {4, 4, 1, 2, 2, 0}) dense.u64(value);
+  dense.end_chunk();
+  EXPECT_THROW((void)decode_moments(dense.finish()), std::runtime_error);
 }
 
 TEST(DistributedCodec, NetlistRoundTripPreservesDesignFingerprint) {
@@ -348,43 +426,47 @@ TEST(DistributedAudit, HealthAndTotalsTrackTheFleet) {
   }
 }
 
-TEST(DistributedAudit, DuplicateShardIndexInReplyIsRejectedNotMerged) {
-  // A protocol-correct but buggy worker answers a shard request with the
-  // right count but one in-range index duplicated. Each entry must be
-  // exactly begin + i: a duplicate would double-store one slot and
-  // double-decrement the remaining count, flipping `done` with shards
-  // still unstored - the merge replay would then read an empty slot. The
-  // coordinator must instead drop the worker, requeue the chunk, and let
-  // the local lanes finish with identical bits. The campaign is long and
-  // the local side single-threaded so the feeder is guaranteed to win
-  // chunks from the shared queue before the lanes drain it.
-  auto config = audit_config();
-  config.tvla.traces = 32768;
-  std::vector<circuits::Design> designs;
-  designs.push_back(circuits::load_design("des3", 1.0));
-  const auto expected = core::audit_designs(designs, lib(), config);
+/// A protocol-correct worker on an ephemeral loopback port that serves one
+/// connection: it accepts installs and answers each shard request with
+/// the real shard moments, passed through `tamper` first.
+class TamperingWorker {
+ public:
+  using Tamper = std::function<void(server::ShardReply&)>;
 
-  const int listen_fd = server::net::listen_endpoint(
-      server::net::parse_endpoint("tcp:127.0.0.1:0"), 4);
-  const auto endpoint = server::net::bound_endpoint(
-      listen_fd, server::net::parse_endpoint("tcp:127.0.0.1:0"));
-  std::thread malicious([&, listen_fd] {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+  explicit TamperingWorker(Tamper tamper)
+      : listen_fd_(server::net::listen_endpoint(
+            server::net::parse_endpoint("tcp:127.0.0.1:0"), 4)),
+        endpoint_(server::net::bound_endpoint(
+            listen_fd_, server::net::parse_endpoint("tcp:127.0.0.1:0"))),
+        thread_([this, tamper = std::move(tamper)] { serve(tamper); }) {}
+
+  ~TamperingWorker() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes accept() if never reached
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+  TamperingWorker(const TamperingWorker&) = delete;
+  TamperingWorker& operator=(const TamperingWorker&) = delete;
+
+  [[nodiscard]] std::string endpoint() const {
+    return server::net::to_string(endpoint_);
+  }
+
+ private:
+  void serve(const Tamper& tamper) {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;
     std::optional<circuits::Design> installed;
     std::vector<std::uint8_t> payload;
     try {
-      for (;;) {
-        if (server::read_frame(fd, server::kDefaultMaxFrame, payload) !=
-            server::FrameResult::kFrame) {
-          break;
-        }
+      while (server::read_frame(fd, server::kDefaultMaxFrame, payload) ==
+             server::FrameResult::kFrame) {
         serialize::Reader in(std::move(payload));
         const auto kind = server::decode_request_kind(in);
-        std::vector<std::uint8_t> response;
+        std::vector<std::uint8_t> body;
         if (kind == server::RequestKind::kDesign) {
           installed = server::decode_design_request(in).design;
-          response = server::encode_response(server::Status::kOk, "", false, {});
         } else {
           const auto request = server::decode_shard_request(in);
           tvla::ShardRunner runner(
@@ -393,26 +475,43 @@ TEST(DistributedAudit, DuplicateShardIndexInReplyIsRejectedNotMerged) {
           server::ShardReply reply;
           for (std::uint64_t shard = request.shard_begin;
                shard < request.shard_end; ++shard) {
-            server::ShardResult result;
-            result.shard = request.shard_begin;  // every entry: same index
-            result.moments =
-                runner.run_shard(static_cast<std::size_t>(shard));
-            reply.shards.push_back(std::move(result));
+            reply.shards.push_back(
+                {shard, runner.run_shard(static_cast<std::size_t>(shard))});
           }
-          response = server::encode_response(server::Status::kOk, "", false,
-                                             server::encode_shard_reply(reply));
+          tamper(reply);
+          body = server::encode_shard_reply(reply);
         }
-        server::write_frame(fd, response);
+        server::write_frame(fd, server::encode_response(server::Status::kOk,
+                                                        "", false, body));
         payload.clear();
       }
     } catch (const std::exception&) {
       // Coordinator hung up on us mid-exchange - exactly what we expect.
     }
     ::close(fd);
-  });
+  }
 
+  int listen_fd_;
+  server::net::Endpoint endpoint_;
+  std::thread thread_;
+};
+
+/// Audits des3 through a TamperingWorker: the coordinator must drop the
+/// worker, requeue the chunk, and let the local lanes finish with
+/// identical bits - nothing from a bad reply is ever stored. The campaign
+/// is long and the local side single-threaded so the feeder is
+/// guaranteed to win chunks from the shared queue before the lanes drain
+/// it.
+void expect_tampered_replies_rejected(TamperingWorker::Tamper tamper) {
+  auto config = audit_config();
+  config.tvla.traces = 32768;
+  std::vector<circuits::Design> designs;
+  designs.push_back(circuits::load_design("des3", 1.0));
+  const auto expected = core::audit_designs(designs, lib(), config);
+
+  TamperingWorker worker(std::move(tamper));
   server::WorkerPoolOptions options;
-  options.workers = server::net::to_string(endpoint);
+  options.workers = worker.endpoint();
   options.local_threads = 1;
   server::WorkerPool pool(options);
   const auto reports = pool.audit(designs, lib(), config);
@@ -426,9 +525,85 @@ TEST(DistributedAudit, DuplicateShardIndexInReplyIsRejectedNotMerged) {
   EXPECT_FALSE(health[0].alive);  // dropped after the bad reply
   EXPECT_EQ(health[0].shards_done, 0u);
   EXPECT_GT(pool.totals().resends, 0u);
+}
 
-  ::close(listen_fd);
-  malicious.join();
+TEST(DistributedAudit, DuplicateShardIndexInReplyIsRejectedNotMerged) {
+  // The right count but one in-range index repeated. Each entry must be
+  // exactly begin + i: a duplicate would double-store one slot and
+  // double-decrement the remaining count, flipping `done` with shards
+  // still unstored - the merge replay would then read an empty slot.
+  expect_tampered_replies_rejected([](server::ShardReply& reply) {
+    for (auto& result : reply.shards) result.shard = reply.shards[0].shard;
+  });
+}
+
+TEST(DistributedAudit, MomentsOfTheWrongShapeAreRejectedNotMerged) {
+  // Every block loses its last single group. The merge indexes a block by
+  // the campaign's group count, so a short block would be read out of
+  // bounds.
+  expect_tampered_replies_rejected([](server::ShardReply& reply) {
+    for (auto& result : reply.shards) {
+      const auto& full = result.moments;
+      const std::size_t groups = full.group_count() - 1;
+      tvla::CampaignMoments shorter(groups, full.multi_group_count());
+      shorter.add_lane_counts(full.n_fixed(), full.n_random());
+      for (std::size_t g = 0; g < groups; ++g) {
+        shorter.add_single_ones(g, full.single_ones_fixed(g),
+                                full.single_ones_random(g));
+      }
+      for (std::size_t i = 0; i < full.multi_group_count(); ++i) {
+        shorter.set_multi(i, full.multi_fixed(i), full.multi_random(i));
+      }
+      result.moments = std::move(shorter);
+    }
+  });
+}
+
+TEST(DistributedAudit, InstallsOutliveAnAuditAndRecoverAfterAWorkerRestart) {
+  // Long enough, with one local lane, that the feeder wins chunks in
+  // every audit (as in the tampering tests above).
+  auto config = audit_config();
+  config.tvla.traces = 32768;
+  std::vector<circuits::Design> designs;
+  designs.push_back(circuits::load_design("des3", 1.0));
+  const auto expected = core::audit_designs(designs, lib(), config);
+  const auto& installs = obs::Registry::global().counter("net.installs");
+
+  Fleet fleet(1);
+  server::WorkerPoolOptions options;
+  options.workers = fleet.endpoints;
+  options.local_threads = 1;
+  server::WorkerPool pool(options);
+  const auto installs_sent_by_an_audit = [&] {
+    const std::uint64_t before = installs.value();
+    const auto reports = pool.audit(designs, lib(), config);
+    EXPECT_EQ(reports.size(), expected.size());
+    for (std::size_t d = 0; d < std::min(reports.size(), expected.size());
+         ++d) {
+      expect_reports_bit_identical(reports[d], expected[d]);
+    }
+    return installs.value() - before;
+  };
+
+  EXPECT_EQ(installs_sent_by_an_audit(), 1u);
+  EXPECT_EQ(installs_sent_by_an_audit(), 0u);  // the worker still holds it
+
+  // A new worker on the same port holds no designs: the first shard
+  // request answers kUnknownDesign, the feeder requeues the chunk and
+  // installs again, and the worker keeps serving.
+  const auto endpoint = fleet.workers[0]->endpoint();
+  fleet.workers[0]->request_stop();
+  fleet.workers[0]->wait();
+  server::WorkerOptions restart;
+  restart.listen = server::net::to_string(endpoint);
+  restart.threads = 1;
+  fleet.workers[0] = std::make_unique<server::Worker>(restart);
+  fleet.workers[0]->start();
+  const std::uint64_t resends_before = pool.totals().resends;
+  EXPECT_GE(installs_sent_by_an_audit(), 1u);
+  EXPECT_GT(pool.totals().resends, resends_before);
+  EXPECT_TRUE(pool.health()[0].alive);
+  EXPECT_GT(fleet.workers[0]->shards_run(), 0u);
 }
 
 }  // namespace

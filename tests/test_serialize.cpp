@@ -65,6 +65,48 @@ TEST(Archive, PrimitivesRoundTrip) {
   in.exit_chunk();
 }
 
+TEST(Archive, VarintRoundTripsAndRejectsMalformedEncodings) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  serialize::Writer out;
+  out.begin_chunk("VARI");
+  for (const std::uint64_t value : {std::uint64_t{0}, std::uint64_t{127},
+                                    std::uint64_t{128}, kMax}) {
+    out.varint(value);
+  }
+  out.end_chunk();
+  serialize::Reader in(out.finish());
+  in.enter_chunk("VARI");
+  EXPECT_EQ(in.remaining(), 1u + 1u + 2u + 10u);
+  EXPECT_EQ(in.varint(), 0u);
+  EXPECT_EQ(in.varint(), 127u);
+  EXPECT_EQ(in.varint(), 128u);
+  EXPECT_EQ(in.varint(), kMax);
+  EXPECT_EQ(in.remaining(), 0u);
+
+  const auto read_raw = [](const std::vector<std::uint8_t>& raw) {
+    serialize::Writer writer;
+    writer.begin_chunk("VARI");
+    for (const std::uint8_t byte : raw) writer.u8(byte);
+    writer.end_chunk();
+    serialize::Reader reader(writer.finish());
+    reader.enter_chunk("VARI");
+    return reader.varint();
+  };
+  std::vector<std::uint8_t> max(9, 0xFF);
+  max.push_back(0x01);
+  EXPECT_EQ(read_raw(max), kMax);
+  // Truncated: the last byte still has its continuation bit set.
+  EXPECT_THROW((void)read_raw({0x80, 0x80}), std::runtime_error);
+  // Eleven bytes: the 10th carries a continuation bit.
+  std::vector<std::uint8_t> overlong(10, 0x80);
+  overlong.push_back(0x00);
+  EXPECT_THROW((void)read_raw(overlong), std::runtime_error);
+  // Ten bytes whose last holds more than bit 63.
+  std::vector<std::uint8_t> overflow(9, 0xFF);
+  overflow.push_back(0x02);
+  EXPECT_THROW((void)read_raw(overflow), std::runtime_error);
+}
+
 TEST(Archive, LittleEndianOnDisk) {
   serialize::Writer out;
   out.begin_chunk("ENDI");

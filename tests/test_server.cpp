@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -30,6 +31,7 @@
 #include "server/client.hpp"
 #include "server/flight_recorder.hpp"
 #include "server/server.hpp"
+#include "server/worker.hpp"
 #include "techlib/techlib.hpp"
 #include "tvla/tvla.hpp"
 #include "util/fileio.hpp"
@@ -1234,6 +1236,45 @@ TEST_F(ServerTest, TcpEndpointServesBitIdenticalAudits) {
   expect_reports_bit_identical(reply.report, expected);
   daemon->request_stop();
   daemon->wait();
+}
+
+/// Median wall time of 50 sequential pings on one connection.
+double median_ping_ms(const server::net::Endpoint& endpoint) {
+  server::Client client(server::net::to_string(endpoint));
+  std::vector<double> ms;
+  for (int i = 0; i < 50; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    (void)client.ping();
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  std::nth_element(ms.begin(), ms.begin() + 25, ms.end());
+  return ms[25];
+}
+
+TEST_F(ServerTest, TcpPingRoundTripsDoNotWaitOnNagle) {
+  // A frame goes out as two writes (header, then payload). Unless both
+  // ends set TCP_NODELAY, the second write waits for the peer's delayed
+  // ACK of the first: tens of milliseconds per frame on loopback.
+  server::WorkerOptions worker_options;
+  worker_options.listen = "tcp:127.0.0.1:0";
+  worker_options.threads = 1;
+  server::Worker worker(worker_options);
+  worker.start();
+  EXPECT_LT(median_ping_ms(worker.endpoint()), 10.0);
+  worker.request_stop();
+  worker.wait();
+
+  server::ServerOptions options;
+  options.socket_path = "tcp:127.0.0.1:0";
+  options.bundle_path = *bundle_path_;
+  options.threads = 1;
+  server::Server daemon(options);
+  daemon.start();
+  EXPECT_LT(median_ping_ms(daemon.endpoint()), 10.0);
+  daemon.request_stop();
+  daemon.wait();
 }
 
 TEST_F(ServerTest, TcpTruncatedFramePrefixesLeaveTheServerServing) {
