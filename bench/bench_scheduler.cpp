@@ -179,8 +179,8 @@ int main() {
   // path) under ONE uniform config, with a single local lane so added
   // workers are the only scaling axis. Workers are real TCP servers on
   // loopback ephemeral ports - the full wire path (design install, shard
-  // requests, moments replies, ascending merge replay), just without the
-  // network between hosts. Every row is verified bit-identical to the
+  // requests, moments replies, the coordinator's ascending merge), just
+  // without the network between hosts. Every row is verified bit-identical to the
   // zero-worker run before it is reported.
   std::printf("\n=== Distributed suite audit: local lane + N workers ===\n\n");
   core::PolarisConfig dist_config;

@@ -1,9 +1,21 @@
 #include "engine/scheduler.hpp"
 
+#include <algorithm>
+
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 
 namespace polaris::engine {
+
+namespace {
+
+obs::Counter& shards_cancelled_counter() {
+  static auto& counter =
+      obs::Registry::global().counter("sched.shards_cancelled");
+  return counter;
+}
+
+}  // namespace
 
 void Scheduler::enqueue(std::shared_ptr<CampaignTask> campaign) {
   static auto& campaigns = obs::Registry::global().counter("sched.campaigns");
@@ -11,24 +23,29 @@ void Scheduler::enqueue(std::shared_ptr<CampaignTask> campaign) {
   static auto& queue_at_submit =
       obs::Registry::global().histogram("sched.queue_at_submit");
   campaign->enqueue_ns = obs::now_ns();
-  campaigns.add();
-  shards.add(campaign->plan.shard_count);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  campaign->sequence = next_sequence_++;
-  active_.push_back(campaign);
-  for (std::size_t shard = 0; shard < campaign->plan.shard_count; ++shard) {
-    queue_.push(QueueEntry{campaign, shard});
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    campaign->sequence = next_sequence_++;
+    if (campaign->shard_count != 0) {
+      active_.push_back(campaign);
+      for (std::size_t shard = 0; shard < campaign->shard_count; ++shard) {
+        queue_.push(QueueEntry{campaign, shard});
+      }
+      // LPT queue length as seen by this submit, including its own shards.
+      queue_at_submit.record(queue_.size());
+    }
   }
-  // LPT queue length as seen by this submit, including its own shards.
-  queue_at_submit.record(queue_.size());
+  if (campaign->shard_count == 0) {
+    campaign->finish();  // ready future, nothing queued
+    return;
+  }
+  campaigns.add();
+  shards.add(campaign->shard_count);
+  idle_cv_.notify_all();
 }
 
 bool Scheduler::run_next() {
   static auto& shard_us = obs::Registry::global().histogram("sched.shard_us");
-  static auto& campaign_us =
-      obs::Registry::global().histogram("sched.campaign_us");
-  static auto& shards_cancelled =
-      obs::Registry::global().counter("sched.shards_cancelled");
   QueueEntry entry;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -36,12 +53,12 @@ bool Scheduler::run_next() {
     entry = queue_.top();
     queue_.pop();
   }
-  if (entry.campaign->cancelled.load(std::memory_order_relaxed)) {
-    // A checkpoint already decided this campaign: skip the shard body (its
-    // state could never merge past the frozen ceiling anyway) so the pool
-    // slot goes to the next undecided campaign in the LPT queue. The
-    // decrement below still runs - the campaign finishes normally.
-    shards_cancelled.add();
+  if (entry.campaign->decided()) {
+    // Skip the body (its state could never merge past the frozen ceiling)
+    // so the pool slot goes to the next undecided campaign in the queue.
+    if (entry.campaign->cancelled.load(std::memory_order_relaxed)) {
+      shards_cancelled_counter().add();
+    }
   } else {
     obs::Span span("shard", "sched");
     span.arg("seq", entry.campaign->sequence)
@@ -50,43 +67,46 @@ bool Scheduler::run_next() {
     entry.campaign->run_shard(entry.shard);
     shard_us.record(static_cast<std::uint64_t>((obs::now_ns() - t0) / 1000));
   }
+  retire(entry.campaign, /*leased=*/false);
+  return true;
+}
+
+void Scheduler::retire(const std::shared_ptr<CampaignTask>& campaign,
+                       bool leased) {
+  static auto& campaign_us =
+      obs::Registry::global().histogram("sched.campaign_us");
   bool last = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    last = --entry.campaign->remaining == 0;
+    if (leased && --leased_ == 0) idle_cv_.notify_all();
+    last = --campaign->remaining == 0;
     if (last) {
       // Retire from the progress table before finish() runs: a status poll
       // never reports a campaign whose future is about to be ready with a
       // stale shard count.
-      for (auto it = active_.begin(); it != active_.end(); ++it) {
-        if (it->get() == entry.campaign.get()) {
-          active_.erase(it);
-          break;
-        }
-      }
+      active_.erase(std::find(active_.begin(), active_.end(), campaign));
     }
   }
-  // The finisher saw the last decrement under the mutex, so every shard's
-  // state write happens-before this merge regardless of which threads ran
-  // them. Merging outside the lock keeps other drain threads popping.
+  // Finalizing outside the lock keeps other lanes popping.
   if (last) {
-    obs::Span span("merge", "sched");
-    span.arg("seq", entry.campaign->sequence);
-    entry.campaign->finish();
+    obs::Span span("finish", "sched");
+    span.arg("seq", campaign->sequence);
+    campaign->finish();
     // Campaign makespan: submit-to-finalized, queueing included.
     campaign_us.record(static_cast<std::uint64_t>(
-        (obs::now_ns() - entry.campaign->enqueue_ns) / 1000));
+        (obs::now_ns() - campaign->enqueue_ns) / 1000));
   }
-  return true;
 }
 
 void Scheduler::drain() {
   // Loop: a parallel_for covers the shards queued at its start; campaigns
-  // submitted while it runs are picked up by the next pass.
+  // submitted, or shards abandoned, while it runs are picked up by the
+  // next pass.
   for (;;) {
     std::size_t n = 0;
     {
-      const std::lock_guard<std::mutex> lock(mutex_);
+      std::unique_lock<std::mutex> lock(mutex_);
+      idle_cv_.wait(lock, [this] { return !queue_.empty() || leased_ == 0; });
       n = queue_.size();
     }
     if (n == 0) return;
@@ -98,6 +118,69 @@ void Scheduler::drain() {
                                         [this](std::size_t) { run_next(); });
     }
   }
+}
+
+std::optional<Scheduler::Lease> Scheduler::lease(std::size_t max_shards,
+                                                 bool wait) {
+  for (;;) {
+    std::shared_ptr<CampaignTask> skipped;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (wait) {
+        idle_cv_.wait(lock,
+                      [this] { return !queue_.empty() || leased_ == 0; });
+      }
+      if (queue_.empty()) return std::nullopt;
+      QueueEntry entry = queue_.top();
+      queue_.pop();
+      if (!entry.campaign->decided()) {
+        Lease lease;
+        lease.campaign = entry.campaign->sequence;
+        lease.begin = entry.shard;
+        lease.end = entry.shard + 1;
+        while (lease.end - lease.begin < max_shards && !queue_.empty() &&
+               queue_.top().campaign == entry.campaign &&
+               queue_.top().shard == lease.end) {
+          queue_.pop();
+          ++lease.end;
+        }
+        for (std::size_t s = lease.begin; s < lease.end; ++s) {
+          entry.campaign->leased[s] = true;
+        }
+        leased_ += lease.end - lease.begin;
+        lease.task = std::move(entry.campaign);
+        return lease;
+      }
+      skipped = std::move(entry.campaign);
+    }
+    if (skipped->cancelled.load(std::memory_order_relaxed)) {
+      shards_cancelled_counter().add();
+    }
+    retire(skipped, /*leased=*/false);
+  }
+}
+
+void Scheduler::claim(const Lease& lease, std::size_t shard) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (shard < lease.begin || shard >= lease.end ||
+      !lease.task->leased[shard]) {
+    throw std::logic_error("Scheduler::complete: shard " +
+                           std::to_string(shard) + " is not out on the lease");
+  }
+  lease.task->leased[shard] = false;
+}
+
+void Scheduler::abandon(const Lease& lease) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t s = lease.begin; s < lease.end; ++s) {
+      if (!lease.task->leased[s]) continue;
+      lease.task->leased[s] = false;
+      --leased_;
+      queue_.push(QueueEntry{lease.task, s});
+    }
+  }
+  idle_cv_.notify_all();
 }
 
 std::size_t Scheduler::pending_shards() const {
@@ -114,8 +197,8 @@ std::vector<CampaignProgress> Scheduler::progress() const {
     CampaignProgress row;
     row.label = campaign->label;
     row.sequence = campaign->sequence;
-    row.shards_total = campaign->plan.shard_count;
-    row.shards_done = campaign->plan.shard_count - campaign->remaining;
+    row.shards_total = campaign->shard_count;
+    row.shards_done = campaign->shard_count - campaign->remaining;
     row.age_us =
         static_cast<std::uint64_t>((now - campaign->enqueue_ns) / 1000);
     row.stopped = campaign->cancelled.load(std::memory_order_relaxed);

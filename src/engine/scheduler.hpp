@@ -1,32 +1,37 @@
-// Global shard scheduler: one work queue for every pending campaign.
+// Global shard scheduler: the one place campaign shards run and merge.
 //
-// The TraceEngine (trace_engine.hpp) shards ONE campaign's batch range and
-// blocks until it is merged - the right shape for a single leak_estimate(D)
-// call, but a multi-campaign flow (Algorithm 1 labelling, suite audits,
-// masking sweeps) pays tail latency whenever designs have unequal batch
-// counts: the pool idles while the last campaign's final shards finish.
+// Every campaign - a single tvla::run_* call, a suite audit, Algorithm 1's
+// labelling sweep, a distributed audit - is a set of shards submitted
+// here. submit() registers a campaign (its shard count plus run_shard/
+// merge/finalize callables) and returns a std::future for its result.
+// All pending campaigns' shards sit in one priority queue drained by the
+// shared ThreadPool; heavier campaigns' shards are popped first (LPT
+// order), so short campaigns fill the stragglers' idle lanes instead of
+// queueing behind them. An outside executor (server::WorkerPool's remote
+// feeders) takes shards from the same queue through lease()/complete()/
+// abandon().
 //
-// The Scheduler flattens all pending campaigns' shards into one priority
-// queue drained by the shared ThreadPool. Each submit() registers a
-// campaign - a ShardPlan over its batch range plus make/run_batch/merge/
-// finalize callables - and returns a std::future for its result. drain()
-// executes every queued shard; heavier campaigns' shards are popped first
-// (LPT order), so short campaigns fill the stragglers' idle lanes instead
-// of queueing behind them.
+// Merge: each campaign keeps one slot per shard and one cursor. A finished
+// shard's state lands in its slot, and whoever lands it merges every
+// contiguous state from the cursor on, in ascending shard order, under the
+// campaign's merge lock; a slot holds its state only until the cursor
+// passes it. Optional checkpoints fire as the cursor crosses them and may
+// stop the campaign there.
 //
 // Determinism contract (tested in tests/test_scheduler.cpp): a campaign's
-// result is bit-identical to the per-campaign TraceEngine path at every
-// thread count, queue interleaving, and submission order, because
-//  * the ShardPlan is the same pure function of the batch count;
-//  * every batch derives its randomness from stream_seed(seed, batch, tag),
-//    so execution placement cannot change a batch's samples;
-//  * shard states merge in ascending shard order, on whichever thread
-//    completes the campaign's last shard - the float op sequence is the
-//    TraceEngine's, regardless of which threads ran the shards.
+// result is bit-identical at every thread count, queue interleaving,
+// submission order, and executor placement, because
+//  * the shard decomposition is a pure function of the campaign (see
+//    engine/shard_plan.hpp), and every batch keys its randomness from
+//    stream_seed(seed, batch, tag), so placement cannot change a shard;
+//  * states merge strictly in ascending shard order, so the float op
+//    sequence is the 1-thread drain's, whichever threads ran the shards;
+//  * a stop decision freezes the merge ceiling before any later state
+//    can join.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -36,12 +41,14 @@
 #include <mutex>
 #include <optional>
 #include <queue>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "engine/shard_plan.hpp"
 #include "engine/thread_pool.hpp"
-#include "engine/trace_engine.hpp"
 
 namespace polaris::engine {
 
@@ -61,7 +68,21 @@ struct CampaignProgress {
   bool stopped = false;      // an early-stop checkpoint decided it
 };
 
+/// Early-stop hook of a campaign. `shards` lists ascending shard-prefix
+/// counts; each time the ascending merge has covered the first `c` listed
+/// shards, `decide(merged, c)` runs exactly once, under the campaign's
+/// merge lock (so checkpoints never race each other). Returning true stops
+/// the campaign: the result is finalized from exactly the first `c`
+/// shards. Empty = the campaign runs every shard.
+template <class State>
+struct Checkpoints {
+  std::vector<std::size_t> shards;
+  std::function<bool(const State&, std::size_t)> decide;
+};
+
 class Scheduler {
+  struct CampaignTask;
+
  public:
   /// `threads` caps the drain fan-out: 0 = all hardware threads, 1 = fully
   /// serial (drain runs every shard inline, in strict priority order).
@@ -73,109 +94,90 @@ class Scheduler {
 
   [[nodiscard]] std::size_t threads() const { return threads_; }
 
-  /// Registers a campaign and queues its shards. Returns a future for the
-  /// finalized result; the future becomes ready during drain(), when the
-  /// campaign's last shard has executed and its shard states have merged.
+  /// Registers a campaign of `shards` shards and queues them. Returns a
+  /// future for the finalized result; it becomes ready once every shard
+  /// has been retired (run, completed, or skipped after a stop).
   ///
-  ///   make(shard_index)        -> State   (own simulator, zeroed moments)
-  ///   run_batch(state, batch)  ->         (batch = global batch index)
-  ///   merge(into, from)        ->         (ascending shard order)
-  ///   finalize(state)          -> Result  (runs once, after the merge)
+  ///   run_shard(shard)        -> State   (the shard's whole batch range)
+  ///   merge(into, from)       ->         (ascending shard order)
+  ///   finalize(state)         -> Result  (runs once, after the merge)
   ///
   /// `weight` orders the queue (heavier campaigns drain first); 0 uses the
-  /// batch count. An exception from any callable fails only this campaign:
+  /// shard count. An exception from any callable fails only this campaign:
   /// its remaining shards are skipped and the future rethrows on get().
-  /// Zero-batch campaigns finalize make(0) inline and return a ready
-  /// future, mirroring TraceEngine::run.
-  template <class State, class MakeState, class RunBatch, class Merge,
-            class Finalize,
+  /// A zero-shard campaign finalizes run_shard(0) inline - shard 0 of an
+  /// empty plan covers no batches, so that is the merge identity - and
+  /// returns a ready future.
+  template <class RunShard, class Merge, class Finalize,
+            class State = std::invoke_result_t<RunShard&, std::size_t>,
             class Result = std::invoke_result_t<Finalize&, State&&>>
-  std::future<Result> submit(std::size_t total_batches, MakeState make,
-                             RunBatch run_batch, Merge merge,
-                             Finalize finalize, std::size_t weight = 0,
-                             std::string label = {}) {
-    return submit_blocks<State>(
-        total_batches, /*block_words=*/1, std::move(make),
-        [rb = std::move(run_batch)](State& state, std::size_t batch,
-                                    std::size_t) { rb(state, batch); },
-        std::move(merge), std::move(finalize), weight, std::move(label));
-  }
-
-  /// Blocked variant (see TraceEngine::run_blocks): shards execute their
-  /// batch range in lane blocks of up to `block_words` consecutive
-  /// batches, re-anchored at each shard's begin - the ShardPlan (and so
-  /// every merge point) is identical at every block width.
-  ///   run_block(state, batch_begin, words) - runs batches
-  ///   [batch_begin, batch_begin + words), words <= block_words.
-  template <class State, class MakeState, class RunBlock, class Merge,
-            class Finalize,
-            class Result = std::invoke_result_t<Finalize&, State&&>>
-  std::future<Result> submit_blocks(std::size_t total_batches,
-                                    std::size_t block_words, MakeState make,
-                                    RunBlock run_block, Merge merge,
-                                    Finalize finalize, std::size_t weight = 0,
-                                    std::string label = {}) {
-    return submit_checkpointed<State>(total_batches, block_words,
-                                      std::move(make), std::move(run_block),
-                                      std::move(merge), std::move(finalize),
-                                      /*checkpoints=*/{},
-                                      /*checkpoint=*/nullptr, weight,
-                                      std::move(label));
-  }
-
-  /// Early-stopping variant. `checkpoints` is an ascending list of shard
-  /// prefix counts; each time the ascending incremental merge has covered
-  /// the first `c` shards, `checkpoint(merged, c)` runs exactly once (under
-  /// the campaign's merge lock, so checkpoints never race each other).
-  /// Returning true STOPS the campaign: the merge ceiling freezes at `c`,
-  /// so the result is finalized from exactly the first `c` shards - shards
-  /// that were already running keep going but their states are discarded,
-  /// and the campaign's unstarted shards are skipped when popped, which
-  /// hands their pool slots straight to the undecided campaigns behind
-  /// them in the LPT queue.
-  ///
-  /// Determinism: milestones are shard prefix counts computed from the
-  /// same pure ShardPlan, the merge is strictly ascending, and a stop
-  /// decision freezes the ceiling before any out-of-order state can join -
-  /// so stop decisions AND finalized results are bit-identical at every
-  /// thread count and block width. With an empty checkpoint this is
-  /// exactly submit_blocks (deferred merge in finish(), byte-identical).
-  template <class State, class MakeState, class RunBlock, class Merge,
-            class Finalize,
-            class Result = std::invoke_result_t<Finalize&, State&&>>
-  std::future<Result> submit_checkpointed(
-      std::size_t total_batches, std::size_t block_words, MakeState make,
-      RunBlock run_block, Merge merge, Finalize finalize,
-      std::vector<std::size_t> checkpoints,
-      std::function<bool(const State&, std::size_t)> checkpoint,
+  std::future<Result> submit(
+      std::size_t shards, RunShard run_shard, Merge merge, Finalize finalize,
+      std::type_identity_t<Checkpoints<State>> checkpoints = {},
       std::size_t weight = 0, std::string label = {}) {
     auto campaign = std::make_shared<
-        TypedCampaign<State, Result, MakeState, RunBlock, Merge, Finalize>>(
-        std::move(make), std::move(run_block), std::move(merge),
-        std::move(finalize));
-    campaign->plan = ShardPlan::make(total_batches);
-    campaign->block = block_words == 0 ? 1 : block_words;
-    campaign->weight = weight == 0 ? total_batches : weight;
+        TypedCampaign<State, Result, RunShard, Merge, Finalize>>(
+        std::move(run_shard), std::move(merge), std::move(finalize),
+        std::move(checkpoints), shards);
+    campaign->weight = weight == 0 ? shards : weight;
     campaign->label = std::move(label);
-    campaign->checkpoint = std::move(checkpoint);
-    campaign->checkpoint_shards = std::move(checkpoints);
-    campaign->stop_at = campaign->plan.shard_count;
     std::future<Result> future = campaign->promise.get_future();
-    if (campaign->plan.shard_count == 0) {
-      campaign->finish();  // TraceEngine semantics: finalize(make(0))
-      return future;
-    }
-    campaign->states.resize(campaign->plan.shard_count);
-    campaign->remaining = campaign->plan.shard_count;
     enqueue(std::move(campaign));
     return future;
   }
 
-  /// Executes every queued shard on the shared pool (the calling thread
-  /// participates) and returns once all submitted campaigns have finished.
-  /// Shards submitted while draining are included. Safe to call from
-  /// inside a pool job: the fan-out then runs inline (see ThreadPool).
+  /// Executes queued shards on the shared pool (the calling thread
+  /// participates) and returns once the queue is empty and no lease is
+  /// outstanding; while leased shards are out it waits for them to be
+  /// completed or abandoned, running any that come back. Shards submitted
+  /// while draining are included. Safe to call from inside a pool job: the
+  /// fan-out then runs inline (see ThreadPool).
   void drain();
+
+  /// Shards an outside executor took from the queue: [begin, end) of the
+  /// campaign submitted `campaign`-th on this scheduler (0-based, the
+  /// CampaignProgress sequence).
+  struct Lease {
+    std::uint64_t campaign = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+
+   private:
+    friend class Scheduler;
+    std::shared_ptr<CampaignTask> task;
+  };
+
+  /// Takes up to `max_shards` consecutive queued shards of the campaign at
+  /// the head of the LPT queue. Shards of a stopped or failed campaign are
+  /// retired unrun on the way, which may finish that campaign on this
+  /// thread. Returns nullopt when no shard is queued; with `wait`, it
+  /// instead blocks while another lease is outstanding (an abandon may
+  /// requeue its shards) and returns nullopt once nothing is queued or
+  /// leased.
+  [[nodiscard]] std::optional<Lease> lease(std::size_t max_shards,
+                                           bool wait = false);
+
+  /// Lands the state of leased shard `shard` exactly as a local run does:
+  /// same slot, same merge cursor, so checkpoints fire as the prefix
+  /// lands, and this thread finishes the campaign if it was the last
+  /// shard. A stopped campaign drops the state. Throws std::logic_error,
+  /// before touching the campaign, when `State` is not the campaign's
+  /// state type or the shard is not out on this lease.
+  template <class State>
+  void complete(const Lease& lease, std::size_t shard, State state) {
+    auto* sink = dynamic_cast<StateSink<State>*>(lease.task.get());
+    if (sink == nullptr) {
+      throw std::logic_error(
+          "Scheduler::complete: state type differs from the campaign's");
+    }
+    claim(lease, shard);
+    sink->land(shard, std::move(state));
+    retire(lease.task, /*leased=*/true);
+  }
+
+  /// Requeues every shard of `lease` that was not completed (a lost
+  /// executor's work); drain() or another lease picks them up.
+  void abandon(const Lease& lease);
 
   /// Shards still queued (not yet claimed by drain). Test/bench hook.
   [[nodiscard]] std::size_t pending_shards() const;
@@ -188,129 +190,129 @@ class Scheduler {
   [[nodiscard]] std::vector<CampaignProgress> progress() const;
 
  private:
-  /// Type-erased campaign control block. `remaining` is guarded by the
-  /// scheduler mutex; each shard's state slot is written by exactly one
-  /// drain thread and read by the finisher after the last decrement, so
-  /// the mutex ordering publishes every slot.
+  /// Type-erased campaign control block. `remaining` and `leased` are
+  /// guarded by the scheduler mutex; the merge state lives in the typed
+  /// subclass under its own merge lock.
   struct CampaignTask {
     virtual ~CampaignTask() = default;
-    /// Runs one shard's batches. Never throws: failures are captured into
-    /// the campaign and surface via the future.
+    /// Runs one shard and lands its state. Never throws: failures are
+    /// captured into the campaign and surface via the future.
     virtual void run_shard(std::size_t shard) noexcept = 0;
-    /// Merges shard states in ascending order and fulfills the promise.
-    /// Called exactly once, after the last shard executed.
+    /// Finalizes the merged prefix and fulfills the promise. Called
+    /// exactly once, after the last shard retired.
     virtual void finish() noexcept = 0;
 
-    ShardPlan plan;
-    std::size_t block = 1;       // lane-block width (consecutive batches)
+    /// A stopped or failed campaign: its queued shards retire unrun.
+    [[nodiscard]] bool decided() const {
+      return cancelled.load(std::memory_order_relaxed) ||
+             failed.load(std::memory_order_relaxed);
+    }
+    void fail(std::exception_ptr cause) noexcept {
+      const std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::move(cause);
+      failed.store(true, std::memory_order_relaxed);
+    }
+
+    std::size_t shard_count = 0;
     std::size_t weight = 0;
     std::uint64_t sequence = 0;  // submission order, the priority tie-break
-    std::size_t remaining = 0;   // shards not yet executed
+    std::size_t remaining = 0;   // shards not yet retired
+    std::vector<bool> leased;    // per shard: out on a lease, uncompleted
     std::int64_t enqueue_ns = 0;  // obs timebase; makespan = finish - this
     std::string label;            // progress-table identity (may be empty)
-    /// Set once when a checkpoint decides the campaign: run_next skips the
-    /// shard body for this campaign from then on (the decrement/finish
-    /// bookkeeping still runs, so the future still completes). Skipping is
-    /// an optimization only - a shard that slips through before the flag
-    /// is visible wastes work but cannot change the result, because the
-    /// merge ceiling (`stop_at`) froze under the merge lock.
+    /// Set once when a checkpoint decides the campaign. Skipping its
+    /// queued shards is an optimization only - a shard that slips through
+    /// before the flag is visible wastes work but cannot change the
+    /// result, because the merge ceiling froze under the merge lock.
     std::atomic<bool> cancelled{false};
+    std::atomic<bool> failed{false};
+    std::mutex error_mutex;
+    std::exception_ptr error;  // first failure; read by finish()
   };
 
-  template <class State, class Result, class MakeState, class RunBlock,
-            class Merge, class Finalize>
-  struct TypedCampaign final : CampaignTask {
-    TypedCampaign(MakeState make, RunBlock run_block, Merge merge,
-                  Finalize finalize)
-        : make(std::move(make)),
-          run_block(std::move(run_block)),
+  /// The typed landing point Scheduler::complete reaches through a
+  /// checked dynamic_cast.
+  template <class State>
+  struct StateSink : CampaignTask {
+    /// Puts `state` in its slot and advances the ascending merge cursor,
+    /// firing each checkpoint exactly once as it is crossed. Never throws.
+    virtual void land(std::size_t shard, State&& state) noexcept = 0;
+  };
+
+  template <class State, class Result, class RunShard, class Merge,
+            class Finalize>
+  struct TypedCampaign final : StateSink<State> {
+    TypedCampaign(RunShard run, Merge merge, Finalize finalize,
+                  Checkpoints<State> checkpoints, std::size_t shards)
+        : run(std::move(run)),
           merge(std::move(merge)),
-          finalize(std::move(finalize)) {}
+          finalize(std::move(finalize)),
+          checkpoints(std::move(checkpoints)),
+          states(shards),
+          stop_at(shards) {
+      this->shard_count = shards;
+      this->remaining = shards;
+      this->leased.assign(shards, false);
+    }
 
     void run_shard(std::size_t shard) noexcept override {
-      if (failed.load(std::memory_order_relaxed)) return;  // doomed campaign
       try {
-        State state = make(shard);
-        const std::size_t end = plan.end(shard);
-        for (std::size_t b = plan.begin(shard); b < end; b += block) {
-          run_block(state, b, std::min(block, end - b));
-        }
-        if (!checkpoint) {
-          states[shard].emplace(std::move(state));
-          return;
-        }
-        // Checkpointed mode: publish the state under the merge lock (other
-        // drain threads read the slots below, so the lock-free emplace of
-        // the fixed path would race) and advance the ascending merge
-        // cursor, firing each milestone exactly once as it is crossed.
-        const std::lock_guard<std::mutex> merge_lock(merge_mutex);
+        land(shard, run(shard));
+      } catch (...) {
+        this->fail(std::current_exception());
+      }
+    }
+
+    void land(std::size_t shard, State&& state) noexcept override {
+      if (this->failed.load(std::memory_order_relaxed)) return;
+      try {
+        const std::lock_guard<std::mutex> lock(merge_mutex);
+        if (shard >= stop_at) return;  // a checkpoint stopped below it
         states[shard].emplace(std::move(state));
         while (merged_upto < stop_at && states[merged_upto].has_value()) {
-          if (merged_upto == 0) {
-            merged.emplace(std::move(*states[0]));
-          } else {
+          if (merged) {
             merge(*merged, std::move(*states[merged_upto]));
+          } else {
+            merged.emplace(std::move(*states[merged_upto]));
           }
           states[merged_upto].reset();
           ++merged_upto;
-          if (next_checkpoint < checkpoint_shards.size() &&
-              merged_upto == checkpoint_shards[next_checkpoint]) {
+          if (next_checkpoint < checkpoints.shards.size() &&
+              merged_upto == checkpoints.shards[next_checkpoint]) {
             ++next_checkpoint;
-            if (checkpoint(*merged, merged_upto)) {
+            if (checkpoints.decide(*merged, merged_upto)) {
               stop_at = merged_upto;  // freeze: no later state ever merges
-              cancelled.store(true, std::memory_order_relaxed);
+              states.clear();         // drop states that landed past it
+              this->cancelled.store(true, std::memory_order_relaxed);
               break;
             }
           }
         }
       } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
+        this->fail(std::current_exception());
       }
     }
 
     void finish() noexcept override {
+      // The finisher saw the last retire under the scheduler mutex, which
+      // every land's merge-lock release happens-before.
       try {
-        if (error) std::rethrow_exception(error);
-        if (states.empty()) {  // zero-batch campaign
-          promise.set_value(finalize(make(0)));
-          return;
-        }
-        if (checkpoint) {
-          // `merged` already holds the ascending merge of shards
-          // [0, stop_at); anything later was skipped or discarded. The
-          // finisher saw the last remaining-decrement under the scheduler
-          // mutex, which the merging threads' writes happen-before.
-          promise.set_value(finalize(std::move(*merged)));
-          return;
-        }
-        State total = std::move(*states[0]);
-        for (std::size_t shard = 1; shard < states.size(); ++shard) {
-          merge(total, std::move(*states[shard]));
-        }
-        promise.set_value(finalize(std::move(total)));
+        if (this->error) std::rethrow_exception(this->error);
+        if (!merged) merged.emplace(run(0));  // zero-shard campaign
+        promise.set_value(finalize(std::move(*merged)));
       } catch (...) {
         promise.set_exception(std::current_exception());
       }
     }
 
-    MakeState make;
-    RunBlock run_block;
+    RunShard run;
     Merge merge;
     Finalize finalize;
-    std::vector<std::optional<State>> states;
+    Checkpoints<State> checkpoints;
     std::promise<Result> promise;
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    std::atomic<bool> failed{false};
-    /// Empty on the fixed-budget path (deferred merge in finish(), the
-    /// pre-existing byte-identical behavior). Non-empty switches run_shard
-    /// to the incremental ascending merge above.
-    std::function<bool(const State&, std::size_t)> checkpoint;
-    std::vector<std::size_t> checkpoint_shards;  // ascending prefix counts
-    std::mutex merge_mutex;       // guards merged/merged_upto/states below
-    std::optional<State> merged;  // ascending merge of shards [0, merged_upto)
+    std::mutex merge_mutex;  // guards everything below
+    std::vector<std::optional<State>> states;  // landed, not yet merged
+    std::optional<State> merged;  // ascending merge of [0, merged_upto)
     std::size_t merged_upto = 0;
     std::size_t next_checkpoint = 0;
     std::size_t stop_at = 0;  // merge ceiling; lowered once on a stop
@@ -336,17 +338,26 @@ class Scheduler {
   };
 
   void enqueue(std::shared_ptr<CampaignTask> campaign);
-  /// Pops and executes one shard; runs the campaign's finish() if it was
-  /// the last. Returns false when the queue was empty.
+  /// Pops and executes one shard (or skips it, for a decided campaign).
+  /// Returns false when the queue was empty.
   bool run_next();
+  /// Marks leased shard `shard` completed; throws std::logic_error when it
+  /// is not out on `lease`.
+  void claim(const Lease& lease, std::size_t shard);
+  /// Counts one shard of `campaign` as retired and, if it was the last,
+  /// finishes the campaign on this thread.
+  void retire(const std::shared_ptr<CampaignTask>& campaign, bool leased);
 
   mutable std::mutex mutex_;
+  /// Signalled when shards are queued or the last outstanding lease ends:
+  /// what drain() and a waiting lease() sleep on.
+  std::condition_variable idle_cv_;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, EntryOrder> queue_;
   /// Campaigns submitted but not yet finalized, submission order. Entries
-  /// are appended by enqueue and erased by run_next after the last shard's
-  /// decrement - so the progress table empties exactly when every future
-  /// is ready.
+  /// are appended by enqueue and erased by retire after the last shard -
+  /// so the progress table empties exactly when every future is ready.
   std::vector<std::shared_ptr<CampaignTask>> active_;
+  std::size_t leased_ = 0;  // shards out on leases, across campaigns
   std::size_t threads_;
   std::uint64_t next_sequence_ = 0;
 };

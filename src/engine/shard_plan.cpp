@@ -1,4 +1,4 @@
-#include "engine/trace_engine.hpp"
+#include "engine/shard_plan.hpp"
 
 namespace polaris::engine {
 

@@ -76,8 +76,8 @@ enum class RequestKind : std::uint8_t {
   kShard = 9,   // distributed execution: run a contiguous shard range of a
                 // TVLA campaign against an installed design; the reply
                 // ships per-shard UNMERGED CampaignMoments so the
-                // coordinator can replay the exact single-host merge
-                // order (bit-identical audits at any worker count).
+                // coordinator merges them in the exact single-host order
+                // (bit-identical audits at any worker count).
 };
 
 /// Short lowercase name for a request kind ("ping", "audit", ...), used in

@@ -1,32 +1,37 @@
-// Distributed shard coordinator: fans a multi-design TVLA audit out over
-// local lanes plus remote shard workers (server/worker.hpp), and merges
-// the per-shard moment blocks back in EXACTLY the single-host order.
+// Distributed shard coordinator: runs a multi-design TVLA audit on local
+// lanes plus remote shard workers (server/worker.hpp), through the same
+// engine::Scheduler every local campaign runs on.
 //
 // Work decomposition reuses the engine's own unit: every campaign's
 // engine::ShardPlan already splits the trace budget into shards whose
 // per-shard statistics are a pure function of (design, config, shard
-// index). The pool chunks consecutive shards (kShardsPerChunk) into work
-// units, orders chunks LPT-style (heaviest campaign first, ascending
-// shard within a campaign), and lets every lane - local threads and one
-// feeder thread per remote worker - pull from one shared queue.
+// index). audit() submits one campaign per design to a private Scheduler
+// whose drain() is the local lanes, and starts one feeder thread per
+// remote worker. A feeder leases up to kShardsPerChunk consecutive shards
+// at a time from the same LPT queue, ships them as one request, and
+// completes each returned moments block into the same slot and merge
+// cursor a local run fills.
 //
-// Bit-identity contract: the coordinator collects UNMERGED per-shard
-// moments and replays the scheduler's ascending merge (shard 0, 1, 2...,
-// firing early-stop checkpoints at exactly the same shard-prefix counts),
-// so audit output is byte-identical to a single-host run at ANY worker
-// count, including zero and including workers dying mid-campaign.
+// Bit-identity contract: every shard, wherever it ran, merges in
+// ascending shard order, with early-stop checkpoints fired at exactly the
+// single-host shard-prefix counts, so audit output is byte-identical to a
+// single-host run at ANY worker count, including zero and including
+// workers dying mid-campaign. Because the merge is live, an early stop
+// cancels queued remote work too, and streaming partials arrive as the
+// prefix lands.
 //
 // Failure semantics: a worker that cannot be reached, times out, or
-// closes its connection is marked dead; its unacknowledged chunks go back
-// on the shared queue (counted as resends) and are completed by the
-// remaining lanes - a campaign always finishes as long as the
-// coordinator itself lives, because local lanes can run anything.
+// closes its connection is marked dead (one "net" log line); its
+// unanswered leases are abandoned back to the queue (counted as resends)
+// and completed by the remaining lanes - a campaign always finishes as
+// long as the coordinator itself lives, because the local drain can run
+// anything.
 //
 // Installs: each worker slot remembers the design fingerprints it has
 // sent to that worker, across audit() calls, so a design crosses the wire
 // once per worker rather than once per audit. A worker that restarted and
 // lost its designs answers a shard request with kUnknownDesign; the
-// feeder then forgets the design and requeues the chunk, and the next
+// feeder then forgets the design and abandons the lease, and the next
 // send installs it again. A lost worker's set is cleared.
 #pragma once
 
@@ -78,8 +83,9 @@ class WorkerPool {
 
   /// Audits every design, one result per input design in input order -
   /// the distributed drop-in for core::audit_designs, byte-identical
-  /// output included. `progress` mirrors the scheduler path: it fires on
-  /// early-stop checkpoint evaluations during the merge replay.
+  /// output included. `progress` mirrors the scheduler path: it fires at
+  /// each early-stop checkpoint as the merged prefix reaches it, on the
+  /// local lane or feeder thread that landed the prefix.
   [[nodiscard]] std::vector<tvla::LeakageReport> audit(
       std::span<const circuits::Design> designs,
       const techlib::TechLibrary& lib, const core::PolarisConfig& config,
@@ -117,7 +123,6 @@ class WorkerPool {
   struct Batch;  // one audit() call's shared state (remote.cpp)
 
   void feed_worker(WorkerSlot& slot, Batch& batch);
-  void run_local_lane(Batch& batch);
 
   WorkerPoolOptions options_;
   std::vector<std::unique_ptr<WorkerSlot>> workers_;

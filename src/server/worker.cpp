@@ -5,11 +5,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
-#include <optional>
 
 #include "core/result_cache.hpp"
+#include "engine/thread_pool.hpp"
 #include "obs/obs.hpp"
 
 namespace polaris::server {
@@ -270,58 +269,20 @@ std::vector<std::uint8_t> Worker::serve_shards(serialize::Reader& in) {
       obs::Registry::global().counter("worker.shards_run");
   const std::size_t count =
       static_cast<std::size_t>(request.shard_end - request.shard_begin);
-  std::vector<std::optional<tvla::CampaignMoments>> results(count);
+  ShardReply reply;
+  reply.shards.resize(count);
   try {
-    // Shard fan-out across the worker's own threads. Each run_shard is
-    // independent and const; results land in distinct slots.
-    std::size_t threads = options_.threads != 0
-                              ? options_.threads
-                              : std::thread::hardware_concurrency();
-    threads = std::max<std::size_t>(1, std::min(threads, count));
-    if (threads == 1) {
-      for (std::size_t i = 0; i < count; ++i) {
-        results[i] = runner->run_shard(
-            static_cast<std::size_t>(request.shard_begin) + i);
-      }
-    } else {
-      std::atomic<std::size_t> next{0};
-      // An exception escaping a thread entry point is std::terminate, so
-      // each pool thread traps into a first-wins exception_ptr that the
-      // spawning thread rethrows after join - the request then fails
-      // with kServerError like the single-threaded path instead of
-      // killing the worker process.
-      std::mutex error_mutex;
-      std::exception_ptr first_error;
-      std::vector<std::thread> pool;
-      pool.reserve(threads);
-      for (std::size_t t = 0; t < threads; ++t) {
-        pool.emplace_back([&] {
-          try {
-            for (std::size_t i = next.fetch_add(1); i < count;
-                 i = next.fetch_add(1)) {
-              results[i] = runner->run_shard(
-                  static_cast<std::size_t>(request.shard_begin) + i);
-            }
-          } catch (...) {
-            const std::lock_guard<std::mutex> lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-            next.store(count);  // stop the other threads early
-          }
+    // Shard fan-out on the shared pool, capped at the worker's threads.
+    // Each run_shard is independent and const; results land in distinct
+    // entries, and the pool rethrows the first failure here.
+    engine::ThreadPool::shared().parallel_for(
+        count, options_.threads, [&](std::size_t i) {
+          const std::uint64_t shard = request.shard_begin + i;
+          reply.shards[i] = {
+              shard, runner->run_shard(static_cast<std::size_t>(shard))};
         });
-      }
-      for (auto& thread : pool) thread.join();
-      if (first_error) std::rethrow_exception(first_error);
-    }
   } catch (const std::exception& error) {
     throw ServerError(Status::kServerError, error.what());
-  }
-  ShardReply reply;
-  reply.shards.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    ShardResult result;
-    result.shard = request.shard_begin + i;
-    result.moments = std::move(*results[i]);
-    reply.shards.push_back(std::move(result));
   }
   shards_counter.add(count);
   shards_run_.fetch_add(count);

@@ -36,7 +36,8 @@ namespace polaris::server {
 struct WorkerOptions {
   std::string listen;       // endpoint spec: "tcp:host:port" or a UDS path
                             // (tcp port 0 binds ephemeral; see endpoint())
-  std::size_t threads = 0;  // shard-level fan-out: 0 = all hardware threads
+  std::size_t threads = 0;  // per-request shard fan-out on the shared
+                            // pool: 0 = all hardware threads
   std::size_t max_frame = kDefaultMaxFrame;  // per-frame payload cap, bytes
   int backlog = 64;         // listen(2) backlog
 };

@@ -71,7 +71,8 @@ class MomentAccumulator {
 };
 
 /// Mergeable per-campaign statistics block - the unit of state a trace
-/// shard accumulates and the engine merges (engine/trace_engine.hpp).
+/// shard accumulates and engine::Scheduler merges in ascending shard
+/// order (engine/scheduler.hpp).
 ///
 /// Two representations coexist, mirroring the campaign fast paths:
 ///  * single-member gate groups: samples are binary {0, E}, so only toggle

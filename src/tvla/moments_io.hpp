@@ -2,8 +2,9 @@
 // distributed shard backend (DESIGN.md "Distributed shard execution").
 //
 // A remote worker runs a shard and ships its UNMERGED per-shard moments
-// back; the coordinator replays the scheduler's ascending-shard-order
-// merge, so the final report is bit-identical to a single-host run. That
+// back; the coordinator completes them into the scheduler's
+// ascending-shard-order merge exactly where a local shard's state would
+// land, so the final report is bit-identical to a single-host run. That
 // contract only holds if the codec round-trips the accumulator state
 // exactly: integer counters as-is, every double as its IEEE-754 bit
 // pattern (which serialize::Writer::f64 already guarantees).

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "engine/scheduler.hpp"
-#include "engine/trace_engine.hpp"
+#include "engine/shard_plan.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "power/power_model.hpp"
@@ -67,8 +67,6 @@ double LeakageReport::leakage_per_gate() const {
 
 namespace {
 
-enum class Mode { kFixedVsRandom, kFixedVsFixed };
-
 // Stream tags for engine::stream_seed: every random quantity a batch
 // consumes is keyed by (campaign seed, batch index, tag), making batches
 // independent of execution order and shard placement (see DESIGN.md).
@@ -90,8 +88,10 @@ std::vector<bool> derive_fixed_vector(std::size_t n, std::uint64_t seed) {
 /// clone of this function (template body inlined) compiled with the
 /// hardware popcnt instruction and picks it via the loader's ifunc
 /// resolver on CPUs that have it: same integer results, no portability
-/// loss, no per-call dispatch cost.
-#if defined(__x86_64__) && defined(__GNUC__)
+/// loss, no per-call dispatch cost. ThreadSanitizer builds keep only the
+/// default clone: the instrumented ifunc resolver runs during relocation,
+/// before the TSan runtime is up, and crashes the binary at start-up.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("popcnt", "default")))
 #endif
 void sample_block(const power::SamplePlan& plan,
@@ -102,13 +102,6 @@ void sample_block(const power::SamplePlan& plan,
               moments);
 }
 
-/// Thin protocol layer: owns the campaign-wide, read-only context (the
-/// compiled design plan, power model, sampling plan, fixed vectors) and
-/// defines how one batch of traces is stimulated and sampled. The design
-/// is compiled ONCE here; every shard's Simulator shares the plan, so
-/// per-shard setup never re-runs topological_order() or rebuilds a
-/// schedule. Execution and merging belong to the trace engine; all mutable
-/// per-shard state lives in ShardState.
 /// sim::compile wrapped in telemetry: the once-per-campaign cost the
 /// compiled-kernel refactor moved out of the shard loop, now visible as
 /// the `tvla.compile_us` histogram and a "compile" span.
@@ -123,17 +116,22 @@ sim::CompiledDesignPtr compile_timed(const netlist::Netlist& design) {
   return compiled;
 }
 
-class Campaign {
- public:
-  Campaign(const netlist::Netlist& design, const techlib::TechLibrary& lib,
-           const TvlaConfig& config, Mode mode)
-      : Campaign(compile_timed(design), lib, config, mode) {}
+}  // namespace
 
-  Campaign(sim::CompiledDesignPtr compiled, const techlib::TechLibrary& lib,
-           const TvlaConfig& config, Mode mode)
+/// Thin protocol layer: owns the campaign-wide, read-only context (the
+/// compiled design plan, power model, sampling plan, fixed vectors) and
+/// defines how one shard of traces is stimulated and sampled. The design
+/// is compiled ONCE here; every shard's Simulator shares the plan, so
+/// per-shard setup never re-runs topological_order() or rebuilds a
+/// schedule. Placement and merging belong to engine::Scheduler; all
+/// mutable per-shard state lives in ShardState for the length of one
+/// run_shard call.
+struct ShardRunner::Impl {
+  Impl(sim::CompiledDesignPtr compiled, const techlib::TechLibrary& lib,
+       const TvlaConfig& config, Protocol protocol)
       : design_(compiled->design()),
         config_(config),
-        mode_(mode),
+        protocol_(protocol),
         compiled_(std::move(compiled)),
         power_(design_, lib),
         plan_(*compiled_, power_) {
@@ -168,6 +166,7 @@ class Campaign {
                               : (config.lane_words != 0
                                      ? config.lane_words
                                      : sim::default_lane_words());
+    shards_ = engine::ShardPlan::make(batch_count());
     if (config_.budget.enabled) build_checkpoint_schedule();
 
     // Telemetry only (never serialized, never fingerprinted): campaign
@@ -188,8 +187,9 @@ class Campaign {
           .add("lane_words", static_cast<std::uint64_t>(lane_words_))
           .add("simd", sim::simd_name(lane_words_))
           .add("sequential", sequential_)
-          .add("mode", mode_ == Mode::kFixedVsRandom ? "fixed-vs-random"
-                                                     : "fixed-vs-fixed");
+          .add("mode", protocol_ == Protocol::kFixedVsRandom
+                           ? "fixed-vs-random"
+                           : "fixed-vs-fixed");
       tracer.async_begin("campaign", "tvla", trace_id_, std::move(args).str());
     }
   }
@@ -215,98 +215,30 @@ class Campaign {
     return batch_count() * cycles * std::max<std::size_t>(1, design_.gate_count());
   }
 
-  /// Synchronous entry point. Budget-disabled campaigns take the
-  /// pre-existing TraceEngine path unchanged (byte-identical results);
-  /// budget-enabled ones route through a private Scheduler so the
-  /// checkpointed submit/drain seam is the ONLY early-stop implementation.
-  static LeakageReport run(std::shared_ptr<Campaign> self) {
-    if (!self->config_.budget.enabled) return self->run_sync();
-    engine::Scheduler scheduler(self->config_.threads);
-    auto future = submit(std::move(self), scheduler);
-    scheduler.drain();
-    return future.get();
-  }
-
-  /// Installs the per-checkpoint observer (streaming audits). Must be set
-  /// before submit()/run().
-  void set_progress(ProgressFn progress) { progress_ = std::move(progress); }
-
-  /// Names the campaign in the scheduler's live progress table. Telemetry
-  /// only - never serialized, never part of the report.
-  void set_label(std::string label) { label_ = std::move(label); }
-
-  /// Queues this campaign on the global scheduler. `self` keeps the
-  /// campaign (and its power model / group layout) alive inside the shard
-  /// closures until the last shard finalized the report.
-  static std::future<LeakageReport> submit(std::shared_ptr<Campaign> self,
-                                           engine::Scheduler& scheduler) {
-    auto make = [self](std::size_t) { return self->make_shard_state(); };
-    auto run_blk = [self](ShardState& state, std::size_t batch_begin,
-                          std::size_t words) {
-      self->run_block(state, batch_begin, words);
-    };
-    auto merge = [](ShardState& into, ShardState&& from) {
-      into.moments.merge(from.moments);
-    };
-    auto fin = [self](ShardState&& total) {
-      return self->finalize(total.moments);
-    };
-    if (!self->config_.budget.enabled) {
-      return scheduler.submit_blocks<ShardState>(
-          self->batch_count(), self->lane_words_, std::move(make),
-          std::move(run_blk), std::move(merge), std::move(fin),
-          self->cost_weight(), self->label_);
-    }
-    // Budget-enabled campaigns use the checkpointed seam even when the
-    // milestone list is empty (floor >= budget): the incremental ascending
-    // merge runs the same float op sequence, and finalize() still records
-    // trace usage.
-    auto checkpoint = [self](const ShardState& merged,
-                             std::size_t shards_merged) {
-      return self->evaluate_checkpoint(merged.moments, shards_merged);
-    };
-    return scheduler.submit_checkpointed<ShardState>(
-        self->batch_count(), self->lane_words_, std::move(make),
-        std::move(run_blk), std::move(merge), std::move(fin),
-        self->checkpoint_shards_, std::move(checkpoint), self->cost_weight(),
-        self->label_);
-  }
-
-  /// Shard-granular execution for tvla::ShardRunner: runs one shard of the
-  /// campaign's ShardPlan into a fresh moments block - the exact block loop
-  /// the scheduler's run_shard executes (fresh state, blocks re-anchored at
-  /// the shard begin), so the result is the shard state any scheduler,
-  /// thread count, or host would have produced.
-  [[nodiscard]] CampaignMoments run_shard_moments(std::size_t shard) const {
-    const engine::ShardPlan plan = engine::ShardPlan::make(batch_count());
-    ShardState state = make_shard_state();
-    const std::size_t end = plan.end(shard);
-    for (std::size_t b = plan.begin(shard); b < end; b += lane_words_) {
+  /// Runs shard `shard` of the campaign's ShardPlan into a fresh moments
+  /// block: blocks of up to lane_words_ batches, re-anchored at the shard
+  /// begin, so the result is the shard state any scheduler, thread count,
+  /// or host produces. The simulator and lane-sum scratch die with the
+  /// call; only the moments travel on to the merge.
+  [[nodiscard]] CampaignMoments run_shard(std::size_t shard) const {
+    ShardState state{
+        sim::Simulator(compiled_, /*seed=*/0, lane_words_),
+        std::vector<util::Xoshiro256>(lane_words_, util::Xoshiro256(0)),
+        std::vector<std::uint64_t>(lane_words_, 0), empty_moments(),
+        std::vector<double>(
+            plan_.multi_group_count() * lane_words_ * sim::kLanes, 0.0)};
+    const std::size_t end = shards_.end(shard);
+    for (std::size_t b = shards_.begin(shard); b < end; b += lane_words_) {
       run_block(state, b, std::min(lane_words_, end - b));
     }
     return std::move(state.moments);
   }
 
-  [[nodiscard]] const std::vector<std::size_t>& checkpoint_shards() const {
-    return checkpoint_shards_;
-  }
-  /// A zeroed moments block with the campaign's group layout - the merge
-  /// identity, and the finalize input for zero-batch campaigns (mirroring
-  /// the scheduler's finalize(make(0)) semantics).
+  /// A zeroed moments block with the campaign's group layout.
   [[nodiscard]] CampaignMoments empty_moments() const {
     return CampaignMoments(plan_.group_count(), plan_.multi_group_count());
   }
-  /// Public seams over the private checkpoint/finalize paths, for the
-  /// coordinator-side merge replay (tvla::ShardRunner).
-  [[nodiscard]] bool checkpoint_decision(const CampaignMoments& merged,
-                                         std::size_t shards_merged) {
-    return evaluate_checkpoint(merged, shards_merged);
-  }
-  [[nodiscard]] LeakageReport finalize_moments(const CampaignMoments& total) {
-    return finalize(total);
-  }
 
- private:
   /// Everything one shard mutates: its own K-word simulator, one
   /// per-batch stimulus stream and class mask per lane word, the mergeable
   /// statistics, and the per-(word, lane) group energy scratch (the fused
@@ -319,34 +251,18 @@ class Campaign {
     std::vector<double> lane_sums;
   };
 
-  /// The fixed-budget TraceEngine path, untouched by the budget feature.
-  LeakageReport run_sync() {
-    const engine::TraceEngine eng(config_.threads);
-    ShardState merged = eng.run_blocks<ShardState>(
-        batch_count(), lane_words_,
-        [this](std::size_t) { return make_shard_state(); },
-        [this](ShardState& state, std::size_t batch_begin, std::size_t words) {
-          run_block(state, batch_begin, words);
-        },
-        [](ShardState& into, ShardState&& from) {
-          into.moments.merge(from.moments);
-        });
-    return finalize(merged.moments);
-  }
-
   /// Fixed trace milestones (min_traces, 2x, 4x, ... strictly below the
   /// full budget), each rounded UP to the next shard boundary of the same
   /// ShardPlan the execution uses - a pure function of the batch count and
   /// the budget floor, so the schedule (and with it every stop decision)
   /// is independent of threads and lane_words.
   void build_checkpoint_schedule() {
-    const engine::ShardPlan plan = engine::ShardPlan::make(batch_count());
-    if (plan.shard_count <= 1) return;
+    if (shards_.shard_count <= 1) return;
     const std::size_t per_batch = samples_per_batch();
-    const std::size_t total = plan.total_batches * per_batch;
+    const std::size_t total = shards_.total_batches * per_batch;
     std::size_t target = config_.budget.min_traces;
-    for (std::size_t s = 1; s < plan.shard_count && target < total; ++s) {
-      const std::size_t covered = plan.end(s - 1) * per_batch;
+    for (std::size_t s = 1; s < shards_.shard_count && target < total; ++s) {
+      const std::size_t covered = shards_.end(s - 1) * per_batch;
       if (covered < target) continue;
       checkpoint_shards_.push_back(s);
       // Advance to the smallest power-of-two multiple of the floor that
@@ -365,10 +281,9 @@ class Campaign {
         obs::Registry::global().histogram("tvla.checkpoint_us");
     obs::Span span("checkpoint", "tvla");
     const std::int64_t t0 = obs::now_ns();
-    const engine::ShardPlan plan = engine::ShardPlan::make(batch_count());
     const std::size_t traces_done =
-        plan.end(shards_merged - 1) * samples_per_batch();
-    const std::size_t total = plan.total_batches * samples_per_batch();
+        shards_.end(shards_merged - 1) * samples_per_batch();
+    const std::size_t total = shards_.total_batches * samples_per_batch();
     std::vector<double> t;
     std::vector<bool> measured;
     compute_t(moments, t, measured);
@@ -407,16 +322,6 @@ class Campaign {
     checkpoint_us.record(
         static_cast<std::uint64_t>((obs::now_ns() - t0) / 1000));
     return all_decided;
-  }
-
-  [[nodiscard]] ShardState make_shard_state() const {
-    return ShardState{
-        sim::Simulator(compiled_, /*seed=*/0, lane_words_),
-        std::vector<util::Xoshiro256>(lane_words_, util::Xoshiro256(0)),
-        std::vector<std::uint64_t>(lane_words_, 0),
-        CampaignMoments(plan_.group_count(), plan_.multi_group_count()),
-        std::vector<double>(
-            plan_.multi_group_count() * lane_words_ * sim::kLanes, 0.0)};
   }
 
   [[nodiscard]] bool design_has_dff() const {
@@ -462,7 +367,7 @@ class Campaign {
         std::uint64_t word = 0;
         switch (input_class(i)) {
           case InputClass::kSensitive:
-            word = (mode_ == Mode::kFixedVsRandom)
+            word = (protocol_ == Protocol::kFixedVsRandom)
                        ? (a & fixed_mask) |
                              (state.stimulus[w]() & ~fixed_mask)
                        : (a & fixed_mask) | (b & ~fixed_mask);
@@ -593,12 +498,13 @@ class Campaign {
 
   const netlist::Netlist& design_;
   TvlaConfig config_;
-  Mode mode_;
+  Protocol protocol_;
   sim::CompiledDesignPtr compiled_;
   power::PowerModel power_;
   power::SamplePlan plan_;
   bool sequential_ = false;
   std::size_t lane_words_ = 1;
+  engine::ShardPlan shards_;  // pure function of batch_count()
   std::uint64_t trace_id_ = 0;  // async span id; 0 = tracing was off
   std::vector<bool> fixed_a_, fixed_b_;
   // Early-stop state (budget-enabled campaigns only). The schedule is
@@ -606,62 +512,88 @@ class Campaign {
   // one checkpoint (under the scheduler's campaign merge lock) and read
   // by finalize() after the last shard's publication.
   std::vector<std::size_t> checkpoint_shards_;  // ascending prefix counts
-  std::string label_;  // progress-table name (empty = unnamed)
   ProgressFn progress_;
   bool stopped_ = false;
   std::size_t traces_used_ = 0;
 };
 
+namespace {
+
+/// A campaign run to completion on a private scheduler of `threads` lanes.
+LeakageReport run_campaign(std::shared_ptr<ShardRunner> campaign,
+                           std::size_t threads) {
+  engine::Scheduler scheduler(threads);
+  auto report = submit_campaign(scheduler, std::move(campaign));
+  scheduler.drain();
+  return report.get();
+}
+
 }  // namespace
+
+std::future<LeakageReport> submit_campaign(
+    engine::Scheduler& scheduler, std::shared_ptr<ShardRunner> campaign,
+    ProgressFn progress, std::string label) {
+  ShardRunner::Impl& impl = *campaign->impl_;
+  impl.progress_ = std::move(progress);
+  // The closures share ownership of the campaign (and its power model and
+  // group layout) until the last shard finalized the report. An empty
+  // checkpoint list (budget disabled, or a floor at or above the budget)
+  // runs the same ascending merge without ever deciding.
+  engine::Checkpoints<CampaignMoments> checkpoints{
+      impl.checkpoint_shards_,
+      [campaign](const CampaignMoments& merged, std::size_t shards_merged) {
+        return campaign->impl_->evaluate_checkpoint(merged, shards_merged);
+      }};
+  return scheduler.submit(
+      impl.shards_.shard_count,
+      [campaign](std::size_t shard) { return campaign->run_shard(shard); },
+      [](CampaignMoments& into, CampaignMoments&& from) { into.merge(from); },
+      [campaign](CampaignMoments&& total) {
+        return campaign->finalize(total);
+      },
+      std::move(checkpoints), impl.cost_weight(), std::move(label));
+}
 
 LeakageReport run_fixed_vs_random(const netlist::Netlist& design,
                                   const techlib::TechLibrary& lib,
                                   const TvlaConfig& config) {
-  return Campaign::run(
-      std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsRandom));
+  return run_campaign(std::make_shared<ShardRunner>(design, lib, config),
+                      config.threads);
 }
 
 LeakageReport run_fixed_vs_fixed(const netlist::Netlist& design,
                                  const techlib::TechLibrary& lib,
                                  const TvlaConfig& config) {
-  return Campaign::run(
-      std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsFixed));
+  return run_campaign(std::make_shared<ShardRunner>(design, lib, config,
+                                                    Protocol::kFixedVsFixed),
+                      config.threads);
 }
 
 LeakageReport run_fixed_vs_random(sim::CompiledDesignPtr design,
                                   const techlib::TechLibrary& lib,
                                   const TvlaConfig& config) {
-  return Campaign::run(std::make_shared<Campaign>(std::move(design), lib,
-                                                  config,
-                                                  Mode::kFixedVsRandom));
+  return run_campaign(
+      std::make_shared<ShardRunner>(std::move(design), lib, config,
+                                    Protocol::kFixedVsRandom),
+      config.threads);
 }
 
 LeakageReport run_fixed_vs_fixed(sim::CompiledDesignPtr design,
                                  const techlib::TechLibrary& lib,
                                  const TvlaConfig& config) {
-  return Campaign::run(std::make_shared<Campaign>(std::move(design), lib,
-                                                  config,
-                                                  Mode::kFixedVsFixed));
+  return run_campaign(
+      std::make_shared<ShardRunner>(std::move(design), lib, config,
+                                    Protocol::kFixedVsFixed),
+      config.threads);
 }
-
-namespace {
-std::future<LeakageReport> submit_campaign(std::shared_ptr<Campaign> campaign,
-                                           engine::Scheduler& scheduler,
-                                           ProgressFn progress,
-                                           std::string label) {
-  campaign->set_progress(std::move(progress));
-  campaign->set_label(std::move(label));
-  return Campaign::submit(std::move(campaign), scheduler);
-}
-}  // namespace
 
 std::future<LeakageReport> submit_fixed_vs_random(
     engine::Scheduler& scheduler, const netlist::Netlist& design,
     const techlib::TechLibrary& lib, const TvlaConfig& config,
     ProgressFn progress, std::string label) {
-  return submit_campaign(
-      std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsRandom),
-      scheduler, std::move(progress), std::move(label));
+  return submit_campaign(scheduler,
+                         std::make_shared<ShardRunner>(design, lib, config),
+                         std::move(progress), std::move(label));
 }
 
 std::future<LeakageReport> submit_fixed_vs_fixed(
@@ -669,81 +601,62 @@ std::future<LeakageReport> submit_fixed_vs_fixed(
     const techlib::TechLibrary& lib, const TvlaConfig& config,
     ProgressFn progress, std::string label) {
   return submit_campaign(
-      std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsFixed),
-      scheduler, std::move(progress), std::move(label));
+      scheduler,
+      std::make_shared<ShardRunner>(design, lib, config,
+                                    Protocol::kFixedVsFixed),
+      std::move(progress), std::move(label));
 }
 
 std::future<LeakageReport> submit_fixed_vs_random(
     engine::Scheduler& scheduler, sim::CompiledDesignPtr design,
     const techlib::TechLibrary& lib, const TvlaConfig& config,
     ProgressFn progress, std::string label) {
-  return submit_campaign(std::make_shared<Campaign>(std::move(design), lib,
-                                                    config,
-                                                    Mode::kFixedVsRandom),
-                         scheduler, std::move(progress), std::move(label));
+  return submit_campaign(
+      scheduler,
+      std::make_shared<ShardRunner>(std::move(design), lib, config,
+                                    Protocol::kFixedVsRandom),
+      std::move(progress), std::move(label));
 }
 
 std::future<LeakageReport> submit_fixed_vs_fixed(
     engine::Scheduler& scheduler, sim::CompiledDesignPtr design,
     const techlib::TechLibrary& lib, const TvlaConfig& config,
     ProgressFn progress, std::string label) {
-  return submit_campaign(std::make_shared<Campaign>(std::move(design), lib,
-                                                    config,
-                                                    Mode::kFixedVsFixed),
-                         scheduler, std::move(progress), std::move(label));
+  return submit_campaign(
+      scheduler,
+      std::make_shared<ShardRunner>(std::move(design), lib, config,
+                                    Protocol::kFixedVsFixed),
+      std::move(progress), std::move(label));
 }
 
 // --- ShardRunner -------------------------------------------------------------
 
-struct ShardRunner::Impl {
-  std::shared_ptr<Campaign> campaign;
-  engine::ShardPlan plan;
-};
-
 ShardRunner::ShardRunner(const netlist::Netlist& design,
                          const techlib::TechLibrary& lib,
-                         const TvlaConfig& config)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->campaign =
-      std::make_shared<Campaign>(design, lib, config, Mode::kFixedVsRandom);
-  impl_->plan = engine::ShardPlan::make(impl_->campaign->batch_count());
-}
+                         const TvlaConfig& config, Protocol protocol)
+    : ShardRunner(compile_timed(design), lib, config, protocol) {}
+
+ShardRunner::ShardRunner(sim::CompiledDesignPtr design,
+                         const techlib::TechLibrary& lib,
+                         const TvlaConfig& config, Protocol protocol)
+    : impl_(std::make_unique<Impl>(std::move(design), lib, config, protocol)) {}
 
 ShardRunner::~ShardRunner() = default;
 
-std::size_t ShardRunner::batch_count() const {
-  return impl_->campaign->batch_count();
-}
-
-std::size_t ShardRunner::shard_count() const { return impl_->plan.shard_count; }
-
-std::size_t ShardRunner::cost_weight() const {
-  return impl_->campaign->cost_weight();
+std::size_t ShardRunner::shard_count() const {
+  return impl_->shards_.shard_count;
 }
 
 CampaignMoments ShardRunner::run_shard(std::size_t shard) const {
-  return impl_->campaign->run_shard_moments(shard);
+  return impl_->run_shard(shard);
 }
 
 CampaignMoments ShardRunner::empty_moments() const {
-  return impl_->campaign->empty_moments();
-}
-
-const std::vector<std::size_t>& ShardRunner::checkpoint_shards() const {
-  return impl_->campaign->checkpoint_shards();
-}
-
-bool ShardRunner::evaluate_checkpoint(const CampaignMoments& merged,
-                                      std::size_t shards_merged) {
-  return impl_->campaign->checkpoint_decision(merged, shards_merged);
-}
-
-void ShardRunner::set_progress(ProgressFn progress) {
-  impl_->campaign->set_progress(std::move(progress));
+  return impl_->empty_moments();
 }
 
 LeakageReport ShardRunner::finalize(const CampaignMoments& total) {
-  return impl_->campaign->finalize_moments(total);
+  return impl_->finalize(total);
 }
 
 }  // namespace polaris::tvla

@@ -15,14 +15,15 @@
 // Sequential designs (DFFs present) run free-running multi-cycle traces with
 // per-cycle sampling instead of vector pairs.
 //
-// Execution: campaigns are a thin protocol layer over the shard-parallel
-// trace engine (engine/trace_engine.hpp). The design is compiled once per
-// campaign (sim::CompiledDesign) together with a fused toggle/energy
-// sampling plan (power::SamplePlan); the trace budget is split into
-// shards, each owning a thin Simulator over the shared plan plus
-// per-batch-keyed RNG streams; shard statistics are mergeable
-// CampaignMoments combined in shard order. Reports are bit-identical for
-// every `threads` setting (see DESIGN.md).
+// Execution: a campaign (tvla::ShardRunner) is a thin protocol layer over
+// engine::Scheduler (engine/scheduler.hpp), the one shard executor. The
+// design is compiled once per campaign (sim::CompiledDesign) together with
+// a fused toggle/energy sampling plan (power::SamplePlan); the trace budget
+// is split by engine::ShardPlan into shards, each running a thin Simulator
+// over the shared plan with per-batch-keyed RNG streams into mergeable
+// CampaignMoments, merged in ascending shard order. Reports are
+// bit-identical for every `threads` setting and worker count (see
+// DESIGN.md).
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,9 @@ class Scheduler;
 }  // namespace polaris::engine
 
 namespace polaris::tvla {
+
+/// Stimulus protocol of a campaign (see the file comment).
+enum class Protocol : std::uint8_t { kFixedVsRandom, kFixedVsFixed };
 
 /// Role of a primary input in the TVLA protocol.
 enum class InputClass : std::uint8_t {
@@ -178,45 +182,41 @@ class LeakageReport {
 /// Checkpoint observer for budget-enabled campaigns (streaming audits):
 /// called once per checkpoint in milestone order with the partial report
 /// computed from the merged shard prefix and the traces it covers. Runs
-/// under the campaign's merge lock on whichever drain thread crossed the
-/// milestone - never concurrently with itself for one campaign. An
+/// under the campaign's merge lock on whichever thread landed the shard
+/// that completed the prefix (a drain lane, or a distributed audit's
+/// feeder) - never concurrently with itself for one campaign. An
 /// exception thrown from the observer fails the campaign (the future
 /// rethrows it). Ignored when the budget is disabled.
 using ProgressFn =
     std::function<void(const LeakageReport& partial, std::size_t traces_done)>;
 
-/// Shard-granular access to a fixed-vs-random campaign - the seam the
-/// distributed backend (server/remote.hpp, server/worker.hpp) executes
-/// through. A ShardRunner owns exactly the campaign context the scheduler
-/// path owns (compiled design, power model, sampling plan, fixed vectors,
-/// checkpoint schedule); run_shard(s) produces the same CampaignMoments
-/// shard s accumulates under any scheduler, thread count, or lane width,
-/// so per-shard moments computed on ANY host merge - in ascending shard
-/// order - into a report bit-identical to the single-host entry points.
-///
-/// The caller owns the merge loop: merge shard moments ascending, calling
-/// evaluate_checkpoint after each prefix listed in checkpoint_shards()
-/// (budget-enabled campaigns; a true return stops the merge at that
-/// prefix), then finalize() the merged total. run_shard is const and
-/// thread-safe; evaluate_checkpoint/finalize are single-threaded.
+/// One campaign: the compiled design, power model, sampling plan, fixed
+/// vectors, and checkpoint schedule. submit_campaign() queues it on an
+/// engine::Scheduler; the shard workers (server/worker.hpp) run single
+/// shards of it. run_shard(s) produces the same CampaignMoments shard s
+/// accumulates under any scheduler, thread count, lane width, or host, so
+/// per-shard moments merged in ascending shard order finalize into a
+/// report bit-identical to the single-host entry points. run_shard is
+/// const and thread-safe; finalize is single-threaded.
 class ShardRunner {
  public:
   /// Compiles the design once. Throws like the campaign entry points on
   /// invalid configs. `design` and `lib` must outlive the runner.
   ShardRunner(const netlist::Netlist& design, const techlib::TechLibrary& lib,
-              const TvlaConfig& config);
+              const TvlaConfig& config,
+              Protocol protocol = Protocol::kFixedVsRandom);
+  /// Same, over a caller-compiled plan (its netlist must outlive the
+  /// runner).
+  ShardRunner(sim::CompiledDesignPtr design, const techlib::TechLibrary& lib,
+              const TvlaConfig& config, Protocol protocol);
   ~ShardRunner();
 
   ShardRunner(const ShardRunner&) = delete;
   ShardRunner& operator=(const ShardRunner&) = delete;
 
-  /// Trace budget in whole batches - the input to engine::ShardPlan::make,
-  /// which defines the shard index space run_shard accepts.
-  [[nodiscard]] std::size_t batch_count() const;
-  /// Shards in the campaign's ShardPlan (pure function of batch_count).
+  /// Shards in the campaign's engine::ShardPlan (a pure function of the
+  /// trace budget) - the index space run_shard accepts.
   [[nodiscard]] std::size_t shard_count() const;
-  /// The campaign's LPT scheduling weight (simulation-cost proxy).
-  [[nodiscard]] std::size_t cost_weight() const;
 
   /// Runs shard `shard` of the plan into a fresh moments block.
   [[nodiscard]] CampaignMoments run_shard(std::size_t shard) const;
@@ -224,28 +224,36 @@ class ShardRunner {
   /// identity, and the finalize input for zero-shard campaigns.
   [[nodiscard]] CampaignMoments empty_moments() const;
 
-  /// Ascending shard-prefix counts at which evaluate_checkpoint must run
-  /// during the ascending merge (empty when the budget is disabled).
-  [[nodiscard]] const std::vector<std::size_t>& checkpoint_shards() const;
-  /// Early-stop decision on the merged prefix of `shards_merged` shards.
-  /// Returns true to stop (the caller finalizes the current total and
-  /// discards later shards). Also drives the progress observer.
-  [[nodiscard]] bool evaluate_checkpoint(const CampaignMoments& merged,
-                                         std::size_t shards_merged);
-  /// Installs the per-checkpoint observer (see ProgressFn). Must be set
-  /// before the merge loop runs.
-  void set_progress(ProgressFn progress);
-
   /// Computes the final report from the merged total, including budget
-  /// trace-usage when an earlier evaluate_checkpoint stopped the campaign.
+  /// trace-usage when a checkpoint stopped the campaign.
   [[nodiscard]] LeakageReport finalize(const CampaignMoments& total);
 
  private:
+  friend std::future<LeakageReport> submit_campaign(
+      engine::Scheduler& scheduler, std::shared_ptr<ShardRunner> campaign,
+      ProgressFn progress, std::string label);
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Fixed-vs-random campaign (the protocol used for all paper tables).
+/// Queues `campaign`'s shards on `scheduler` alongside every other pending
+/// campaign's, with its checkpoint schedule (budget-enabled configs) and
+/// LPT weight. The future becomes ready during Scheduler::drain() - or on
+/// the thread that completes the last leased shard - and yields a report
+/// bit-identical to the synchronous entry points (tests/test_scheduler.cpp)
+/// regardless of thread count, queue interleaving, submission order, or
+/// where shards ran. Every run_* and submit_* entry point below is this
+/// call. `progress` observes the checkpoints (see ProgressFn); `label`
+/// names the campaign in the scheduler's live progress table
+/// (engine::CampaignProgress) - pure telemetry, never part of the result.
+/// Submit a campaign once: its stop state belongs to that one run.
+[[nodiscard]] std::future<LeakageReport> submit_campaign(
+    engine::Scheduler& scheduler, std::shared_ptr<ShardRunner> campaign,
+    ProgressFn progress = {}, std::string label = {});
+
+/// Fixed-vs-random campaign (the protocol used for all paper tables), run
+/// to completion on a private engine::Scheduler of `config.threads` lanes.
 /// Compiles the design once (sim::compile) and shares the plan across all
 /// shards; see the CompiledDesignPtr overload to reuse a caller-held plan.
 [[nodiscard]] LeakageReport run_fixed_vs_random(const netlist::Netlist& design,
@@ -268,17 +276,11 @@ class ShardRunner {
                                                const techlib::TechLibrary& lib,
                                                const TvlaConfig& config);
 
-/// Asynchronous campaigns for multi-design / multi-campaign flows: queue
-/// this campaign's shards on a global engine::Scheduler alongside every
-/// other pending campaign's. The future becomes ready during
-/// Scheduler::drain() and yields a report bit-identical to the synchronous
-/// entry point above (tests/test_scheduler.cpp), regardless of thread
-/// count, queue interleaving, or submission order. `config.threads` is
-/// ignored - the scheduler owns the fan-out. The caller keeps `design` and
-/// `lib` alive until the future is ready; campaign-construction errors
-/// (e.g. a fixed-vector size mismatch) throw from the submit call itself.
-/// `label` names the campaign in the scheduler's live progress table
-/// (engine::CampaignProgress) - pure telemetry, never part of the result.
+/// Asynchronous campaigns for multi-design / multi-campaign flows: build
+/// the campaign and submit_campaign() it. `config.threads` is ignored -
+/// the scheduler owns the fan-out. The caller keeps `design` and `lib`
+/// alive until the future is ready; campaign-construction errors (e.g. a
+/// fixed-vector size mismatch) throw from the submit call itself.
 [[nodiscard]] std::future<LeakageReport> submit_fixed_vs_random(
     engine::Scheduler& scheduler, const netlist::Netlist& design,
     const techlib::TechLibrary& lib, const TvlaConfig& config,

@@ -125,7 +125,7 @@ TEST(DistributedCodec, MomentsRoundTripBitExactly) {
 
     // Re-encoding the decoded state must reproduce the archive byte for
     // byte - the accumulator survived the trip with every IEEE-754 bit
-    // pattern intact, which is exactly what the merge replay requires.
+    // pattern intact, which is exactly what the coordinator's merge requires.
     serialize::Writer again;
     tvla::write_moments(again, back);
     EXPECT_EQ(bytes, again.finish());
@@ -309,13 +309,20 @@ TEST(DistributedAudit, BitIdenticalToSingleHostAtEveryWorkerCount) {
   const auto config = audit_config();
   const auto expected = core::audit_designs(designs, lib(), config);
 
-  for (const std::size_t worker_count : {0u, 1u, 2u, 4u}) {
-    Fleet fleet(worker_count);
+  struct Leg {
+    std::size_t workers;
+    std::size_t threads;  // per worker
+  };
+  for (const Leg leg :
+       {Leg{0, 1}, Leg{1, 1}, Leg{2, 1}, Leg{4, 1}, Leg{2, 2}}) {
+    SCOPED_TRACE(std::to_string(leg.workers) + " workers of " +
+                 std::to_string(leg.threads) + " threads");
+    Fleet fleet(leg.workers, leg.threads);
     server::WorkerPoolOptions options;
     options.workers = fleet.endpoints;
     options.local_threads = 2;
     server::WorkerPool pool(options);
-    EXPECT_EQ(pool.worker_count(), worker_count);
+    EXPECT_EQ(pool.worker_count(), leg.workers);
     const auto reports = pool.audit(designs, lib(), config);
     ASSERT_EQ(reports.size(), expected.size());
     for (std::size_t d = 0; d < expected.size(); ++d) {
@@ -325,10 +332,10 @@ TEST(DistributedAudit, BitIdenticalToSingleHostAtEveryWorkerCount) {
 }
 
 TEST(DistributedAudit, EarlyStopBudgetReplaysCheckpointsIdentically) {
-  // The budget path is where the merge-replay contract earns its keep: the
-  // coordinator must fire checkpoint evaluations at exactly the scheduler's
-  // shard-prefix counts, stop at the same prefix, and discard the same
-  // tail shards.
+  // The budget path is where the ascending-merge contract earns its keep:
+  // wherever shards ran, checkpoint evaluations must fire at exactly the
+  // single-host shard-prefix counts, stop at the same prefix, and discard
+  // the same tail shards.
   auto config = audit_config();
   config.tvla.traces = 2048;
   config.tvla.budget.enabled = true;
@@ -345,6 +352,76 @@ TEST(DistributedAudit, EarlyStopBudgetReplaysCheckpointsIdentically) {
   ASSERT_EQ(reports.size(), expected.size());
   for (std::size_t d = 0; d < expected.size(); ++d) {
     expect_reports_bit_identical(reports[d], expected[d]);
+  }
+}
+
+TEST(DistributedAudit, EarlyStopAndPartialsReachRemoteWork) {
+  // des3 at full scale decides at its first checkpoint (`polaris_cli audit
+  // --budget 1024` stops it at 1024 of 65536 traces). The stop must cancel
+  // the shards still queued - the feeders lease from the same queue - and
+  // the first partial must fire while the prefix lands, long before the
+  // whole budget has run anywhere. The workers run in this process, so
+  // the tvla.traces_run counter sees remote traces too.
+  auto config = audit_config();
+  config.tvla.traces = 65536;
+  config.tvla.budget.enabled = true;
+  config.tvla.budget.min_traces = 1024;
+  std::vector<circuits::Design> designs;
+  designs.push_back(circuits::load_design("des3", 1.0));
+  const auto expected = core::audit_designs(designs, lib(), config);
+  ASSERT_TRUE(expected[0].early_stopped());
+
+  const auto& traces_run = obs::Registry::global().counter("tvla.traces_run");
+  const auto& cancelled =
+      obs::Registry::global().counter("sched.shards_cancelled");
+  Fleet fleet(2);
+  server::WorkerPoolOptions options;
+  options.workers = fleet.endpoints;
+  options.local_threads = 1;
+  server::WorkerPool pool(options);
+  const std::uint64_t traces_before = traces_run.value();
+  const std::uint64_t cancelled_before = cancelled.value();
+  // Written by whichever thread lands a checkpoint prefix; read after
+  // audit() joined its feeders.
+  std::vector<std::uint64_t> traces_at_partial;
+  const auto reports = pool.audit(
+      designs, lib(), config, [&](const tvla::LeakageReport&, std::size_t) {
+        traces_at_partial.push_back(traces_run.value() - traces_before);
+      });
+  const std::uint64_t traces = traces_run.value() - traces_before;
+
+  ASSERT_EQ(reports.size(), 1u);
+  expect_reports_bit_identical(reports[0], expected[0]);
+  EXPECT_GT(cancelled.value() - cancelled_before, 0u);
+  EXPECT_LT(traces, config.tvla.traces);
+  ASSERT_FALSE(traces_at_partial.empty());
+  EXPECT_LT(traces_at_partial.front(), config.tvla.traces);
+}
+
+TEST(DistributedAudit, SpaceAfterACommaKeepsEveryWorker) {
+  // "--workers 'A, B'" is natural shell quoting; the second endpoint must
+  // not come out as host " tcp:127.0.0.1" and silently drop its worker.
+  // Long enough, with one local lane, that both feeders win chunks.
+  auto config = audit_config();
+  config.tvla.traces = 32768;
+  std::vector<circuits::Design> designs;
+  designs.push_back(circuits::load_design("des3", 1.0));
+  const auto expected = core::audit_designs(designs, lib(), config);
+
+  Fleet fleet(2);
+  server::WorkerPoolOptions options;
+  options.workers = server::net::to_string(fleet.workers[0]->endpoint()) +
+                    ", " +
+                    server::net::to_string(fleet.workers[1]->endpoint());
+  options.local_threads = 1;
+  server::WorkerPool pool(options);
+  ASSERT_EQ(pool.worker_count(), 2u);
+  const auto reports = pool.audit(designs, lib(), config);
+  ASSERT_EQ(reports.size(), 1u);
+  expect_reports_bit_identical(reports[0], expected[0]);
+  for (const auto& entry : pool.health()) {
+    EXPECT_TRUE(entry.alive) << entry.endpoint;
+    EXPECT_GT(entry.shards_done, 0u) << entry.endpoint;
   }
 }
 
@@ -497,10 +574,10 @@ class TamperingWorker {
 };
 
 /// Audits des3 through a TamperingWorker: the coordinator must drop the
-/// worker, requeue the chunk, and let the local lanes finish with
-/// identical bits - nothing from a bad reply is ever stored. The campaign
-/// is long and the local side single-threaded so the feeder is
-/// guaranteed to win chunks from the shared queue before the lanes drain
+/// worker, abandon its lease, and let the local lane finish with
+/// identical bits - nothing from a bad reply is ever completed. The
+/// campaign is long and the local side single-threaded so the feeder is
+/// guaranteed to win chunks from the shared queue before the lane drains
 /// it.
 void expect_tampered_replies_rejected(TamperingWorker::Tamper tamper) {
   auto config = audit_config();
@@ -529,9 +606,8 @@ void expect_tampered_replies_rejected(TamperingWorker::Tamper tamper) {
 
 TEST(DistributedAudit, DuplicateShardIndexInReplyIsRejectedNotMerged) {
   // The right count but one in-range index repeated. Each entry must be
-  // exactly begin + i: a duplicate would double-store one slot and
-  // double-decrement the remaining count, flipping `done` with shards
-  // still unstored - the merge replay would then read an empty slot.
+  // exactly begin + i: a duplicate would land one shard twice and leave
+  // another unanswered.
   expect_tampered_replies_rejected([](server::ShardReply& reply) {
     for (auto& result : reply.shards) result.shard = reply.shards[0].shard;
   });
@@ -589,7 +665,7 @@ TEST(DistributedAudit, InstallsOutliveAnAuditAndRecoverAfterAWorkerRestart) {
   EXPECT_EQ(installs_sent_by_an_audit(), 0u);  // the worker still holds it
 
   // A new worker on the same port holds no designs: the first shard
-  // request answers kUnknownDesign, the feeder requeues the chunk and
+  // request answers kUnknownDesign, the feeder abandons the lease and
   // installs again, and the worker keeps serving.
   const auto endpoint = fleet.workers[0]->endpoint();
   fleet.workers[0]->request_stop();

@@ -10,7 +10,7 @@
 #include "circuits/arith.hpp"
 #include "circuits/memctrl.hpp"
 #include "engine/thread_pool.hpp"
-#include "engine/trace_engine.hpp"
+#include "engine/shard_plan.hpp"
 #include "masking/masking.hpp"
 #include "tvla/moments.hpp"
 #include "tvla/tvla.hpp"
@@ -166,7 +166,7 @@ void expect_reports_identical(const tvla::LeakageReport& a,
   }
 }
 
-TEST(TraceEngine, CombinationalReportIndependentOfThreadCount) {
+TEST(SyncCampaign, CombinationalReportIndependentOfThreadCount) {
   const auto nl = circuits::make_aes_sbox_layer(1);
   tvla::TvlaConfig config;
   config.traces = 4096;
@@ -180,7 +180,7 @@ TEST(TraceEngine, CombinationalReportIndependentOfThreadCount) {
   }
 }
 
-TEST(TraceEngine, SequentialReportIndependentOfThreadCount) {
+TEST(SyncCampaign, SequentialReportIndependentOfThreadCount) {
   const auto nl = circuits::make_memctrl(4, 4);
   tvla::TvlaConfig config;
   config.traces = 8192;
@@ -195,7 +195,7 @@ TEST(TraceEngine, SequentialReportIndependentOfThreadCount) {
   }
 }
 
-TEST(TraceEngine, FixedVsFixedReportIndependentOfThreadCount) {
+TEST(SyncCampaign, FixedVsFixedReportIndependentOfThreadCount) {
   const auto nl = circuits::make_adder(8);
   tvla::TvlaConfig config;
   config.traces = 2048;
@@ -206,7 +206,7 @@ TEST(TraceEngine, FixedVsFixedReportIndependentOfThreadCount) {
   expect_reports_identical(serial, tvla::run_fixed_vs_fixed(nl, lib(), config));
 }
 
-TEST(TraceEngine, MaskedDesignReportIndependentOfThreadCount) {
+TEST(SyncCampaign, MaskedDesignReportIndependentOfThreadCount) {
   // Masked composites add kRand cells, exercising the per-batch mask-share
   // reseeding path.
   const auto nl = circuits::make_adder(8);

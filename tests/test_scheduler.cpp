@@ -1,17 +1,21 @@
 // The global shard scheduler's determinism contract (see DESIGN.md):
 // every campaign's result - down to the last bit of every Welch t - is
 // independent of the scheduler's thread count, the queue interleaving,
-// and the order campaigns were submitted in, and equals the pre-existing
-// per-campaign TraceEngine path. Plus scheduler property tests: priority
-// order, oversubscription, zero-batch campaigns, failure isolation.
+// and the order campaigns were submitted in, and equals the serial
+// (1-thread) run. Plus scheduler property tests: priority order,
+// oversubscription, zero-batch campaigns, failure isolation, and the
+// lease seam outside executors complete shards through.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "circuits/aes_sbox.hpp"
@@ -21,6 +25,7 @@
 #include "core/polaris.hpp"
 #include "engine/scheduler.hpp"
 #include "masking/masking.hpp"
+#include "obs/obs.hpp"
 #include "techlib/techlib.hpp"
 #include "tvla/tvla.hpp"
 
@@ -100,8 +105,8 @@ void expect_reports_identical(const tvla::LeakageReport& a,
 
 TEST(Scheduler, MatchesPerCampaignPathAtEveryThreadCount) {
   const auto cases = campaign_mix();
-  // The pre-existing per-campaign path (TraceEngine, serial) is the
-  // reference the global queue must reproduce exactly.
+  // The serial per-campaign path (a private 1-thread drain) is the
+  // reference the shared queue must reproduce exactly.
   std::vector<tvla::LeakageReport> reference;
   for (const auto& c : cases) {
     auto config = c.config;
@@ -272,6 +277,64 @@ std::uint64_t mix(std::uint64_t campaign, std::uint64_t batch) {
   return engine::stream_seed(campaign, batch, 0x70726f70ULL);
 }
 
+/// run_shard for a synthetic campaign of `batches` batches: a fresh state
+/// from make(shard), then run_batch over the shard's range of
+/// ShardPlan::make(batches) - the shape of tvla's own shard loop.
+template <class Make, class RunBatch>
+auto batch_loop(std::size_t batches, Make make, RunBatch run_batch) {
+  const auto plan = engine::ShardPlan::make(batches);
+  return [plan, make, run_batch](std::size_t shard) {
+    auto state = make(shard);
+    for (std::size_t b = plan.begin(shard); b < plan.end(shard); ++b) {
+      run_batch(state, b);
+    }
+    return state;
+  };
+}
+
+/// Submits a synthetic campaign of `batches` batches; `weight` 0 weighs
+/// it by its batch count.
+template <class Make, class RunBatch, class Merge, class Finalize>
+auto submit_batches(engine::Scheduler& scheduler, std::size_t batches,
+                    Make make, RunBatch run_batch, Merge merge,
+                    Finalize finalize, std::size_t weight = 0,
+                    std::string label = {}) {
+  return scheduler.submit(engine::ShardPlan::make(batches).shard_count,
+                          batch_loop(batches, make, run_batch), merge,
+                          finalize, {}, weight == 0 ? batches : weight,
+                          std::move(label));
+}
+
+using Batches = std::vector<std::uint64_t>;
+
+/// What an executor computes for `shard` of a submit_sequence campaign:
+/// the shard's batch indices, in order.
+Batches sequence_shard(std::size_t batches, std::size_t shard) {
+  return batch_loop(batches, [](std::size_t) { return Batches{}; },
+                    [](Batches& state, std::size_t batch) {
+                      state.push_back(batch);
+                    })(shard);
+}
+
+/// An order-sensitive campaign (concatenation of batch indices): the
+/// result lists the batches in the order their shard states merged.
+std::future<Batches> submit_sequence(
+    engine::Scheduler& scheduler, std::size_t batches,
+    engine::Checkpoints<Batches> checkpoints = {}) {
+  return scheduler.submit(
+      engine::ShardPlan::make(batches).shard_count,
+      [batches](std::size_t shard) { return sequence_shard(batches, shard); },
+      [](Batches& into, Batches&& from) {
+        into.insert(into.end(), from.begin(), from.end());
+      },
+      [](Batches&& total) { return total; }, std::move(checkpoints));
+}
+
+void expect_ascending(const Batches& sequence, std::size_t batches) {
+  ASSERT_EQ(sequence.size(), batches);
+  for (std::size_t b = 0; b < sequence.size(); ++b) EXPECT_EQ(sequence[b], b);
+}
+
 TEST(Scheduler, SyntheticCampaignsSeeEveryBatchExactlyOnce) {
   for (const std::size_t threads : {1u, 2u, 8u, 16u}) {
     engine::Scheduler scheduler(threads);
@@ -279,8 +342,8 @@ TEST(Scheduler, SyntheticCampaignsSeeEveryBatchExactlyOnce) {
     const std::size_t kCampaigns = 40;  // oversubscribes every cap above
     for (std::size_t c = 0; c < kCampaigns; ++c) {
       const std::size_t batches = 1 + (c * 7) % 97;
-      pending.push_back(scheduler.submit<XorState>(
-          batches, [](std::size_t) { return XorState{}; },
+      pending.push_back(submit_batches(
+          scheduler, batches, [](std::size_t) { return XorState{}; },
           [c](XorState& state, std::size_t batch) {
             state.value ^= mix(c, batch);
           },
@@ -303,44 +366,35 @@ TEST(Scheduler, MergesInAscendingShardOrder) {
   // Order-sensitive merge (concatenation): the observed sequence must be
   // the batch order, whatever ran where.
   engine::Scheduler scheduler(8);
-  auto pending = scheduler.submit<std::vector<std::uint64_t>>(
-      200, [](std::size_t) { return std::vector<std::uint64_t>{}; },
-      [](std::vector<std::uint64_t>& state, std::size_t batch) {
-        state.push_back(batch);
-      },
-      [](std::vector<std::uint64_t>& into, std::vector<std::uint64_t>&& from) {
-        into.insert(into.end(), from.begin(), from.end());
-      },
-      [](std::vector<std::uint64_t>&& total) { return total; });
+  auto pending = submit_sequence(scheduler, 200);
   scheduler.drain();
-  const auto sequence = pending.get();
-  ASSERT_EQ(sequence.size(), 200u);
-  for (std::size_t b = 0; b < sequence.size(); ++b) EXPECT_EQ(sequence[b], b);
+  expect_ascending(pending.get(), 200);
 }
 
 TEST(Scheduler, ZeroBatchCampaignFinalizesImmediately) {
   engine::Scheduler scheduler(4);
-  auto pending = scheduler.submit<XorState>(
-      0, [](std::size_t) { return XorState{123}; },
+  auto pending = submit_batches(
+      scheduler, 0, [](std::size_t) { return XorState{123}; },
       [](XorState&, std::size_t) { FAIL() << "no batches to run"; },
       [](XorState&, XorState&&) { FAIL() << "nothing to merge"; },
       [](XorState&& total) { return total.value; });
-  // Ready before any drain - TraceEngine's make(0) semantics.
+  // Ready before any drain: a zero-shard campaign finalizes run_shard(0),
+  // which covers no batches.
   EXPECT_EQ(scheduler.pending_shards(), 0u);
   EXPECT_EQ(pending.get(), 123u);
 }
 
 TEST(Scheduler, FailedCampaignDoesNotPoisonOthers) {
   engine::Scheduler scheduler(4);
-  auto doomed = scheduler.submit<XorState>(
-      64, [](std::size_t) { return XorState{}; },
+  auto doomed = submit_batches(
+      scheduler, 64, [](std::size_t) { return XorState{}; },
       [](XorState&, std::size_t batch) {
         if (batch == 17) throw std::runtime_error("batch 17 exploded");
       },
       [](XorState& into, XorState&& from) { into.value ^= from.value; },
       [](XorState&& total) { return total.value; });
-  auto healthy = scheduler.submit<XorState>(
-      64, [](std::size_t) { return XorState{}; },
+  auto healthy = submit_batches(
+      scheduler, 64, [](std::size_t) { return XorState{}; },
       [](XorState& state, std::size_t batch) { state.value += batch; },
       [](XorState& into, XorState&& from) { into.value += from.value; },
       [](XorState&& total) { return total.value; });
@@ -359,12 +413,12 @@ TEST(Scheduler, HeavierCampaignsDrainFirstWhenSerial) {
       first_batch_owner.push_back(campaign);
     }
   };
-  auto light = scheduler.submit<XorState>(
-      4, [](std::size_t) { return XorState{}; },
+  auto light = submit_batches(
+      scheduler, 4, [](std::size_t) { return XorState{}; },
       [&record](XorState&, std::size_t) { record(1); },
       [](XorState&, XorState&&) {}, [](XorState&&) { return 0; });
-  auto heavy = scheduler.submit<XorState>(
-      64, [](std::size_t) { return XorState{}; },
+  auto heavy = submit_batches(
+      scheduler, 64, [](std::size_t) { return XorState{}; },
       [&record](XorState&, std::size_t) { record(2); },
       [](XorState&, XorState&&) {}, [](XorState&&) { return 0; });
   scheduler.drain();
@@ -394,13 +448,13 @@ TEST(Scheduler, ProgressTableTracksCampaignsMonotonically) {
       }
     }
   };
-  auto alpha = scheduler.submit<XorState>(
-      24, [](std::size_t) { return XorState{}; },
+  auto alpha = submit_batches(
+      scheduler, 24, [](std::size_t) { return XorState{}; },
       [&observe](XorState&, std::size_t) { observe(); },
       [](XorState&, XorState&&) {}, [](XorState&&) { return 0; },
       /*weight=*/24, "alpha");
-  auto beta = scheduler.submit<XorState>(
-      96, [](std::size_t) { return XorState{}; },
+  auto beta = submit_batches(
+      scheduler, 96, [](std::size_t) { return XorState{}; },
       [](XorState&, std::size_t) {}, [](XorState&, XorState&&) {},
       [](XorState&&) { return 0; }, /*weight=*/96, "beta");
 
@@ -430,6 +484,130 @@ TEST(Scheduler, ProgressTableTracksCampaignsMonotonically) {
   // Finalized campaigns leave the table - a drained scheduler shows
   // nothing in flight.
   EXPECT_TRUE(scheduler.progress().empty());
+}
+
+
+// --- lease seam (an outside executor, synthetic campaigns) -------------------
+
+TEST(SchedulerLease, OutOfOrderCompletionsStillMergeAscending) {
+  engine::Scheduler scheduler(1);
+  auto pending = submit_sequence(scheduler, 200);  // 50 shards
+  std::vector<engine::Scheduler::Lease> leases;
+  while (auto lease = scheduler.lease(4)) {
+    EXPECT_EQ(lease->campaign, 0u);
+    EXPECT_LE(lease->end - lease->begin, 4u);
+    if (!leases.empty()) {
+      EXPECT_EQ(lease->begin, leases.back().end);
+    }
+    leases.push_back(*lease);
+  }
+  ASSERT_EQ(leases.back().end, engine::ShardPlan::make(200).shard_count);
+  EXPECT_EQ(scheduler.pending_shards(), 0u);
+  // Last lease first, each lease's shards descending: every merge but the
+  // final one must wait for a lower shard.
+  for (auto lease = leases.rbegin(); lease != leases.rend(); ++lease) {
+    for (std::size_t shard = lease->end; shard-- > lease->begin;) {
+      scheduler.complete(*lease, shard, sequence_shard(200, shard));
+    }
+  }
+  scheduler.drain();  // nothing queued, nothing leased: returns at once
+  expect_ascending(pending.get(), 200);
+}
+
+TEST(SchedulerLease, CompleteRejectsForeignStatesAndShards) {
+  engine::Scheduler scheduler(1);
+  auto pending = submit_sequence(scheduler, 16);  // one batch per shard
+  auto lease = scheduler.lease(2);
+  ASSERT_TRUE(lease.has_value());
+  ASSERT_EQ(lease->begin, 0u);
+  ASSERT_EQ(lease->end, 2u);
+  EXPECT_THROW(scheduler.complete(*lease, 0, XorState{}), std::logic_error);
+  EXPECT_THROW(scheduler.complete(*lease, 2, sequence_shard(16, 2)),
+               std::logic_error);  // queued, not leased
+  scheduler.complete(*lease, 0, sequence_shard(16, 0));
+  EXPECT_THROW(scheduler.complete(*lease, 0, sequence_shard(16, 0)),
+               std::logic_error);  // already completed
+  scheduler.complete(*lease, 1, sequence_shard(16, 1));
+  scheduler.drain();
+  expect_ascending(pending.get(), 16);
+}
+
+TEST(SchedulerLease, DrainFinishesAnAbandonedLease) {
+  engine::Scheduler scheduler(2);
+  auto pending = submit_sequence(scheduler, 64);  // 16 shards
+  auto kept = scheduler.lease(4);
+  auto lost = scheduler.lease(4);
+  ASSERT_TRUE(kept.has_value());
+  ASSERT_TRUE(lost.has_value());
+  EXPECT_EQ(lost->begin, 4u);
+  // Half-answered, then the executor is lost: only the unanswered shard
+  // goes back to the queue.
+  scheduler.complete(*lost, 4, sequence_shard(64, 4));
+  const std::size_t queued = scheduler.pending_shards();
+  scheduler.abandon(*lost);
+  EXPECT_EQ(scheduler.pending_shards(), queued + 3);
+  for (std::size_t shard = kept->begin; shard < kept->end; ++shard) {
+    scheduler.complete(*kept, shard, sequence_shard(64, shard));
+  }
+  scheduler.drain();
+  EXPECT_EQ(scheduler.pending_shards(), 0u);
+  expect_ascending(pending.get(), 64);
+}
+
+TEST(SchedulerLease, LeaseSkipsACancelledCampaign) {
+  auto& cancelled = obs::Registry::global().counter("sched.shards_cancelled");
+  engine::Scheduler scheduler(1);
+  // The heavier campaign stops at its first checkpoint, one shard in.
+  auto stopped = submit_sequence(
+      scheduler, 64,
+      {{1}, [](const Batches&, std::size_t prefix) { return prefix == 1; }});
+  auto light = submit_sequence(scheduler, 16);
+  auto first = scheduler.lease(1);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->campaign, 0u);
+  ASSERT_EQ(first->begin, 0u);
+  scheduler.complete(*first, 0, sequence_shard(64, 0));
+
+  // The stopped campaign's 15 queued shards are retired on the way to the
+  // light campaign's first chunk, which finishes the stopped campaign.
+  const std::uint64_t before = cancelled.value();
+  auto next = scheduler.lease(4);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->campaign, 1u);
+  EXPECT_EQ(next->begin, 0u);
+  EXPECT_EQ(cancelled.value() - before, 15u);
+  ASSERT_EQ(stopped.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  expect_ascending(stopped.get(), 4);  // shard 0 = batches 0..3
+
+  scheduler.abandon(*next);
+  scheduler.drain();
+  expect_ascending(light.get(), 16);
+}
+
+TEST(SchedulerLease, DrainWaitsForAnOutstandingLease) {
+  engine::Scheduler scheduler(2);
+  auto pending = submit_sequence(scheduler, 32);  // 16 shards
+  auto lease = scheduler.lease(engine::kMaxShardsPerCampaign);
+  ASSERT_TRUE(lease.has_value());
+  ASSERT_EQ(lease->end - lease->begin, 16u);  // the whole campaign
+  ASSERT_EQ(scheduler.pending_shards(), 0u);
+
+  std::atomic<bool> completing{false};
+  std::thread executor([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    completing.store(true);
+    for (std::size_t shard = lease->begin; shard < lease->end; ++shard) {
+      scheduler.complete(*lease, shard, sequence_shard(32, shard));
+    }
+  });
+  const auto start = std::chrono::steady_clock::now();
+  scheduler.drain();
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(completing.load());
+  EXPECT_GE(waited, std::chrono::milliseconds(40));
+  executor.join();
+  expect_ascending(pending.get(), 32);
 }
 
 }  // namespace
