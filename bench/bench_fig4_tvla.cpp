@@ -37,7 +37,8 @@ int main() {
     const auto compiled = sim::compile(sbox);
     const double compile_ms = compile_timer.seconds() * 1e3;
     util::Timer kernel_timer;
-    const auto report = tvla::run_fixed_vs_random(compiled, setup.lib, config);
+    const auto report = tvla::run(
+        {.compiled = compiled, .lib = &setup.lib, .config = config});
     const double kernel_seconds = kernel_timer.seconds();
     // The width this combinational campaign actually ran at, and the
     // kernel path that width resolves to under the current SIMD policy.
@@ -77,8 +78,8 @@ int main() {
       adaptive.budget.enabled = true;
       adaptive.budget.min_traces = std::max<std::size_t>(64, setup.traces / 32);
       util::Timer adaptive_timer;
-      const auto early =
-          tvla::run_fixed_vs_random(compiled, setup.lib, adaptive);
+      const auto early = tvla::run(
+          {.compiled = compiled, .lib = &setup.lib, .config = adaptive});
       const double adaptive_seconds = adaptive_timer.seconds();
       const std::size_t used =
           early.early_stopped() ? early.traces_used() : setup.traces;
@@ -127,8 +128,8 @@ int main() {
   const auto compiled_des3 = sim::compile(design.netlist);
   const double des3_compile_ms = compile_timer.seconds() * 1e3;
   util::Timer campaign_timer;
-  const auto before =
-      tvla::run_fixed_vs_random(compiled_des3, setup.lib, tvla_config);
+  const auto before = tvla::run(
+      {.compiled = compiled_des3, .lib = &setup.lib, .config = tvla_config});
   const double campaign_seconds = campaign_timer.seconds();
   const std::size_t leaky = before.leaky_count();
   std::printf("des3: %zu gates, %zu leaky before masking (|t| > %.1f)\n",

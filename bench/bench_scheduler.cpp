@@ -83,8 +83,8 @@ int main() {
   std::vector<double> sequential_done(n, 0.0);
   util::Timer sequential_timer;
   for (std::size_t i = 0; i < n; ++i) {
-    sequential_reports.push_back(
-        tvla::run_fixed_vs_random(compiled[i], setup.lib, configs[i]));
+    sequential_reports.push_back(tvla::run(
+        {.compiled = compiled[i], .lib = &setup.lib, .config = configs[i]}));
     sequential_done[i] = sequential_timer.seconds();
   }
   const double sequential_seconds = sequential_timer.seconds();
@@ -99,8 +99,11 @@ int main() {
   pending.reserve(n);
   util::Timer submit_timer;
   for (std::size_t i = 0; i < n; ++i) {
-    pending.push_back(tvla::submit_fixed_vs_random(scheduler, compiled[i],
-                                                   setup.lib, configs[i]));
+    pending.push_back(
+        tvla::submit(scheduler, {.compiled = compiled[i],
+                                 .lib = &setup.lib,
+                                 .config = configs[i]})
+            .future());
   }
   const double submit_ms = submit_timer.seconds() * 1e3;
 

@@ -14,8 +14,7 @@ CognitionPlan::CognitionPlan(const circuits::Design& design,
                              const techlib::TechLibrary& lib,
                              const PolarisConfig& config,
                              engine::Scheduler& scheduler)
-    : scheduler_(&scheduler),
-      extractor_(design.netlist, graph::FeatureSpec{config.locality}),
+    : extractor_(design.netlist, graph::FeatureSpec{config.locality}),
       theta_r_(config.theta_r),
       min_leak_for_label_(config.min_leak_for_label) {
   const auto tvla_config = tvla_config_for(config, design);
@@ -60,15 +59,18 @@ CognitionPlan::CognitionPlan(const circuits::Design& design,
   // netlists, the seam is a submit overload that lets each campaign own
   // (and lazily build) its input.
   timer_.reset();
-  original_ = tvla::submit_fixed_vs_random(scheduler, design.netlist, lib,
-                                           tvla_config);
+  original_ = tvla::submit(scheduler, {.design = &design.netlist,
+                                       .lib = &lib,
+                                       .config = tvla_config});
   modified_.reserve(selections_.size());
   modified_reports_.reserve(selections_.size());
   for (const auto& selection : selections_) {
     modified_.push_back(
         masking::apply_masking(design.netlist, selection, config.scheme));
-    modified_reports_.push_back(tvla::submit_fixed_vs_random(
-        scheduler, modified_.back().design, lib, tvla_config));
+    modified_reports_.push_back(tvla::submit(
+        scheduler, {.design = &modified_.back().design,
+                    .lib = &lib,
+                    .config = tvla_config}));
   }
 }
 
@@ -76,13 +78,10 @@ CognitionStats CognitionPlan::finalize(ml::Dataset& dataset) {
   CognitionStats stats;
   stats.iterations = selections_.size();
 
-  // Drain defensively: a no-op when the caller already drained, and it
-  // keeps a lone finalize() from blocking on futures nobody is running.
-  scheduler_->drain();
-
-  // Each iteration keeps only its selection's |t| values, never the full
-  // report.
-  const tvla::LeakageReport original = original_.get();
+  // Each get() runs that campaign's still-queued shards, if any, so a lone
+  // finalize() never blocks on work nobody is running. Each iteration
+  // keeps only its selection's |t| values, never the full report.
+  const tvla::LeakageReport original = original_->get();
   std::vector<std::vector<double>> t_mod(selections_.size());
   for (std::size_t it = 0; it < selections_.size(); ++it) {
     const tvla::LeakageReport mod = modified_reports_[it].get();

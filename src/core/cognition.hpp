@@ -20,12 +20,13 @@
 // CognitionPlan submits them all - the original design's plus one per
 // iteration - to a global engine::Scheduler, where they interleave with
 // every other pending design's campaigns as one shard queue; finalize()
-// labels in iteration order after the drain, so the dataset layout (and
-// every sample in it) is bit-identical to the sequential formulation.
+// waits on its own campaigns' handles and labels in iteration order, so
+// the dataset layout (and every sample in it) is bit-identical to the
+// sequential formulation.
 #pragma once
 
-#include <future>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "circuits/suite.hpp"
@@ -37,10 +38,6 @@
 #include "tvla/tvla.hpp"
 #include "util/timer.hpp"
 
-namespace polaris::engine {
-class Scheduler;
-}  // namespace polaris::engine
-
 namespace polaris::core {
 
 struct CognitionStats {
@@ -50,12 +47,11 @@ struct CognitionStats {
   double leak_estimate_seconds = 0.0;
 };
 
-/// One design's Algorithm-1 run, split around a Scheduler::drain():
-/// the constructor draws every iteration's S_gates, builds the masked
-/// variants, and submits all leak_estimate campaigns; finalize() labels
-/// into the dataset (it drains the scheduler first, a no-op when the
-/// caller - e.g. Polaris::train across many plans - already did).
-/// The caller keeps `design` and `lib` alive until finalize() returns.
+/// One design's Algorithm-1 run: the constructor draws every iteration's
+/// S_gates, builds the masked variants, and submits all leak_estimate
+/// campaigns; finalize() gets their reports (running any of them still
+/// queued) and labels into the dataset. The caller keeps `design` and
+/// `lib` alive until finalize() returns.
 class CognitionPlan {
  public:
   CognitionPlan(const circuits::Design& design, const techlib::TechLibrary& lib,
@@ -67,14 +63,13 @@ class CognitionPlan {
   CognitionStats finalize(ml::Dataset& dataset);
 
  private:
-  engine::Scheduler* scheduler_;
   graph::FeatureExtractor extractor_;
   double theta_r_;
   double min_leak_for_label_;
   std::vector<std::vector<netlist::GateId>> selections_;
   std::vector<masking::MaskingResult> modified_;  // alive until reports land
-  std::future<tvla::LeakageReport> original_;
-  std::vector<std::future<tvla::LeakageReport>> modified_reports_;
+  std::optional<tvla::CampaignHandle> original_;
+  std::vector<tvla::CampaignHandle> modified_reports_;
   util::Timer timer_;
 };
 

@@ -310,6 +310,17 @@ std::vector<double> Polaris::score_gates(const circuits::Design& design,
   return scores;
 }
 
+tvla::CampaignSpec audit_spec(const circuits::Design& design,
+                              const techlib::TechLibrary& lib,
+                              const PolarisConfig& config,
+                              tvla::ProgressFn progress) {
+  return {.design = &design.netlist,
+          .lib = &lib,
+          .config = tvla_config_for(config, design),
+          .progress = std::move(progress),
+          .label = design.name};
+}
+
 std::vector<std::future<tvla::LeakageReport>> submit_audits(
     engine::Scheduler& scheduler, std::span<const circuits::Design> designs,
     const techlib::TechLibrary& lib, const PolarisConfig& config,
@@ -317,9 +328,9 @@ std::vector<std::future<tvla::LeakageReport>> submit_audits(
   std::vector<std::future<tvla::LeakageReport>> pending;
   pending.reserve(designs.size());
   for (const auto& design : designs) {
-    pending.push_back(tvla::submit_fixed_vs_random(
-        scheduler, design.netlist, lib, tvla_config_for(config, design),
-        progress, design.name));
+    pending.push_back(
+        tvla::submit(scheduler, audit_spec(design, lib, config, progress))
+            .future());
   }
   return pending;
 }

@@ -118,13 +118,19 @@ class Polaris {
     std::span<const circuits::Design> designs, const techlib::TechLibrary& lib,
     const PolarisConfig& config);
 
-/// The request->campaign seam shared by audit_designs and the serve
-/// daemon: queues one fixed-vs-random campaign per design (classes from
-/// each design's roles) on an EXISTING scheduler, so concurrent callers'
-/// shards interleave in one LPT queue. The caller drains the scheduler and
-/// get()s the futures; designs and lib must outlive the drain. `progress`
-/// (optional) observes every campaign's early-stop checkpoints - it only
-/// fires when config.tvla.budget is enabled (streaming audits).
+/// The request->campaign seam that audit_designs, the serve daemon and
+/// server::WorkerPool share: one design's fixed-vs-random campaign, input
+/// classes from its roles, labelled with its name. `progress` (optional)
+/// fires only when config.tvla.budget is enabled (streaming audits).
+[[nodiscard]] tvla::CampaignSpec audit_spec(const circuits::Design& design,
+                                            const techlib::TechLibrary& lib,
+                                            const PolarisConfig& config,
+                                            tvla::ProgressFn progress = {});
+
+/// Queues every design's audit_spec on an EXISTING scheduler and returns
+/// the results' futures (design order), for callers that wait on them
+/// from other threads while they drain. Designs and lib must outlive the
+/// campaigns.
 [[nodiscard]] std::vector<std::future<tvla::LeakageReport>> submit_audits(
     engine::Scheduler& scheduler, std::span<const circuits::Design> designs,
     const techlib::TechLibrary& lib, const PolarisConfig& config,

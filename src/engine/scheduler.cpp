@@ -17,7 +17,7 @@ obs::Counter& shards_cancelled_counter() {
 
 }  // namespace
 
-void Scheduler::enqueue(std::shared_ptr<CampaignTask> campaign) {
+std::uint64_t Scheduler::enqueue(std::shared_ptr<CampaignTask> campaign) {
   static auto& campaigns = obs::Registry::global().counter("sched.campaigns");
   static auto& shards = obs::Registry::global().counter("sched.shards");
   static auto& queue_at_submit =
@@ -27,136 +27,146 @@ void Scheduler::enqueue(std::shared_ptr<CampaignTask> campaign) {
     const std::lock_guard<std::mutex> lock(mutex_);
     campaign->sequence = next_sequence_++;
     if (campaign->shard_count != 0) {
-      active_.push_back(campaign);
-      for (std::size_t shard = 0; shard < campaign->shard_count; ++shard) {
-        queue_.push(QueueEntry{campaign, shard});
-      }
-      // LPT queue length as seen by this submit, including its own shards.
-      queue_at_submit.record(queue_.size());
+      // LPT position: after every heavier or equally heavy campaign (ids
+      // only grow, so equal weights keep submission order).
+      const auto at = std::upper_bound(
+          active_.begin(), active_.end(), campaign,
+          [](const auto& a, const auto& b) { return a->weight > b->weight; });
+      active_.insert(at, campaign);
     }
   }
   if (campaign->shard_count == 0) {
-    campaign->finish();  // ready future, nothing queued
-    return;
+    campaign->finish();  // ready result, nothing queued
+  } else {
+    campaigns.add();
+    shards.add(campaign->shard_count);
+    // LPT queue length as seen by this submit, including its own shards.
+    queue_at_submit.record(pending_shards());
+    idle_cv_.notify_all();
   }
-  campaigns.add();
-  shards.add(campaign->shard_count);
-  idle_cv_.notify_all();
+  return campaign->sequence;
 }
 
-bool Scheduler::run_next() {
+std::shared_ptr<Scheduler::CampaignTask> Scheduler::head(
+    std::unique_lock<std::mutex>& lock, const CampaignIds* ids, bool wait) {
+  std::shared_ptr<CampaignTask> found;
+  idle_cv_.wait(lock, [&] {
+    bool unfinished = false;
+    for (const auto& task : active_) {
+      if (ids != nullptr &&
+          std::find(ids->begin(), ids->end(), task->sequence) == ids->end()) {
+        continue;
+      }
+      if (task->queued() != 0) {
+        found = task;
+        return true;
+      }
+      unfinished = true;
+    }
+    return !wait || !unfinished;
+  });
+  return found;
+}
+
+bool Scheduler::run_next(const CampaignIds* ids) {
   static auto& shard_us = obs::Registry::global().histogram("sched.shard_us");
-  QueueEntry entry;
+  std::shared_ptr<CampaignTask> campaign;
+  std::size_t shard = 0;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (queue_.empty()) return false;
-    entry = queue_.top();
-    queue_.pop();
+    std::unique_lock<std::mutex> lock(mutex_);
+    campaign = head(lock, ids, /*wait=*/false);
+    if (!campaign) return false;
+    shard = campaign->take();
   }
-  if (entry.campaign->decided()) {
+  if (campaign->decided()) {
     // Skip the body (its state could never merge past the frozen ceiling)
-    // so the pool slot goes to the next undecided campaign in the queue.
-    if (entry.campaign->cancelled.load(std::memory_order_relaxed)) {
+    // so the lane goes to the next undecided campaign in the queue.
+    if (campaign->cancelled.load(std::memory_order_relaxed)) {
       shards_cancelled_counter().add();
     }
   } else {
     obs::Span span("shard", "sched");
-    span.arg("seq", entry.campaign->sequence)
-        .arg("shard", static_cast<std::uint64_t>(entry.shard));
+    span.arg("seq", campaign->sequence)
+        .arg("shard", static_cast<std::uint64_t>(shard));
     const std::int64_t t0 = obs::now_ns();
-    entry.campaign->run_shard(entry.shard);
+    campaign->run_shard(shard);
     shard_us.record(static_cast<std::uint64_t>((obs::now_ns() - t0) / 1000));
   }
-  retire(entry.campaign, /*leased=*/false);
+  retire(campaign);
   return true;
 }
 
-void Scheduler::retire(const std::shared_ptr<CampaignTask>& campaign,
-                       bool leased) {
+void Scheduler::retire(const std::shared_ptr<CampaignTask>& campaign) {
   static auto& campaign_us =
       obs::Registry::global().histogram("sched.campaign_us");
-  bool last = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (leased && --leased_ == 0) idle_cv_.notify_all();
-    last = --campaign->remaining == 0;
-    if (last) {
-      // Retire from the progress table before finish() runs: a status poll
-      // never reports a campaign whose future is about to be ready with a
-      // stale shard count.
-      active_.erase(std::find(active_.begin(), active_.end(), campaign));
-    }
+    if (--campaign->remaining != 0) return;
+    // Retire from the progress table before finish() runs: a status poll
+    // never reports a campaign whose result is about to be ready with a
+    // stale shard count.
+    active_.erase(std::find(active_.begin(), active_.end(), campaign));
   }
-  // Finalizing outside the lock keeps other lanes popping.
-  if (last) {
-    obs::Span span("finish", "sched");
-    span.arg("seq", campaign->sequence);
-    campaign->finish();
-    // Campaign makespan: submit-to-finalized, queueing included.
-    campaign_us.record(static_cast<std::uint64_t>(
-        (obs::now_ns() - campaign->enqueue_ns) / 1000));
-  }
+  // Wake its waiters first: once finish() publishes the result the
+  // scheduler may be destroyed. Finalizing outside the lock keeps other
+  // lanes popping.
+  idle_cv_.notify_all();
+  obs::Span span("finish", "sched");
+  span.arg("seq", campaign->sequence);
+  campaign->finish();
+  // Campaign makespan: submit-to-finalized, queueing included.
+  campaign_us.record(static_cast<std::uint64_t>(
+      (obs::now_ns() - campaign->enqueue_ns) / 1000));
 }
 
-void Scheduler::drain() {
-  // Loop: a parallel_for covers the shards queued at its start; campaigns
-  // submitted, or shards abandoned, while it runs are picked up by the
-  // next pass.
+void Scheduler::drain_listed(const CampaignIds* ids) {
+  // One loop per lane until no listed shard is queued; shards that come
+  // back after the loops end start another pass.
   for (;;) {
-    std::size_t n = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      idle_cv_.wait(lock, [this] { return !queue_.empty() || leased_ == 0; });
-      n = queue_.size();
+      if (!head(lock, ids, /*wait=*/true)) return;
     }
-    if (n == 0) return;
-    if (threads_ <= 1) {
-      while (run_next()) {
+    ThreadPool::shared().parallel_for(threads_, threads_, [&](std::size_t) {
+      while (run_next(ids)) {
       }
-    } else {
-      ThreadPool::shared().parallel_for(n, threads_,
-                                        [this](std::size_t) { run_next(); });
-    }
+    });
   }
 }
 
-std::optional<Scheduler::Lease> Scheduler::lease(std::size_t max_shards,
+std::optional<Scheduler::Lease> Scheduler::lease(const CampaignIds& ids,
+                                                 std::size_t max_shards,
                                                  bool wait) {
   for (;;) {
     std::shared_ptr<CampaignTask> skipped;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (wait) {
-        idle_cv_.wait(lock,
-                      [this] { return !queue_.empty() || leased_ == 0; });
-      }
-      if (queue_.empty()) return std::nullopt;
-      QueueEntry entry = queue_.top();
-      queue_.pop();
-      if (!entry.campaign->decided()) {
+      std::shared_ptr<CampaignTask> task = head(lock, &ids, wait);
+      if (!task) return std::nullopt;
+      const std::size_t first = task->take();
+      if (!task->decided()) {
         Lease lease;
-        lease.campaign = entry.campaign->sequence;
-        lease.begin = entry.shard;
-        lease.end = entry.shard + 1;
-        while (lease.end - lease.begin < max_shards && !queue_.empty() &&
-               queue_.top().campaign == entry.campaign &&
-               queue_.top().shard == lease.end) {
-          queue_.pop();
+        lease.campaign = task->sequence;
+        lease.begin = first;
+        lease.end = first + 1;
+        while (lease.end - lease.begin < max_shards && task->queued() != 0 &&
+               (task->requeued.empty() ? task->next_shard
+                                       : task->requeued.back()) == lease.end) {
+          task->take();
           ++lease.end;
         }
         for (std::size_t s = lease.begin; s < lease.end; ++s) {
-          entry.campaign->leased[s] = true;
+          task->leased[s] = true;
         }
-        leased_ += lease.end - lease.begin;
-        lease.task = std::move(entry.campaign);
+        lease.task = std::move(task);
         return lease;
       }
-      skipped = std::move(entry.campaign);
+      skipped = std::move(task);
     }
     if (skipped->cancelled.load(std::memory_order_relaxed)) {
       shards_cancelled_counter().add();
     }
-    retire(skipped, /*leased=*/false);
+    retire(skipped);
   }
 }
 
@@ -173,11 +183,13 @@ void Scheduler::claim(const Lease& lease, std::size_t shard) {
 void Scheduler::abandon(const Lease& lease) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
+    auto& requeued = lease.task->requeued;
     for (std::size_t s = lease.begin; s < lease.end; ++s) {
       if (!lease.task->leased[s]) continue;
       lease.task->leased[s] = false;
-      --leased_;
-      queue_.push(QueueEntry{lease.task, s});
+      requeued.insert(std::upper_bound(requeued.begin(), requeued.end(), s,
+                                       std::greater<>()),
+                      s);
     }
   }
   idle_cv_.notify_all();
@@ -185,38 +197,33 @@ void Scheduler::abandon(const Lease& lease) {
 
 std::size_t Scheduler::pending_shards() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
+  std::size_t queued = 0;
+  for (const auto& task : active_) queued += task->queued();
+  return queued;
 }
 
 std::vector<CampaignProgress> Scheduler::progress() const {
   const std::int64_t now = obs::now_ns();
   std::vector<CampaignProgress> table;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  table.reserve(active_.size());
-  for (const auto& campaign : active_) {
-    CampaignProgress row;
-    row.label = campaign->label;
-    row.sequence = campaign->sequence;
-    row.shards_total = campaign->shard_count;
-    row.shards_done = campaign->shard_count - campaign->remaining;
-    row.age_us =
-        static_cast<std::uint64_t>((now - campaign->enqueue_ns) / 1000);
-    row.stopped = campaign->cancelled.load(std::memory_order_relaxed);
-    table.push_back(std::move(row));
-  }
-  // queue_position = rank in the LPT pop order (weight desc, sequence asc)
-  // among the active campaigns - the order their remaining shards drain.
-  std::vector<std::size_t> order(table.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (active_[a]->weight != active_[b]->weight) {
-      return active_[a]->weight > active_[b]->weight;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    table.reserve(active_.size());
+    for (const auto& campaign : active_) {
+      table.push_back(
+          {.label = campaign->label,
+           .sequence = campaign->sequence,
+           .shards_done = campaign->shard_count - campaign->remaining,
+           .shards_total = campaign->shard_count,
+           .queue_position = table.size(),  // active_ is the LPT order
+           .age_us = static_cast<std::uint64_t>(
+               (now - campaign->enqueue_ns) / 1000),
+           .stopped = campaign->cancelled.load(std::memory_order_relaxed)});
     }
-    return active_[a]->sequence < active_[b]->sequence;
-  });
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    table[order[rank]].queue_position = rank;
   }
+  std::sort(table.begin(), table.end(),
+            [](const CampaignProgress& a, const CampaignProgress& b) {
+              return a.sequence < b.sequence;
+            });
   return table;
 }
 

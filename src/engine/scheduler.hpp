@@ -1,14 +1,13 @@
 // Global shard scheduler: the one place campaign shards run and merge.
 //
-// Every campaign - a single tvla::run_* call, a suite audit, Algorithm 1's
-// labelling sweep, a distributed audit - is a set of shards submitted
-// here. submit() registers a campaign (its shard count plus run_shard/
-// merge/finalize callables) and returns a std::future for its result.
-// All pending campaigns' shards sit in one priority queue drained by the
-// shared ThreadPool; heavier campaigns' shards are popped first (LPT
-// order), so short campaigns fill the stragglers' idle lanes instead of
-// queueing behind them. An outside executor (server::WorkerPool's remote
-// feeders) takes shards from the same queue through lease()/complete()/
+// Every campaign - a tvla::run call, a suite audit, Algorithm 1's
+// labelling sweep, a distributed audit, a daemon request - is a set of
+// shards submitted here: submit() returns a CampaignHandle (id + result).
+// Pending campaigns queue in LPT order (heavier first), each popping its
+// shards in ascending order. drain() runs the whole queue on the shared
+// ThreadPool; drain(ids) and handle.get() run and wait on the listed
+// campaigns only. An outside executor (server::WorkerPool's remote
+// feeders) takes shards of given campaigns through lease()/complete()/
 // abandon().
 //
 // Merge: each campaign keeps one slot per shard and one cursor. A finished
@@ -40,7 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -57,7 +55,7 @@ namespace polaris::engine {
 /// already tracks under its mutex. Plain data, safe to ship to a client.
 struct CampaignProgress {
   std::string label;            // submit-time label ("" when none given)
-  std::uint64_t sequence = 0;   // submission order (unique per scheduler)
+  std::uint64_t sequence = 0;   // the campaign's id: submission order
   std::size_t shards_done = 0;  // shards retired (executed or skipped)
   std::size_t shards_total = 0;
   /// Rank in the LPT pop order among the currently active campaigns
@@ -80,6 +78,12 @@ struct Checkpoints {
   std::function<bool(const State&, std::size_t)> decide;
 };
 
+template <class Result>
+class CampaignHandle;
+
+/// Campaign ids, as submit() hands them out (CampaignHandle::id).
+using CampaignIds = std::vector<std::uint64_t>;
+
 class Scheduler {
   struct CampaignTask;
 
@@ -94,9 +98,9 @@ class Scheduler {
 
   [[nodiscard]] std::size_t threads() const { return threads_; }
 
-  /// Registers a campaign of `shards` shards and queues them. Returns a
-  /// future for the finalized result; it becomes ready once every shard
-  /// has been retired (run, completed, or skipped after a stop).
+  /// Registers a campaign of `shards` shards and queues them. Its result
+  /// is ready once every shard has been retired (run, completed, or
+  /// skipped after a stop).
   ///
   ///   run_shard(shard)        -> State   (the shard's whole batch range)
   ///   merge(into, from)       ->         (ascending shard order)
@@ -104,14 +108,14 @@ class Scheduler {
   ///
   /// `weight` orders the queue (heavier campaigns drain first); 0 uses the
   /// shard count. An exception from any callable fails only this campaign:
-  /// its remaining shards are skipped and the future rethrows on get().
-  /// A zero-shard campaign finalizes run_shard(0) inline - shard 0 of an
-  /// empty plan covers no batches, so that is the merge identity - and
-  /// returns a ready future.
+  /// its remaining shards are skipped and get() rethrows it. A zero-shard
+  /// campaign finalizes run_shard(0) inline - shard 0 of an empty plan
+  /// covers no batches, so that is the merge identity - and is ready on
+  /// return.
   template <class RunShard, class Merge, class Finalize,
             class State = std::invoke_result_t<RunShard&, std::size_t>,
             class Result = std::invoke_result_t<Finalize&, State&&>>
-  std::future<Result> submit(
+  CampaignHandle<Result> submit(
       std::size_t shards, RunShard run_shard, Merge merge, Finalize finalize,
       std::type_identity_t<Checkpoints<State>> checkpoints = {},
       std::size_t weight = 0, std::string label = {}) {
@@ -122,21 +126,22 @@ class Scheduler {
     campaign->weight = weight == 0 ? shards : weight;
     campaign->label = std::move(label);
     std::future<Result> future = campaign->promise.get_future();
-    enqueue(std::move(campaign));
-    return future;
+    const std::uint64_t id = enqueue(std::move(campaign));
+    return CampaignHandle<Result>(*this, id, std::move(future));
   }
 
-  /// Executes queued shards on the shared pool (the calling thread
-  /// participates) and returns once the queue is empty and no lease is
-  /// outstanding; while leased shards are out it waits for them to be
-  /// completed or abandoned, running any that come back. Shards submitted
-  /// while draining are included. Safe to call from inside a pool job: the
-  /// fan-out then runs inline (see ThreadPool).
-  void drain();
+  /// Runs queued shards on the shared pool (the calling thread
+  /// participates) and returns once every campaign is finalized; while
+  /// shards are leased out or run elsewhere it sleeps, and runs any that
+  /// an abandon() puts back. Campaigns submitted meanwhile are included.
+  /// Safe to call from inside a pool job: the fan-out then runs inline.
+  void drain() { drain_listed(nullptr); }
+  /// drain() over the campaigns `ids` lists only, in LPT order among them.
+  /// It never runs, or waits on, a campaign it does not list.
+  void drain(const CampaignIds& ids) { drain_listed(&ids); }
 
-  /// Shards an outside executor took from the queue: [begin, end) of the
-  /// campaign submitted `campaign`-th on this scheduler (0-based, the
-  /// CampaignProgress sequence).
+  /// Shards an outside executor took from the queue: [begin, end) of
+  /// campaign `campaign` (its id).
   struct Lease {
     std::uint64_t campaign = 0;
     std::size_t begin = 0;
@@ -147,14 +152,14 @@ class Scheduler {
     std::shared_ptr<CampaignTask> task;
   };
 
-  /// Takes up to `max_shards` consecutive queued shards of the campaign at
-  /// the head of the LPT queue. Shards of a stopped or failed campaign are
-  /// retired unrun on the way, which may finish that campaign on this
-  /// thread. Returns nullopt when no shard is queued; with `wait`, it
-  /// instead blocks while another lease is outstanding (an abandon may
-  /// requeue its shards) and returns nullopt once nothing is queued or
-  /// leased.
-  [[nodiscard]] std::optional<Lease> lease(std::size_t max_shards,
+  /// Takes up to `max_shards` consecutive queued shards of the first
+  /// campaign in LPT order among those `ids` lists. Shards of a stopped or
+  /// failed campaign are retired unrun on the way, which may finish that
+  /// campaign on this thread. Returns nullopt when none is queued; with
+  /// `wait`, it blocks until one is (an abandon may requeue shards) or
+  /// every listed campaign is finalized.
+  [[nodiscard]] std::optional<Lease> lease(const CampaignIds& ids,
+                                           std::size_t max_shards,
                                            bool wait = false);
 
   /// Lands the state of leased shard `shard` exactly as a local run does:
@@ -172,14 +177,14 @@ class Scheduler {
     }
     claim(lease, shard);
     sink->land(shard, std::move(state));
-    retire(lease.task, /*leased=*/true);
+    retire(lease.task);
   }
 
   /// Requeues every shard of `lease` that was not completed (a lost
-  /// executor's work); drain() or another lease picks them up.
+  /// executor's work); a drain or another lease picks them up.
   void abandon(const Lease& lease);
 
-  /// Shards still queued (not yet claimed by drain). Test/bench hook.
+  /// Shards still queued (not yet run or leased). Test/bench hook.
   [[nodiscard]] std::size_t pending_shards() const;
 
   /// Per-campaign progress table of every submitted-but-unfinalized
@@ -190,9 +195,9 @@ class Scheduler {
   [[nodiscard]] std::vector<CampaignProgress> progress() const;
 
  private:
-  /// Type-erased campaign control block. `remaining` and `leased` are
-  /// guarded by the scheduler mutex; the merge state lives in the typed
-  /// subclass under its own merge lock.
+  /// Type-erased campaign control block. `remaining`, the queued-shard
+  /// cursor and `leased` are guarded by the scheduler mutex; the merge
+  /// state lives in the typed subclass under its own merge lock.
   struct CampaignTask {
     virtual ~CampaignTask() = default;
     /// Runs one shard and lands its state. Never throws: failures are
@@ -213,10 +218,24 @@ class Scheduler {
       failed.store(true, std::memory_order_relaxed);
     }
 
+    /// Queued shards pop in ascending order: requeued ones (all below
+    /// `next_shard`: only a taken shard can be abandoned), then the tail.
+    [[nodiscard]] std::size_t queued() const {
+      return requeued.size() + (shard_count - next_shard);
+    }
+    std::size_t take() {
+      if (requeued.empty()) return next_shard++;
+      const std::size_t shard = requeued.back();
+      requeued.pop_back();
+      return shard;
+    }
+
     std::size_t shard_count = 0;
     std::size_t weight = 0;
-    std::uint64_t sequence = 0;  // submission order, the priority tie-break
+    std::uint64_t sequence = 0;  // the id: submission order, LPT tie-break
     std::size_t remaining = 0;   // shards not yet retired
+    std::size_t next_shard = 0;  // [next_shard, shard_count) never taken
+    std::vector<std::size_t> requeued;  // abandoned shards, descending
     std::vector<bool> leased;    // per shard: out on a lease, uncompleted
     std::int64_t enqueue_ns = 0;  // obs timebase; makespan = finish - this
     std::string label;            // progress-table identity (may be empty)
@@ -318,48 +337,60 @@ class Scheduler {
     std::size_t stop_at = 0;  // merge ceiling; lowered once on a stop
   };
 
-  struct QueueEntry {
-    std::shared_ptr<CampaignTask> campaign;
-    std::size_t shard = 0;
-  };
-  /// Max-heap order: heavier campaign first (LPT), then submission order,
-  /// then ascending shard - a deterministic total order, so serial drains
-  /// execute an identical schedule every run.
-  struct EntryOrder {
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-      if (a.campaign->weight != b.campaign->weight) {
-        return a.campaign->weight < b.campaign->weight;
-      }
-      if (a.campaign->sequence != b.campaign->sequence) {
-        return a.campaign->sequence > b.campaign->sequence;
-      }
-      return a.shard > b.shard;
-    }
-  };
-
-  void enqueue(std::shared_ptr<CampaignTask> campaign);
-  /// Pops and executes one shard (or skips it, for a decided campaign).
-  /// Returns false when the queue was empty.
-  bool run_next();
+  /// Queues the campaign and returns its id.
+  std::uint64_t enqueue(std::shared_ptr<CampaignTask> campaign);
+  /// Under `lock`: the first campaign in LPT order that `ids` lists (null
+  /// lists all) with a queued shard, or null. With `wait`, sleeps until
+  /// there is one or every listed campaign is finalized.
+  std::shared_ptr<CampaignTask> head(std::unique_lock<std::mutex>& lock,
+                                     const CampaignIds* ids, bool wait);
+  void drain_listed(const CampaignIds* ids);
+  /// Takes and executes one queued shard of the listed campaigns (or skips
+  /// it, for a decided campaign). Returns false when none was queued.
+  bool run_next(const CampaignIds* ids);
   /// Marks leased shard `shard` completed; throws std::logic_error when it
   /// is not out on `lease`.
   void claim(const Lease& lease, std::size_t shard);
   /// Counts one shard of `campaign` as retired and, if it was the last,
   /// finishes the campaign on this thread.
-  void retire(const std::shared_ptr<CampaignTask>& campaign, bool leased);
+  void retire(const std::shared_ptr<CampaignTask>& campaign);
 
   mutable std::mutex mutex_;
-  /// Signalled when shards are queued or the last outstanding lease ends:
-  /// what drain() and a waiting lease() sleep on.
+  /// Signalled when shards are queued or requeued and when a campaign is
+  /// finalized: what both drains and a waiting lease() sleep on.
   std::condition_variable idle_cv_;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, EntryOrder> queue_;
-  /// Campaigns submitted but not yet finalized, submission order. Entries
-  /// are appended by enqueue and erased by retire after the last shard -
-  /// so the progress table empties exactly when every future is ready.
+  /// The queue: campaigns submitted but not yet finalized, in LPT order
+  /// (heavier first, then by id). retire erases one before its finish, so
+  /// the progress table empties exactly when every result is ready.
   std::vector<std::shared_ptr<CampaignTask>> active_;
-  std::size_t leased_ = 0;  // shards out on leases, across campaigns
   std::size_t threads_;
   std::uint64_t next_sequence_ = 0;
+};
+
+/// One submitted campaign. id() is what Lease::campaign and
+/// CampaignProgress::sequence report. get() is drain({id()}) and then the
+/// result (or the campaign's failure); future() hands the result to a
+/// caller that waits while someone else drains. Use one of them, once.
+template <class Result>
+class CampaignHandle {
+ public:
+  CampaignHandle(Scheduler& scheduler, std::uint64_t id,
+                 std::future<Result> future)
+      : scheduler_(&scheduler), id_(id), future_(std::move(future)) {}
+
+  [[nodiscard]] std::uint64_t id() const { return id_; }
+
+  Result get() {
+    scheduler_->drain({id_});
+    return future_.get();
+  }
+
+  [[nodiscard]] std::future<Result> future() && { return std::move(future_); }
+
+ private:
+  Scheduler* scheduler_;
+  std::uint64_t id_;
+  std::future<Result> future_;
 };
 
 }  // namespace polaris::engine

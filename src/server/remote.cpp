@@ -3,13 +3,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
-#include <future>
 #include <optional>
 #include <thread>
 
-#include "engine/scheduler.hpp"
 #include "obs/obs.hpp"
 #include "util/strings.hpp"
 
@@ -44,23 +43,22 @@ obs::Counter& resends_counter() {
 
 }  // namespace
 
-/// What the feeders of one audit() call share: the private scheduler they
-/// lease from, and per campaign - one per design, submitted in design
-/// order, so a lease's campaign sequence IS the design index - what a
-/// request carries and what its reply is checked against.
+/// What the feeders of one audit() call share: the scheduler they lease
+/// from, and per design - in design order - its campaign and what a
+/// request for it carries.
 struct WorkerPool::Batch {
-  /// The moments layout each campaign's shards must have; a worker reply
-  /// is checked against it before any store (the merge indexes by it).
-  struct Shape {
-    std::size_t groups = 0;
-    std::size_t multis = 0;
-  };
-
   engine::Scheduler& scheduler;
   std::span<const circuits::Design> designs;
   const core::PolarisConfig& config;
-  std::vector<std::uint64_t> fingerprints;  // per design
-  std::vector<Shape> shapes;                // per design
+  std::vector<tvla::CampaignHandle> campaigns;  // per design
+  engine::CampaignIds ids;                      // per design
+  std::vector<std::uint64_t> fingerprints;      // per design
+
+  /// The design index of the campaign a lease names.
+  [[nodiscard]] std::size_t design_of(std::uint64_t campaign) const {
+    return static_cast<std::size_t>(
+        std::find(ids.begin(), ids.end(), campaign) - ids.begin());
+  }
 };
 
 WorkerPool::WorkerPool(WorkerPoolOptions options)
@@ -108,21 +106,21 @@ std::vector<tvla::LeakageReport> WorkerPool::audit(
     std::span<const circuits::Design> designs,
     const techlib::TechLibrary& lib, const core::PolarisConfig& config,
     tvla::ProgressFn progress) {
-  core::validate(config);
-  // A private scheduler, not a shared one: drain() waits out every
-  // outstanding lease, so it must only see this audit's feeders.
   engine::Scheduler scheduler(options_.local_threads);
-  Batch batch{scheduler, designs, config, {}, {}};
-  std::vector<std::future<tvla::LeakageReport>> pending;
-  pending.reserve(designs.size());
+  return audit(scheduler, designs, lib, config, std::move(progress));
+}
+
+std::vector<tvla::LeakageReport> WorkerPool::audit(
+    engine::Scheduler& scheduler, std::span<const circuits::Design> designs,
+    const techlib::TechLibrary& lib, const core::PolarisConfig& config,
+    tvla::ProgressFn progress) {
+  core::validate(config);
+  Batch batch{scheduler, designs, config, {}, {}, {}};
   for (const auto& design : designs) {
-    auto campaign = std::make_shared<tvla::ShardRunner>(
-        design.netlist, lib, core::tvla_config_for(config, design));
-    const tvla::CampaignMoments empty = campaign->empty_moments();
-    batch.shapes.push_back({empty.group_count(), empty.multi_group_count()});
+    batch.campaigns.push_back(tvla::submit(
+        scheduler, core::audit_spec(design, lib, config, progress)));
+    batch.ids.push_back(batch.campaigns.back().id());
     batch.fingerprints.push_back(core::design_fingerprint(design));
-    pending.push_back(tvla::submit_campaign(scheduler, std::move(campaign),
-                                            progress, design.name));
   }
 
   // Declared after what they use, so they join first - on an exception
@@ -136,13 +134,13 @@ std::vector<tvla::LeakageReport> WorkerPool::audit(
       feed_worker(*raw, batch);
     });
   }
-  // The local lanes. drain() returns once nothing is queued or leased;
-  // shards a lost worker never answered come back here.
-  scheduler.drain();
+  // The local lanes. drain(ids) returns once this audit's campaigns are
+  // finalized; shards a lost worker never answered come back here.
+  scheduler.drain(batch.ids);
 
   std::vector<tvla::LeakageReport> reports;
   reports.reserve(designs.size());
-  for (auto& future : pending) reports.push_back(future.get());
+  for (auto& campaign : batch.campaigns) reports.push_back(campaign.get());
   return reports;
 }
 
@@ -191,11 +189,11 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
              inflight_bytes < options_.max_inflight_bytes) {
         // Block for work only with nothing outstanding here: a feeder
         // with replies to read must stay free to read them. A waiting
-        // lease returns empty once nothing is queued or leased anywhere.
-        auto lease = batch.scheduler.lease(kShardsPerChunk,
+        // lease returns empty once this audit's campaigns are finalized.
+        auto lease = batch.scheduler.lease(batch.ids, kShardsPerChunk,
                                            /*wait=*/outstanding.empty());
         if (!lease) break;
-        const std::size_t design = lease->campaign;
+        const std::size_t design = batch.design_of(lease->campaign);
         deadline = std::chrono::steady_clock::now() +
                    std::chrono::milliseconds(options_.timeout_ms);
         // Until the Pending lands in `outstanding`, the outer handler
@@ -272,7 +270,8 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
         // send installs it, and give the lease back.
         {
           const std::lock_guard<std::mutex> lock(slot.installed_mutex);
-          slot.installed.erase(batch.fingerprints[lease.campaign]);
+          slot.installed.erase(
+              batch.fingerprints[batch.design_of(lease.campaign)]);
         }
         abandon(lease);
         continue;
@@ -298,15 +297,14 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
         // and leave another unanswered. Likewise every block must have
         // the campaign's own layout: the merge indexes a block by the
         // totals' group counts, so a short one is read out of bounds.
-        const Batch::Shape shape = batch.shapes[lease.campaign];
+        const tvla::CampaignHandle& campaign =
+            batch.campaigns[batch.design_of(lease.campaign)];
         for (std::size_t i = 0; i < reply.shards.size(); ++i) {
           if (reply.shards[i].shard != lease.begin + i) {
             throw std::runtime_error("polaris net: worker '" + slot.display +
                                      "' answered an unrequested shard");
           }
-          const tvla::CampaignMoments& moments = reply.shards[i].moments;
-          if (moments.group_count() != shape.groups ||
-              moments.multi_group_count() != shape.multis) {
+          if (!campaign.fits(reply.shards[i].moments)) {
             throw std::runtime_error("polaris net: worker '" + slot.display +
                                      "' answered moments of the wrong shape");
           }

@@ -5,12 +5,14 @@
 // Work decomposition reuses the engine's own unit: every campaign's
 // engine::ShardPlan already splits the trace budget into shards whose
 // per-shard statistics are a pure function of (design, config, shard
-// index). audit() submits one campaign per design to a private Scheduler
-// whose drain() is the local lanes, and starts one feeder thread per
-// remote worker. A feeder leases up to kShardsPerChunk consecutive shards
-// at a time from the same LPT queue, ships them as one request, and
-// completes each returned moments block into the same slot and merge
-// cursor a local run fills.
+// index). audit() submits one campaign per design to the caller's
+// scheduler and starts one feeder thread per remote worker. A feeder
+// leases up to kShardsPerChunk consecutive shards of this audit's
+// campaigns at a time, ships them as one request, and completes each
+// returned moments block into the same slot and merge cursor a local run
+// fills; drain(ids) over the same campaigns is the local lanes. Neither
+// touches another caller's campaigns, so concurrent audits on one
+// scheduler each wait only on their own leases.
 //
 // Bit-identity contract: every shard, wherever it ran, merges in
 // ascending shard order, with early-stop checkpoints fired at exactly the
@@ -45,6 +47,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "engine/scheduler.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
 #include "techlib/techlib.hpp"
@@ -58,7 +61,7 @@ inline constexpr std::size_t kShardsPerChunk = 4;
 
 struct WorkerPoolOptions {
   std::string workers;             // comma-separated endpoint specs
-  std::size_t local_threads = 0;   // local lanes; 0 = all hardware threads
+  std::size_t local_threads = 0;   // lanes of audit()'s private scheduler
   std::size_t pipeline_depth = 2;  // outstanding chunks per worker
   /// Admission control: a feeder stops sending when the request bytes of
   /// its outstanding chunks exceed this (bounds worker-side queue memory).
@@ -83,9 +86,16 @@ class WorkerPool {
 
   /// Audits every design, one result per input design in input order -
   /// the distributed drop-in for core::audit_designs, byte-identical
-  /// output included. `progress` mirrors the scheduler path: it fires at
-  /// each early-stop checkpoint as the merged prefix reaches it, on the
-  /// local lane or feeder thread that landed the prefix.
+  /// output included - on `scheduler`'s lanes plus the workers, beside
+  /// whatever else is queued there. `progress` mirrors the scheduler path:
+  /// it fires at each early-stop checkpoint as the merged prefix reaches
+  /// it, on the local lane or feeder thread that landed the prefix.
+  [[nodiscard]] std::vector<tvla::LeakageReport> audit(
+      engine::Scheduler& scheduler, std::span<const circuits::Design> designs,
+      const techlib::TechLibrary& lib, const core::PolarisConfig& config,
+      tvla::ProgressFn progress = {});
+
+  /// The same on a private Scheduler(options.local_threads).
   [[nodiscard]] std::vector<tvla::LeakageReport> audit(
       std::span<const circuits::Design> designs,
       const techlib::TechLibrary& lib, const core::PolarisConfig& config,

@@ -115,7 +115,6 @@ Server::Server(ServerOptions options)
   if (!options_.workers.empty()) {
     WorkerPoolOptions pool_options;
     pool_options.workers = options_.workers;
-    pool_options.local_threads = options_.threads;
     pool_options.max_frame = options_.max_frame;
     pool_ = std::make_unique<WorkerPool>(std::move(pool_options));
   }
@@ -563,19 +562,17 @@ core::ResultCache::Body Server::audit_body(const AuditRequest& request,
   return serve_cached(
       request.design, request.scale, key, cache_hit,
       [&](const circuits::Design& design) {
-        tvla::LeakageReport report{{}, {}, 0.0};
-        if (pool_) {
-          // Distributed backend: same shards, same ascending merge, same
-          // bits - which is exactly why the cache key above is unchanged.
-          report = pool_->audit({&design, 1}, lib_, request.config,
-                                std::move(progress))[0];
-        } else {
-          auto pending =
-              core::submit_audits(scheduler_, {&design, 1}, lib_,
-                                  request.config, std::move(progress));
-          scheduler_.drain();
-          report = pending[0].get();
-        }
+        // Either way the campaign runs on scheduler_ and this handler waits
+        // on it alone. The distributed backend adds the workers' lanes:
+        // same shards, same ascending merge, same bits - which is exactly
+        // why the cache key above is unchanged.
+        tvla::LeakageReport report =
+            pool_ ? pool_->audit(scheduler_, {&design, 1}, lib_,
+                                 request.config, std::move(progress))[0]
+                  : tvla::submit(scheduler_,
+                                 core::audit_spec(design, lib_, request.config,
+                                                  std::move(progress)))
+                        .get();
         AuditReply reply;
         reply.design_name = design.name;
         reply.gate_count = design.netlist.gate_count();
@@ -611,17 +608,18 @@ core::ResultCache::Body Server::serve_mask(serialize::Reader& in,
         reply.verilog = netlist::to_verilog(outcome.masked);
         if (request.verify) {
           // Sign-off campaigns (before on the original, after on the masked
-          // netlist) drain the shared queue together, interleaved with
-          // every other client's shards.
-          const auto tvla_config =
-              core::tvla_config_for(polaris_.config(), design);
-          auto before = tvla::submit_fixed_vs_random(
-              scheduler_, design.netlist, lib_, tvla_config, {},
-              design.name + ":before");
-          auto after = tvla::submit_fixed_vs_random(
-              scheduler_, outcome.masked, lib_, tvla_config, {},
-              design.name + ":after");
-          scheduler_.drain();
+          // netlist) share the queue with every other client's shards;
+          // this handler runs and waits on these two only.
+          tvla::CampaignSpec spec{
+              .design = &design.netlist,
+              .lib = &lib_,
+              .config = core::tvla_config_for(polaris_.config(), design),
+              .label = design.name + ":before"};
+          auto before = tvla::submit(scheduler_, spec);
+          spec.design = &outcome.masked;
+          spec.label = design.name + ":after";
+          auto after = tvla::submit(scheduler_, std::move(spec));
+          scheduler_.drain({before.id(), after.id()});
           reply.before = before.get();
           reply.after = after.get();
         }

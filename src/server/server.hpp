@@ -3,10 +3,12 @@
 //
 // polaris_cli pays a process launch, a bundle load, and cold caches on
 // every invocation; the daemon pays them once. Every connection gets its
-// own handler thread, but all TVLA work funnels into ONE engine::Scheduler
-// - concurrent clients' campaign shards interleave in a single LPT queue,
-// so a small audit rides in a big one's idle lanes exactly as multi-design
-// offline audits do. Repeated requests for an unchanged design hit the
+// own handler thread, but all TVLA work - distributed audits under
+// --workers included - funnels into ONE engine::Scheduler: concurrent
+// clients' campaigns share its queue, its lanes and its progress table
+// (the status reply). Each handler runs and waits on its own campaigns
+// only (drain(ids), handle get()), so a small audit never waits behind a
+// big one. Repeated requests for an unchanged design hit the
 // core::ResultCache and replay byte-identical reply bodies.
 //
 // Shutdown is graceful: request_stop() (async-signal-safe: one write to a
@@ -48,9 +50,9 @@ struct ServerOptions {
   int backlog = 64;  // listen(2) backlog: connections the kernel queues
                      // while the accept loop is busy spawning handlers
   /// Comma-separated shard-worker endpoints. Non-empty routes every audit
-  /// campaign through a WorkerPool (local lanes + these workers) instead
-  /// of the in-process scheduler; results stay byte-identical, so the
-  /// result cache and its keys are untouched.
+  /// campaign through a WorkerPool: the daemon's scheduler lanes plus these
+  /// workers. Results stay byte-identical, so the result cache and its
+  /// keys are untouched.
   std::string workers;
   // Live-operations knobs (pure telemetry; none affect served results):
   std::size_t sample_interval_ms = 1000;  // metrics sampler period, 0 = off
@@ -136,7 +138,7 @@ class Server {
   core::ResultCache::Body serve_audit_stream(int fd, serialize::Reader& in,
                                              bool& cache_hit);
   /// Shared audit implementation behind both kinds: validate, then
-  /// serve_cached with a submit + drain + encode compute.
+  /// serve_cached with a submit + get + encode compute.
   core::ResultCache::Body audit_body(const AuditRequest& request,
                                      bool& cache_hit,
                                      tvla::ProgressFn progress);
@@ -162,8 +164,8 @@ class Server {
   core::Polaris polaris_;
   core::BundleInfo info_;
   techlib::TechLibrary lib_ = techlib::TechLibrary::default_library();
-  engine::Scheduler scheduler_;
-  /// Non-null when --workers was given: audits run distributed.
+  engine::Scheduler scheduler_;  // every campaign of every request
+  /// Non-null when --workers was given: audits also lease to the workers.
   std::unique_ptr<WorkerPool> pool_;
   core::ResultCache cache_;
   FlightRecorder recorder_;

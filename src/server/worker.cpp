@@ -7,7 +7,6 @@
 
 #include <cstring>
 
-#include "core/result_cache.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/obs.hpp"
 
@@ -221,8 +220,8 @@ std::vector<std::uint8_t> Worker::serve_design(serialize::Reader& in) {
     const std::lock_guard<std::mutex> lock(designs_mutex_);
     if (designs_.find(request.fingerprint) == designs_.end()) {
       designs_.emplace(request.fingerprint,
-                       std::make_unique<circuits::Design>(
-                           std::move(request.design)));
+                       std::make_unique<Installed>(
+                           Installed{std::move(request.design), {}, 0, {}}));
       installed.add();
     }
   }
@@ -231,31 +230,41 @@ std::vector<std::uint8_t> Worker::serve_design(serialize::Reader& in) {
 
 std::shared_ptr<tvla::ShardRunner> Worker::runner_for(
     const ShardRequest& request) {
-  const std::uint64_t key = core::ResultCache::combine(
-      core::config_fingerprint(request.config), request.fingerprint);
+  const std::uint64_t config = core::config_fingerprint(request.config);
   const std::lock_guard<std::mutex> lock(designs_mutex_);
-  if (const auto it = runners_.find(key); it != runners_.end()) {
-    return it->second;
-  }
-  const auto design = designs_.find(request.fingerprint);
-  if (design == designs_.end()) {
+  const auto it = designs_.find(request.fingerprint);
+  if (it == designs_.end()) {
     throw ServerError(Status::kUnknownDesign,
                       "polaris worker: no installed design with fingerprint " +
                           std::to_string(request.fingerprint));
   }
-  // Compile once per (config, design): this is the whole point of the
-  // worker-local plan cache - later shard requests skip straight to
-  // simulation. Held under the mutex: compiling twice concurrently would
-  // be wasted work, and compilation is short next to a shard run.
-  auto runner = std::make_shared<tvla::ShardRunner>(
-      design->second->netlist, lib_,
-      core::tvla_config_for(request.config, *design->second));
-  runners_.emplace(key, runner);
-  return runner;
+  Installed& installed = *it->second;
+  // Compile once per design, and rebuild the runner from the plan only
+  // when the config changes. Under the mutex: building twice concurrently
+  // would be wasted work, and it is short next to a shard run. A request
+  // still running on a replaced runner holds its own reference.
+  if (!installed.runner || installed.config_fingerprint != config) {
+    if (!installed.plan) {
+      installed.plan = tvla::compile(installed.design.netlist);
+    }
+    installed.runner = std::make_shared<tvla::ShardRunner>(
+        installed.plan, lib_,
+        core::tvla_config_for(request.config, installed.design),
+        tvla::Protocol::kFixedVsRandom);
+    installed.config_fingerprint = config;
+  }
+  return installed.runner;
 }
 
 std::vector<std::uint8_t> Worker::serve_shards(serialize::Reader& in) {
   const ShardRequest request = decode_shard_request(in);
+  // A config the library refuses (cycles_per_batch 0, say) is a bad
+  // request, not a crash.
+  try {
+    core::validate(request.config);
+  } catch (const std::exception& error) {
+    throw ServerError(Status::kBadRequest, error.what());
+  }
   const auto runner = runner_for(request);
   if (request.shard_end > runner->shard_count()) {
     throw ServerError(Status::kBadRequest,

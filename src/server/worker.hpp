@@ -5,12 +5,14 @@
 // handler threads, frame codec, and graceful drain, but no bundle, no
 // result cache, and only four request kinds (ping / design / shard /
 // shutdown). A coordinator first installs each design ONCE with kDesign
-// (netlist + input roles under the content fingerprint); the worker
-// compiles it into a tvla::ShardRunner it caches per (config, design)
-// fingerprint pair, so every later kShard for the same campaign reuses
-// the compiled plan. Shard requests carry only the fingerprint, the
-// canonical config, and a shard range - a few hundred bytes - and the
-// reply ships the per-shard UNMERGED moment blocks back as an archive.
+// (netlist + input roles under the content fingerprint). The first shard
+// request compiles it once; the worker keeps that plan with the design
+// and one tvla::ShardRunner per design, rebuilt from the plan when a
+// request's config fingerprint differs from the runner's - so memory is
+// bounded by the installed designs, however many configs arrive. Shard
+// requests carry only the fingerprint, the canonical config, and a shard
+// range - a few hundred bytes - and the reply ships the per-shard UNMERGED
+// moment blocks back as an archive.
 //
 // Determinism: per-shard moments are a pure function of (design, config,
 // shard index) - stimulus streams are counter-keyed per batch and blocks
@@ -88,21 +90,26 @@ class Worker {
   std::vector<std::uint8_t> serve_design(serialize::Reader& in);
   std::vector<std::uint8_t> serve_shards(serialize::Reader& in);
 
-  /// The compiled-plan cache entry for one (config, design) pair.
+  /// The runner of the request's design for the request's config.
   std::shared_ptr<tvla::ShardRunner> runner_for(const ShardRequest& request);
 
   WorkerOptions options_;
   net::Endpoint endpoint_;
   techlib::TechLibrary lib_ = techlib::TechLibrary::default_library();
 
-  /// Installed designs, heap-owned: ShardRunner keeps references into the
-  /// netlist, so the Design objects must have stable addresses for the
-  /// worker's lifetime (they are never evicted - a worker serves one
-  /// coordinator's suite, a bounded set).
+  /// An installed design, its plan (null until the first shard request)
+  /// and the runner of the last config it served.
+  struct Installed {
+    circuits::Design design;
+    sim::CompiledDesignPtr plan;
+    std::uint64_t config_fingerprint = 0;
+    std::shared_ptr<tvla::ShardRunner> runner;
+  };
+  /// By design fingerprint, heap-owned: plans and runners keep references
+  /// into the netlist (never evicted - a worker serves one coordinator's
+  /// suite, a bounded set).
   std::mutex designs_mutex_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<circuits::Design>> designs_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<tvla::ShardRunner>>
-      runners_;  // keyed by combine(config_fp, design_fp)
+  std::unordered_map<std::uint64_t, std::unique_ptr<Installed>> designs_;
 
   int listen_fd_ = -1;
   int wake_read_fd_ = -1;

@@ -102,20 +102,6 @@ void sample_block(const power::SamplePlan& plan,
               moments);
 }
 
-/// sim::compile wrapped in telemetry: the once-per-campaign cost the
-/// compiled-kernel refactor moved out of the shard loop, now visible as
-/// the `tvla.compile_us` histogram and a "compile" span.
-sim::CompiledDesignPtr compile_timed(const netlist::Netlist& design) {
-  static auto& compile_us =
-      obs::Registry::global().histogram("tvla.compile_us");
-  obs::Span span("compile", "tvla");
-  span.arg("gates", static_cast<std::uint64_t>(design.gate_count()));
-  const std::int64_t t0 = obs::now_ns();
-  auto compiled = sim::compile(design);
-  compile_us.record(static_cast<std::uint64_t>((obs::now_ns() - t0) / 1000));
-  return compiled;
-}
-
 }  // namespace
 
 /// Thin protocol layer: owns the campaign-wide, read-only context (the
@@ -152,6 +138,11 @@ struct ShardRunner::Impl {
       throw std::invalid_argument("TvlaConfig.lane_words must be 1, 2, 4, or 8");
     }
     sequential_ = design_has_dff();
+    if (sequential_ && config.cycles_per_batch == 0) {
+      throw std::invalid_argument(
+          "TvlaConfig.cycles_per_batch must be positive for a sequential "
+          "design");
+    }
     if (config.budget.enabled && config.budget.min_traces == 0) {
       throw std::invalid_argument(
           "TvlaBudget.min_traces must be positive when enabled");
@@ -517,24 +508,26 @@ struct ShardRunner::Impl {
   std::size_t traces_used_ = 0;
 };
 
-namespace {
-
-/// A campaign run to completion on a private scheduler of `threads` lanes.
-LeakageReport run_campaign(std::shared_ptr<ShardRunner> campaign,
-                           std::size_t threads) {
-  engine::Scheduler scheduler(threads);
-  auto report = submit_campaign(scheduler, std::move(campaign));
-  scheduler.drain();
-  return report.get();
+sim::CompiledDesignPtr compile(const netlist::Netlist& design) {
+  static auto& compile_us =
+      obs::Registry::global().histogram("tvla.compile_us");
+  obs::Span span("compile", "tvla");
+  span.arg("gates", static_cast<std::uint64_t>(design.gate_count()));
+  const std::int64_t t0 = obs::now_ns();
+  auto compiled = sim::compile(design);
+  compile_us.record(static_cast<std::uint64_t>((obs::now_ns() - t0) / 1000));
+  return compiled;
 }
 
-}  // namespace
-
-std::future<LeakageReport> submit_campaign(
-    engine::Scheduler& scheduler, std::shared_ptr<ShardRunner> campaign,
-    ProgressFn progress, std::string label) {
+CampaignHandle submit(engine::Scheduler& scheduler, CampaignSpec spec) {
+  auto campaign =
+      spec.compiled ? std::make_shared<ShardRunner>(std::move(spec.compiled),
+                                                    *spec.lib, spec.config,
+                                                    spec.protocol)
+                    : std::make_shared<ShardRunner>(*spec.design, *spec.lib,
+                                                    spec.config, spec.protocol);
   ShardRunner::Impl& impl = *campaign->impl_;
-  impl.progress_ = std::move(progress);
+  impl.progress_ = std::move(spec.progress);
   // The closures share ownership of the campaign (and its power model and
   // group layout) until the last shard finalized the report. An empty
   // checkpoint list (budget disabled, or a floor at or above the budget)
@@ -544,89 +537,29 @@ std::future<LeakageReport> submit_campaign(
       [campaign](const CampaignMoments& merged, std::size_t shards_merged) {
         return campaign->impl_->evaluate_checkpoint(merged, shards_merged);
       }};
-  return scheduler.submit(
-      impl.shards_.shard_count,
-      [campaign](std::size_t shard) { return campaign->run_shard(shard); },
-      [](CampaignMoments& into, CampaignMoments&& from) { into.merge(from); },
-      [campaign](CampaignMoments&& total) {
-        return campaign->finalize(total);
-      },
-      std::move(checkpoints), impl.cost_weight(), std::move(label));
+  return CampaignHandle(
+      scheduler.submit(
+          impl.shards_.shard_count,
+          [campaign](std::size_t shard) { return campaign->run_shard(shard); },
+          [](CampaignMoments& into, CampaignMoments&& from) {
+            into.merge(from);
+          },
+          [campaign](CampaignMoments&& total) {
+            return campaign->finalize(total);
+          },
+          std::move(checkpoints), impl.cost_weight(), std::move(spec.label)),
+      impl.plan_.group_count(), impl.plan_.multi_group_count());
+}
+
+LeakageReport run(CampaignSpec spec) {
+  engine::Scheduler scheduler(spec.config.threads);
+  return submit(scheduler, std::move(spec)).get();
 }
 
 LeakageReport run_fixed_vs_random(const netlist::Netlist& design,
                                   const techlib::TechLibrary& lib,
                                   const TvlaConfig& config) {
-  return run_campaign(std::make_shared<ShardRunner>(design, lib, config),
-                      config.threads);
-}
-
-LeakageReport run_fixed_vs_fixed(const netlist::Netlist& design,
-                                 const techlib::TechLibrary& lib,
-                                 const TvlaConfig& config) {
-  return run_campaign(std::make_shared<ShardRunner>(design, lib, config,
-                                                    Protocol::kFixedVsFixed),
-                      config.threads);
-}
-
-LeakageReport run_fixed_vs_random(sim::CompiledDesignPtr design,
-                                  const techlib::TechLibrary& lib,
-                                  const TvlaConfig& config) {
-  return run_campaign(
-      std::make_shared<ShardRunner>(std::move(design), lib, config,
-                                    Protocol::kFixedVsRandom),
-      config.threads);
-}
-
-LeakageReport run_fixed_vs_fixed(sim::CompiledDesignPtr design,
-                                 const techlib::TechLibrary& lib,
-                                 const TvlaConfig& config) {
-  return run_campaign(
-      std::make_shared<ShardRunner>(std::move(design), lib, config,
-                                    Protocol::kFixedVsFixed),
-      config.threads);
-}
-
-std::future<LeakageReport> submit_fixed_vs_random(
-    engine::Scheduler& scheduler, const netlist::Netlist& design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress, std::string label) {
-  return submit_campaign(scheduler,
-                         std::make_shared<ShardRunner>(design, lib, config),
-                         std::move(progress), std::move(label));
-}
-
-std::future<LeakageReport> submit_fixed_vs_fixed(
-    engine::Scheduler& scheduler, const netlist::Netlist& design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress, std::string label) {
-  return submit_campaign(
-      scheduler,
-      std::make_shared<ShardRunner>(design, lib, config,
-                                    Protocol::kFixedVsFixed),
-      std::move(progress), std::move(label));
-}
-
-std::future<LeakageReport> submit_fixed_vs_random(
-    engine::Scheduler& scheduler, sim::CompiledDesignPtr design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress, std::string label) {
-  return submit_campaign(
-      scheduler,
-      std::make_shared<ShardRunner>(std::move(design), lib, config,
-                                    Protocol::kFixedVsRandom),
-      std::move(progress), std::move(label));
-}
-
-std::future<LeakageReport> submit_fixed_vs_fixed(
-    engine::Scheduler& scheduler, sim::CompiledDesignPtr design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress, std::string label) {
-  return submit_campaign(
-      scheduler,
-      std::make_shared<ShardRunner>(std::move(design), lib, config,
-                                    Protocol::kFixedVsFixed),
-      std::move(progress), std::move(label));
+  return run({.design = &design, .lib = &lib, .config = config});
 }
 
 // --- ShardRunner -------------------------------------------------------------
@@ -634,7 +567,7 @@ std::future<LeakageReport> submit_fixed_vs_fixed(
 ShardRunner::ShardRunner(const netlist::Netlist& design,
                          const techlib::TechLibrary& lib,
                          const TvlaConfig& config, Protocol protocol)
-    : ShardRunner(compile_timed(design), lib, config, protocol) {}
+    : ShardRunner(compile(design), lib, config, protocol) {}
 
 ShardRunner::ShardRunner(sim::CompiledDesignPtr design,
                          const techlib::TechLibrary& lib,

@@ -15,33 +15,28 @@
 // Sequential designs (DFFs present) run free-running multi-cycle traces with
 // per-cycle sampling instead of vector pairs.
 //
-// Execution: a campaign (tvla::ShardRunner) is a thin protocol layer over
-// engine::Scheduler (engine/scheduler.hpp), the one shard executor. The
-// design is compiled once per campaign (sim::CompiledDesign) together with
-// a fused toggle/energy sampling plan (power::SamplePlan); the trace budget
-// is split by engine::ShardPlan into shards, each running a thin Simulator
-// over the shared plan with per-batch-keyed RNG streams into mergeable
-// CampaignMoments, merged in ascending shard order. Reports are
-// bit-identical for every `threads` setting and worker count (see
-// DESIGN.md).
+// Execution: one CampaignSpec in, one CampaignHandle out - submit() queues
+// it on engine::Scheduler, the one shard executor, and run() is the sync
+// form. Its ShardRunner compiles the design once, with a fused toggle/
+// energy sampling plan (power::SamplePlan); engine::ShardPlan splits the
+// trace budget into shards, each running a thin Simulator over the shared
+// plan with per-batch-keyed RNG streams into mergeable CampaignMoments,
+// merged in ascending shard order. Reports are bit-identical for every
+// `threads` setting and worker count (see DESIGN.md).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
-#include <optional>
+#include <string>
 #include <vector>
 
+#include "engine/scheduler.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/compiled.hpp"
 #include "techlib/techlib.hpp"
 #include "tvla/moments.hpp"
 #include "tvla/welch.hpp"
-
-namespace polaris::engine {
-class Scheduler;
-}  // namespace polaris::engine
 
 namespace polaris::tvla {
 
@@ -185,23 +180,25 @@ class LeakageReport {
 /// under the campaign's merge lock on whichever thread landed the shard
 /// that completed the prefix (a drain lane, or a distributed audit's
 /// feeder) - never concurrently with itself for one campaign. An
-/// exception thrown from the observer fails the campaign (the future
-/// rethrows it). Ignored when the budget is disabled.
+/// exception thrown from the observer fails the campaign (get() rethrows
+/// it). Ignored when the budget is disabled.
 using ProgressFn =
     std::function<void(const LeakageReport& partial, std::size_t traces_done)>;
 
+struct CampaignSpec;
+class CampaignHandle;
+
 /// One campaign: the compiled design, power model, sampling plan, fixed
-/// vectors, and checkpoint schedule. submit_campaign() queues it on an
-/// engine::Scheduler; the shard workers (server/worker.hpp) run single
-/// shards of it. run_shard(s) produces the same CampaignMoments shard s
-/// accumulates under any scheduler, thread count, lane width, or host, so
-/// per-shard moments merged in ascending shard order finalize into a
-/// report bit-identical to the single-host entry points. run_shard is
-/// const and thread-safe; finalize is single-threaded.
+/// vectors, and checkpoint schedule. submit() builds one per campaign; the
+/// shard workers (server/worker.hpp) run single shards of it. run_shard(s)
+/// produces the same CampaignMoments shard s accumulates under any
+/// scheduler, thread count, lane width, or host, so per-shard moments
+/// merged in ascending shard order finalize into a report bit-identical to
+/// run(). run_shard is const and thread-safe; finalize is single-threaded.
 class ShardRunner {
  public:
-  /// Compiles the design once. Throws like the campaign entry points on
-  /// invalid configs. `design` and `lib` must outlive the runner.
+  /// Compiles the design once. Throws std::invalid_argument on invalid
+  /// configs. `design` and `lib` must outlive the runner.
   ShardRunner(const netlist::Netlist& design, const techlib::TechLibrary& lib,
               const TvlaConfig& config,
               Protocol protocol = Protocol::kFixedVsRandom);
@@ -229,80 +226,70 @@ class ShardRunner {
   [[nodiscard]] LeakageReport finalize(const CampaignMoments& total);
 
  private:
-  friend std::future<LeakageReport> submit_campaign(
-      engine::Scheduler& scheduler, std::shared_ptr<ShardRunner> campaign,
-      ProgressFn progress, std::string label);
+  friend CampaignHandle submit(engine::Scheduler& scheduler,
+                               CampaignSpec spec);
 
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Queues `campaign`'s shards on `scheduler` alongside every other pending
-/// campaign's, with its checkpoint schedule (budget-enabled configs) and
-/// LPT weight. The future becomes ready during Scheduler::drain() - or on
-/// the thread that completes the last leased shard - and yields a report
-/// bit-identical to the synchronous entry points (tests/test_scheduler.cpp)
-/// regardless of thread count, queue interleaving, submission order, or
-/// where shards ran. Every run_* and submit_* entry point below is this
-/// call. `progress` observes the checkpoints (see ProgressFn); `label`
-/// names the campaign in the scheduler's live progress table
-/// (engine::CampaignProgress) - pure telemetry, never part of the result.
-/// Submit a campaign once: its stop state belongs to that one run.
-[[nodiscard]] std::future<LeakageReport> submit_campaign(
-    engine::Scheduler& scheduler, std::shared_ptr<ShardRunner> campaign,
-    ProgressFn progress = {}, std::string label = {});
+/// sim::compile, timed into the `tvla.compile_us` histogram: how a
+/// campaign compiles its design, and how to share one plan across many.
+[[nodiscard]] sim::CompiledDesignPtr compile(const netlist::Netlist& design);
 
-/// Fixed-vs-random campaign (the protocol used for all paper tables), run
-/// to completion on a private engine::Scheduler of `config.threads` lanes.
-/// Compiles the design once (sim::compile) and shares the plan across all
-/// shards; see the CompiledDesignPtr overload to reuse a caller-held plan.
+/// Everything one campaign needs. Set `design` or `compiled`; a plan wins,
+/// so callers that run several campaigns on one design, or time compile
+/// apart from traces, compile once. The netlist (the plan's, too) and
+/// `lib` must outlive the campaign.
+struct CampaignSpec {
+  const netlist::Netlist* design = nullptr;
+  sim::CompiledDesignPtr compiled = nullptr;
+  const techlib::TechLibrary* lib = nullptr;
+  Protocol protocol = Protocol::kFixedVsRandom;
+  TvlaConfig config = {};
+  ProgressFn progress = {};  // checkpoint observer (budget-enabled configs)
+  /// Names the campaign in the scheduler's progress table
+  /// (engine::CampaignProgress) - telemetry, never part of the result.
+  std::string label = {};
+};
+
+/// A submitted campaign (id, get, future; see engine::CampaignHandle).
+/// fits() is the check a shard state from elsewhere (a remote worker's
+/// reply) must pass before it is completed: the merge indexes it by the
+/// campaign's group layout. On a shared scheduler a campaign nobody waits
+/// on stays queued until a whole-queue drain(), so wait on every handle.
+class CampaignHandle : public engine::CampaignHandle<LeakageReport> {
+ public:
+  CampaignHandle(engine::CampaignHandle<LeakageReport> handle,
+                 std::size_t groups, std::size_t multi_groups)
+      : engine::CampaignHandle<LeakageReport>(std::move(handle)),
+        groups_(groups),
+        multi_groups_(multi_groups) {}
+
+  [[nodiscard]] bool fits(const CampaignMoments& moments) const {
+    return moments.group_count() == groups_ &&
+           moments.multi_group_count() == multi_groups_;
+  }
+
+ private:
+  std::size_t groups_;
+  std::size_t multi_groups_;
+};
+
+/// Queues the campaign's shards on `scheduler` beside every other pending
+/// campaign's, with its checkpoint schedule and LPT weight;
+/// `config.threads` is ignored. The report is bit-identical to run()'s
+/// whatever the thread count, interleaving, submission order, or shard
+/// placement (tests/test_scheduler.cpp). Invalid specs throw from here.
+[[nodiscard]] CampaignHandle submit(engine::Scheduler& scheduler,
+                                    CampaignSpec spec);
+
+/// submit() on a private engine::Scheduler(config.threads), then get().
+[[nodiscard]] LeakageReport run(CampaignSpec spec);
+
+/// run() of a fixed-vs-random netlist spec (the paper tables' protocol).
 [[nodiscard]] LeakageReport run_fixed_vs_random(const netlist::Netlist& design,
                                                 const techlib::TechLibrary& lib,
                                                 const TvlaConfig& config);
-
-/// Fixed-vs-fixed campaign (known intermediate values).
-[[nodiscard]] LeakageReport run_fixed_vs_fixed(const netlist::Netlist& design,
-                                               const techlib::TechLibrary& lib,
-                                               const TvlaConfig& config);
-
-/// Same campaigns over a pre-compiled execution plan: callers that run
-/// several campaigns on one design (or want compile time measured apart
-/// from trace time, as bench_fig4_tvla does) compile once and pass the
-/// plan. The plan's netlist must outlive the call.
-[[nodiscard]] LeakageReport run_fixed_vs_random(sim::CompiledDesignPtr design,
-                                                const techlib::TechLibrary& lib,
-                                                const TvlaConfig& config);
-[[nodiscard]] LeakageReport run_fixed_vs_fixed(sim::CompiledDesignPtr design,
-                                               const techlib::TechLibrary& lib,
-                                               const TvlaConfig& config);
-
-/// Asynchronous campaigns for multi-design / multi-campaign flows: build
-/// the campaign and submit_campaign() it. `config.threads` is ignored -
-/// the scheduler owns the fan-out. The caller keeps `design` and `lib`
-/// alive until the future is ready; campaign-construction errors (e.g. a
-/// fixed-vector size mismatch) throw from the submit call itself.
-[[nodiscard]] std::future<LeakageReport> submit_fixed_vs_random(
-    engine::Scheduler& scheduler, const netlist::Netlist& design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress = {}, std::string label = {});
-
-[[nodiscard]] std::future<LeakageReport> submit_fixed_vs_fixed(
-    engine::Scheduler& scheduler, const netlist::Netlist& design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress = {}, std::string label = {});
-
-/// Pre-compiled-plan variants of the async entry points (see the
-/// run_fixed_vs_random CompiledDesignPtr overload): the caller's plan is
-/// shared by every shard instead of compiling in the submit call. The
-/// plan's netlist must stay alive until the future is ready.
-[[nodiscard]] std::future<LeakageReport> submit_fixed_vs_random(
-    engine::Scheduler& scheduler, sim::CompiledDesignPtr design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress = {}, std::string label = {});
-
-[[nodiscard]] std::future<LeakageReport> submit_fixed_vs_fixed(
-    engine::Scheduler& scheduler, sim::CompiledDesignPtr design,
-    const techlib::TechLibrary& lib, const TvlaConfig& config,
-    ProgressFn progress = {}, std::string label = {});
 
 }  // namespace polaris::tvla

@@ -129,16 +129,20 @@ TEST(AdaptiveTvla, ProgressFiresInMilestoneOrderWithPartialReports) {
 
   std::vector<std::size_t> checkpoints;
   engine::Scheduler scheduler(4);
-  auto future = tvla::submit_fixed_vs_random(
-      scheduler, nl, lib(), config,
-      [&](const tvla::LeakageReport& partial, std::size_t traces_done) {
-        // Called under the campaign merge lock: plain vector is safe.
-        checkpoints.push_back(traces_done);
-        EXPECT_EQ(partial.t_values().size(), nl.gate_count());
-        EXPECT_EQ(partial.traces_used(), traces_done);
-      });
+  auto campaign = tvla::submit(
+      scheduler,
+      {.design = &nl,
+       .lib = &lib(),
+       .config = config,
+       .progress = [&](const tvla::LeakageReport& partial,
+                       std::size_t traces_done) {
+         // Called under the campaign merge lock: plain vector is safe.
+         checkpoints.push_back(traces_done);
+         EXPECT_EQ(partial.t_values().size(), nl.gate_count());
+         EXPECT_EQ(partial.traces_used(), traces_done);
+       }});
   scheduler.drain();
-  const auto report = future.get();
+  const auto report = campaign.get();
 
   ASSERT_FALSE(checkpoints.empty());
   for (std::size_t i = 1; i < checkpoints.size(); ++i) {
@@ -157,13 +161,14 @@ TEST(AdaptiveTvla, SchedulerSubmissionMatchesSynchronousRun) {
   const auto synchronous = tvla::run_fixed_vs_random(nl, lib(), config);
 
   engine::Scheduler scheduler(3);
-  auto a = tvla::submit_fixed_vs_random(scheduler, nl, lib(), config);
+  const tvla::CampaignSpec spec{.design = &nl, .lib = &lib(), .config = config};
+  auto a = tvla::submit(scheduler, spec);
   // A second campaign interleaves in the same queue; both must still stop
   // at the same milestone with the same stats.
-  auto b = tvla::submit_fixed_vs_random(scheduler, nl, lib(), config);
+  auto b = tvla::submit(scheduler, spec);
   scheduler.drain();
-  for (auto* future : {&a, &b}) {
-    const auto report = future->get();
+  for (auto* campaign : {&a, &b}) {
+    const auto report = campaign->get();
     EXPECT_EQ(report.early_stopped(), synchronous.early_stopped());
     EXPECT_EQ(report.traces_used(), synchronous.traces_used());
     expect_reports_bit_identical(report, synchronous);

@@ -2,8 +2,8 @@
 // randomized netlists evaluated by the compiled kernel vs the reference
 // gate-by-gate oracle (sim/reference.hpp), asserting bit-identical value
 // words, toggle words, and per-lane energies; TVLA campaigns over the
-// kernel are checked bit-identical across 1/2/8 threads and against the
-// pre-compiled-plan overload. tests/test_golden.cpp remains the
+// kernel are checked bit-identical across 1/2/8 threads and against a
+// campaign over a pre-compiled plan. tests/test_golden.cpp remains the
 // end-to-end determinism lock (committed CSVs, byte-stable).
 #include <gtest/gtest.h>
 
@@ -305,11 +305,12 @@ TEST(CompiledKernel, CampaignBitIdenticalAcrossThreads) {
     }
   }
 
-  // The pre-compiled-plan overload shares one CompiledDesign across
+  // A pre-compiled plan in the spec shares one CompiledDesign across
   // campaigns and still reproduces the same report bit-for-bit.
   const auto compiled = sim::compile(design.netlist);
   config.threads = 2;
-  const auto shared_plan = tvla::run_fixed_vs_random(compiled, lib(), config);
+  const auto shared_plan =
+      tvla::run({.compiled = compiled, .lib = &lib(), .config = config});
   for (std::size_t g = 0; g < t1.t_values().size(); ++g) {
     ASSERT_EQ(t1.t_values()[g], shared_plan.t_values()[g]);
   }

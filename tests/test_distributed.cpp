@@ -302,6 +302,91 @@ TEST(DistributedWorker, ShardForUninstalledDesignGetsUnknownDesignStatus) {
   ::close(fd);
 }
 
+/// One request on a raw worker connection, answered.
+server::Response worker_roundtrip(int fd,
+                                  const std::vector<std::uint8_t>& payload) {
+  server::write_frame(fd, payload);
+  std::vector<std::uint8_t> reply;
+  EXPECT_EQ(server::read_frame(fd, server::kDefaultMaxFrame, reply),
+            server::FrameResult::kFrame);
+  return server::decode_response(std::move(reply));
+}
+
+TEST(DistributedWorker, InvalidShardConfigIsABadRequestNotACrash) {
+  // A sequential design's batch count divides by cycles_per_batch: a
+  // request the coordinator would never send must be refused, and the
+  // worker must keep serving.
+  Fleet fleet(1);
+  const auto design = circuits::load_design("memctrl", 0.3);
+  const int fd = server::net::connect_endpoint(fleet.workers[0]->endpoint());
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(
+      worker_roundtrip(fd, server::encode_design_request(design)).status,
+      server::Status::kOk);
+  server::ShardRequest request;
+  request.fingerprint = core::design_fingerprint(design);
+  request.config = audit_config();
+  request.config.tvla.cycles_per_batch = 0;
+  request.shard_begin = 0;
+  request.shard_end = 1;
+  EXPECT_EQ(worker_roundtrip(fd, server::encode_shard_request(request)).status,
+            server::Status::kBadRequest);
+  const auto pong = worker_roundtrip(fd, server::encode_ping_request());
+  EXPECT_EQ(pong.status, server::Status::kOk);
+  EXPECT_EQ(server::decode_ping_reply(pong.body).model_name, "shard-worker");
+  ::close(fd);
+}
+
+TEST(DistributedWorker, DistinctConfigsCompileADesignOnce) {
+  // Every seed is a new config. The worker compiles the design once and
+  // rebuilds its one runner from that plan, and every seed's moments still
+  // match a local run.
+  Fleet fleet(1);
+  const auto design = circuits::load_design("des3", 0.3);
+  const int fd = server::net::connect_endpoint(fleet.workers[0]->endpoint());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(
+      worker_roundtrip(fd, server::encode_design_request(design)).status,
+      server::Status::kOk);
+  const auto compiles = [] {
+    const auto snapshot = obs::Registry::global().snapshot();
+    const auto* histogram = snapshot.find_histogram("tvla.compile_us");
+    return histogram == nullptr ? std::uint64_t{0} : histogram->count;
+  };
+  const std::uint64_t compiles_before = compiles();
+  std::vector<server::ShardRequest> requests;
+  std::vector<server::ShardReply> replies;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    server::ShardRequest request;
+    request.fingerprint = core::design_fingerprint(design);
+    request.config = audit_config();
+    request.config.seed = seed;
+    request.config.tvla.seed = seed;
+    request.shard_begin = 0;
+    request.shard_end = 1;
+    const auto response =
+        worker_roundtrip(fd, server::encode_shard_request(request));
+    ASSERT_EQ(response.status, server::Status::kOk);
+    requests.push_back(request);
+    replies.push_back(server::decode_shard_reply(response.body));
+  }
+  ::close(fd);
+  EXPECT_EQ(compiles() - compiles_before, 1u);
+  const auto encode = [](const tvla::CampaignMoments& moments) {
+    serialize::Writer out;
+    tvla::write_moments(out, moments);
+    return out.finish();
+  };
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    tvla::ShardRunner local(
+        design.netlist, lib(),
+        core::tvla_config_for(requests[i].config, design));
+    ASSERT_EQ(replies[i].shards.size(), 1u);
+    EXPECT_EQ(encode(replies[i].shards[0].moments), encode(local.run_shard(0)))
+        << "seed " << requests[i].config.tvla.seed;
+  }
+}
+
 // --- coordinator byte-identity -----------------------------------------------
 
 TEST(DistributedAudit, BitIdenticalToSingleHostAtEveryWorkerCount) {

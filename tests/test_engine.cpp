@@ -201,9 +201,15 @@ TEST(SyncCampaign, FixedVsFixedReportIndependentOfThreadCount) {
   config.traces = 2048;
   config.seed = 3;
   config.threads = 1;
-  const auto serial = tvla::run_fixed_vs_fixed(nl, lib(), config);
+  const auto fixed_vs_fixed = [&] {
+    return tvla::run({.design = &nl,
+                      .lib = &lib(),
+                      .protocol = tvla::Protocol::kFixedVsFixed,
+                      .config = config});
+  };
+  const auto serial = fixed_vs_fixed();
   config.threads = 8;
-  expect_reports_identical(serial, tvla::run_fixed_vs_fixed(nl, lib(), config));
+  expect_reports_identical(serial, fixed_vs_fixed());
 }
 
 TEST(SyncCampaign, MaskedDesignReportIndependentOfThreadCount) {

@@ -119,7 +119,9 @@ TEST(Scheduler, MatchesPerCampaignPathAtEveryThreadCount) {
     std::vector<std::future<tvla::LeakageReport>> pending;
     for (const auto& c : cases) {
       pending.push_back(
-          tvla::submit_fixed_vs_random(scheduler, c.design, lib(), c.config));
+          tvla::submit(scheduler,
+                       {.design = &c.design, .lib = &lib(), .config = c.config})
+              .future());
     }
     scheduler.drain();
     for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -144,9 +146,10 @@ TEST(Scheduler, IndependentOfSubmissionOrder) {
     engine::Scheduler scheduler(8);
     std::vector<std::future<tvla::LeakageReport>> pending(cases.size());
     for (const std::size_t i : order) {
-      pending[i] =
-          tvla::submit_fixed_vs_random(scheduler, cases[i].design, lib(),
-                                       cases[i].config);
+      pending[i] = tvla::submit(scheduler, {.design = &cases[i].design,
+                                            .lib = &lib(),
+                                            .config = cases[i].config})
+                       .future();
     }
     scheduler.drain();
     for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -162,9 +165,13 @@ TEST(Scheduler, FixedVsFixedMatchesPerCampaignPath) {
   tvla::TvlaConfig config;
   config.traces = 2048;
   config.seed = 3;
-  const auto reference = tvla::run_fixed_vs_fixed(design, lib(), config);
+  const tvla::CampaignSpec spec{.design = &design,
+                                .lib = &lib(),
+                                .protocol = tvla::Protocol::kFixedVsFixed,
+                                .config = config};
+  const auto reference = tvla::run(spec);
   engine::Scheduler scheduler(8);
-  auto pending = tvla::submit_fixed_vs_fixed(scheduler, design, lib(), config);
+  auto pending = tvla::submit(scheduler, spec);
   scheduler.drain();
   expect_reports_identical(reference, pending.get());
 }
@@ -178,8 +185,8 @@ TEST(Scheduler, SingleCampaignDegenerateCase) {
   const auto reference = tvla::run_fixed_vs_random(design, lib(), config);
   for (const std::size_t threads : {1u, 16u}) {
     engine::Scheduler scheduler(threads);
-    auto pending =
-        tvla::submit_fixed_vs_random(scheduler, design, lib(), config);
+    auto pending = tvla::submit(
+        scheduler, {.design = &design, .lib = &lib(), .config = config});
     scheduler.drain();
     expect_reports_identical(reference, pending.get());
   }
@@ -197,7 +204,9 @@ TEST(Scheduler, OversubscriptionManyMoreCampaignsThanThreads) {
     config.seed = seed;
     reference.push_back(tvla::run_fixed_vs_random(design, lib(), config));
     pending.push_back(
-        tvla::submit_fixed_vs_random(scheduler, design, lib(), config));
+        tvla::submit(scheduler,
+                     {.design = &design, .lib = &lib(), .config = config})
+            .future());
   }
   scheduler.drain();
   for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -318,7 +327,7 @@ Batches sequence_shard(std::size_t batches, std::size_t shard) {
 
 /// An order-sensitive campaign (concatenation of batch indices): the
 /// result lists the batches in the order their shard states merged.
-std::future<Batches> submit_sequence(
+engine::CampaignHandle<Batches> submit_sequence(
     engine::Scheduler& scheduler, std::size_t batches,
     engine::Checkpoints<Batches> checkpoints = {}) {
   return scheduler.submit(
@@ -338,7 +347,7 @@ void expect_ascending(const Batches& sequence, std::size_t batches) {
 TEST(Scheduler, SyntheticCampaignsSeeEveryBatchExactlyOnce) {
   for (const std::size_t threads : {1u, 2u, 8u, 16u}) {
     engine::Scheduler scheduler(threads);
-    std::vector<std::future<std::uint64_t>> pending;
+    std::vector<engine::CampaignHandle<std::uint64_t>> pending;
     const std::size_t kCampaigns = 40;  // oversubscribes every cap above
     for (std::size_t c = 0; c < kCampaigns; ++c) {
       const std::size_t batches = 1 + (c * 7) % 97;
@@ -487,13 +496,40 @@ TEST(Scheduler, ProgressTableTracksCampaignsMonotonically) {
 }
 
 
+TEST(Scheduler, ScopedDrainRunsAndWaitsOnListedCampaignsOnly) {
+  engine::Scheduler scheduler(2);
+  auto listed = submit_sequence(scheduler, 64);     // 16 shards
+  auto unlisted = submit_sequence(scheduler, 256);  // heavier: LPT head
+  const std::uint64_t listed_id = listed.id();
+  auto held = scheduler.lease({unlisted.id()}, 4);
+  ASSERT_TRUE(held.has_value());
+  const std::size_t unlisted_queued = scheduler.pending_shards() - 16;
+
+  // Neither the heavier campaign's queued shards nor its outstanding lease
+  // concern a drain that does not list it.
+  scheduler.drain({listed_id});
+  EXPECT_EQ(scheduler.pending_shards(), unlisted_queued);
+  auto listed_result = std::move(listed).future();
+  ASSERT_EQ(listed_result.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  expect_ascending(listed_result.get(), 64);
+  // A waiting lease over a finalized campaign returns at once, empty.
+  EXPECT_FALSE(scheduler.lease({listed_id}, 4, /*wait=*/true).has_value());
+
+  for (std::size_t shard = held->begin; shard < held->end; ++shard) {
+    scheduler.complete(*held, shard, sequence_shard(256, shard));
+  }
+  expect_ascending(unlisted.get(), 256);  // get() drains the rest
+  EXPECT_EQ(scheduler.pending_shards(), 0u);
+}
+
 // --- lease seam (an outside executor, synthetic campaigns) -------------------
 
 TEST(SchedulerLease, OutOfOrderCompletionsStillMergeAscending) {
   engine::Scheduler scheduler(1);
   auto pending = submit_sequence(scheduler, 200);  // 50 shards
   std::vector<engine::Scheduler::Lease> leases;
-  while (auto lease = scheduler.lease(4)) {
+  while (auto lease = scheduler.lease({pending.id()}, 4)) {
     EXPECT_EQ(lease->campaign, 0u);
     EXPECT_LE(lease->end - lease->begin, 4u);
     if (!leases.empty()) {
@@ -517,7 +553,7 @@ TEST(SchedulerLease, OutOfOrderCompletionsStillMergeAscending) {
 TEST(SchedulerLease, CompleteRejectsForeignStatesAndShards) {
   engine::Scheduler scheduler(1);
   auto pending = submit_sequence(scheduler, 16);  // one batch per shard
-  auto lease = scheduler.lease(2);
+  auto lease = scheduler.lease({pending.id()}, 2);
   ASSERT_TRUE(lease.has_value());
   ASSERT_EQ(lease->begin, 0u);
   ASSERT_EQ(lease->end, 2u);
@@ -535,8 +571,8 @@ TEST(SchedulerLease, CompleteRejectsForeignStatesAndShards) {
 TEST(SchedulerLease, DrainFinishesAnAbandonedLease) {
   engine::Scheduler scheduler(2);
   auto pending = submit_sequence(scheduler, 64);  // 16 shards
-  auto kept = scheduler.lease(4);
-  auto lost = scheduler.lease(4);
+  auto kept = scheduler.lease({pending.id()}, 4);
+  auto lost = scheduler.lease({pending.id()}, 4);
   ASSERT_TRUE(kept.has_value());
   ASSERT_TRUE(lost.has_value());
   EXPECT_EQ(lost->begin, 4u);
@@ -562,7 +598,8 @@ TEST(SchedulerLease, LeaseSkipsACancelledCampaign) {
       scheduler, 64,
       {{1}, [](const Batches&, std::size_t prefix) { return prefix == 1; }});
   auto light = submit_sequence(scheduler, 16);
-  auto first = scheduler.lease(1);
+  const engine::CampaignIds both = {stopped.id(), light.id()};
+  auto first = scheduler.lease(both, 1);
   ASSERT_TRUE(first.has_value());
   ASSERT_EQ(first->campaign, 0u);
   ASSERT_EQ(first->begin, 0u);
@@ -571,14 +608,15 @@ TEST(SchedulerLease, LeaseSkipsACancelledCampaign) {
   // The stopped campaign's 15 queued shards are retired on the way to the
   // light campaign's first chunk, which finishes the stopped campaign.
   const std::uint64_t before = cancelled.value();
-  auto next = scheduler.lease(4);
+  auto next = scheduler.lease(both, 4);
   ASSERT_TRUE(next.has_value());
   EXPECT_EQ(next->campaign, 1u);
   EXPECT_EQ(next->begin, 0u);
   EXPECT_EQ(cancelled.value() - before, 15u);
-  ASSERT_EQ(stopped.wait_for(std::chrono::seconds(0)),
+  auto stopped_result = std::move(stopped).future();
+  ASSERT_EQ(stopped_result.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
-  expect_ascending(stopped.get(), 4);  // shard 0 = batches 0..3
+  expect_ascending(stopped_result.get(), 4);  // shard 0 = batches 0..3
 
   scheduler.abandon(*next);
   scheduler.drain();
@@ -588,7 +626,7 @@ TEST(SchedulerLease, LeaseSkipsACancelledCampaign) {
 TEST(SchedulerLease, DrainWaitsForAnOutstandingLease) {
   engine::Scheduler scheduler(2);
   auto pending = submit_sequence(scheduler, 32);  // 16 shards
-  auto lease = scheduler.lease(engine::kMaxShardsPerCampaign);
+  auto lease = scheduler.lease({pending.id()}, engine::kMaxShardsPerCampaign);
   ASSERT_TRUE(lease.has_value());
   ASSERT_EQ(lease->end - lease->begin, 16u);  // the whole campaign
   ASSERT_EQ(scheduler.pending_shards(), 0u);

@@ -15,10 +15,14 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <thread>
 
 #include "circuits/aes_sbox.hpp"
@@ -182,12 +186,14 @@ class ServerTest : public ::testing::Test {
   }
 
   static std::unique_ptr<server::Server> make_server(
-      std::size_t threads, std::size_t max_frame = server::kDefaultMaxFrame) {
+      std::size_t threads, std::size_t max_frame = server::kDefaultMaxFrame,
+      std::string workers = {}) {
     server::ServerOptions options;
     options.socket_path = unique_socket_path();
     options.bundle_path = *bundle_path_;
     options.threads = threads;
     options.max_frame = max_frame;
+    options.workers = std::move(workers);
     auto daemon = std::make_unique<server::Server>(options);
     daemon->start();
     return daemon;
@@ -1107,25 +1113,162 @@ TEST(FlightRecorder, SlowThresholdCountsOnlySlowRequests) {
   EXPECT_EQ(slow.value(), before + 1);
 }
 
+/// A shard worker on a loopback port that the test controls. It serves
+/// every request honestly, except that its first connection parks at the
+/// first shard request - frames are read, none is answered - until
+/// release(). Installs are shared across connections, as on a real worker.
+class HeldWorker {
+ public:
+  HeldWorker()
+      : listen_fd_(server::net::listen_endpoint(
+            server::net::parse_endpoint("tcp:127.0.0.1:0"), 8)),
+        endpoint_(server::net::bound_endpoint(
+            listen_fd_, server::net::parse_endpoint("tcp:127.0.0.1:0"))),
+        accept_thread_([this] { accept_loop(); }) {}
+
+  ~HeldWorker() {
+    release();
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes accept()
+    accept_thread_.join();
+    for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
+    for (auto& thread : connections_) thread.join();
+    for (const int fd : fds_) ::close(fd);
+    ::close(listen_fd_);
+  }
+
+  HeldWorker(const HeldWorker&) = delete;
+  HeldWorker& operator=(const HeldWorker&) = delete;
+
+  [[nodiscard]] std::string endpoint() const {
+    return server::net::to_string(endpoint_);
+  }
+
+  /// True once the first connection has read a shard request; false if
+  /// none arrives within 30 s.
+  bool wait_for_held_shard() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [this] { return holding_; });
+  }
+
+  void release() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  void accept_loop() {
+    for (bool first = true;; first = false) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      fds_.push_back(fd);
+      connections_.emplace_back([this, fd, first] { serve(fd, first); });
+    }
+  }
+
+  static server::RequestKind kind_of(const std::vector<std::uint8_t>& frame) {
+    serialize::Reader in{std::vector<std::uint8_t>(frame)};
+    return server::decode_request_kind(in);
+  }
+
+  void serve(int fd, bool hold) {
+    std::vector<std::vector<std::uint8_t>> parked;  // read, not yet answered
+    std::vector<std::uint8_t> payload;
+    try {
+      while (server::read_frame(fd, server::kDefaultMaxFrame, payload) ==
+             server::FrameResult::kFrame) {
+        parked.push_back(std::move(payload));
+        payload.clear();
+        if (hold && kind_of(parked.back()) == server::RequestKind::kShard) {
+          std::unique_lock<std::mutex> lock(mutex_);
+          holding_ = true;
+          cv_.notify_all();
+          cv_.wait(lock, [this] { return released_; });
+          hold = false;
+        }
+        if (hold) continue;
+        for (auto& frame : parked) answer(fd, std::move(frame));
+        parked.clear();
+      }
+    } catch (const std::exception&) {
+      // The coordinator hung up, or the destructor shut the socket down.
+    }
+  }
+
+  void answer(int fd, std::vector<std::uint8_t> frame) {
+    serialize::Reader in(std::move(frame));
+    std::vector<std::uint8_t> body;
+    if (server::decode_request_kind(in) == server::RequestKind::kDesign) {
+      auto request = server::decode_design_request(in);
+      const std::lock_guard<std::mutex> lock(mutex_);
+      designs_.emplace(request.fingerprint, std::move(request.design));
+    } else {
+      const auto request = server::decode_shard_request(in);
+      const circuits::Design* design = nullptr;
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        design = &designs_.at(request.fingerprint);
+      }
+      tvla::ShardRunner runner(
+          design->netlist, lib(),
+          core::tvla_config_for(request.config, *design));
+      server::ShardReply reply;
+      for (std::uint64_t shard = request.shard_begin;
+           shard < request.shard_end; ++shard) {
+        reply.shards.push_back(
+            {shard, runner.run_shard(static_cast<std::size_t>(shard))});
+      }
+      body = server::encode_shard_reply(reply);
+    }
+    server::write_frame(
+        fd, server::encode_response(server::Status::kOk, "", false, body));
+  }
+
+  int listen_fd_;
+  server::net::Endpoint endpoint_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool holding_ = false;
+  bool released_ = false;
+  std::map<std::uint64_t, circuits::Design> designs_;
+  // Written by the accept thread only, read after it is joined.
+  std::vector<int> fds_;
+  std::vector<std::thread> connections_;
+  std::thread accept_thread_;  // last: starts once the rest exists
+};
+
+/// The status-test audit: long enough that the daemon's single local lane
+/// is still busy when the feeder takes its first chunk.
+server::AuditRequest held_audit_request() {
+  server::AuditRequest request;
+  request.design = "des3";
+  request.scale = 0.3;
+  request.config = audit_config();
+  request.config.tvla.traces = 16384;
+  return request;
+}
+
 TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
-  auto daemon = make_server(1);  // serial scheduler: the audit takes a while
+  // A distributed daemon whose one worker holds the audit's first shard
+  // request: until release(), the campaign cannot finish, so status must
+  // show it in flight - no polling window to miss.
+  HeldWorker worker;
+  auto daemon = make_server(1, server::kDefaultMaxFrame, worker.endpoint());
 
   server::Client poll(daemon->socket_path());
   const std::uint64_t hits_before =
       poll.stats().snapshot.counter_value("cache.hits");
 
-  core::PolarisConfig config = audit_config();
-  config.tvla.traces = 4096;  // long enough to observe mid-flight
-  server::AuditRequest request;
-  request.design = "des3";
-  request.scale = 0.3;
-  request.config = config;
-
-  std::thread audit_thread([&daemon, &request] {
+  const server::AuditRequest request = held_audit_request();
+  server::AuditReply reply;
+  std::thread audit_thread([&daemon, &request, &reply] {
     server::Client client(daemon->socket_path());
-    const auto reply = client.audit(request);
-    EXPECT_FALSE(reply.cache_hit);
+    reply = client.audit(request);
   });
+  EXPECT_TRUE(worker.wait_for_held_shard());
 
   // Poll from a second connection: the audit must show up both as an
   // in-flight request and as a named campaign with monotonic shard
@@ -1133,10 +1276,7 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
   bool saw_inflight_audit = false;
   bool saw_campaign = false;
   std::uint64_t last_done = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!(saw_inflight_audit && saw_campaign) &&
-         std::chrono::steady_clock::now() < deadline) {
+  for (int round = 0; round < 3; ++round) {
     const auto status = poll.status();
     EXPECT_EQ(status.protocol, server::kProtocolVersion);
     EXPECT_GE(status.connections_active, 1u);
@@ -1151,15 +1291,23 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
       if (row.label != "des3") continue;
       saw_campaign = true;
       EXPECT_FALSE(row.stopped);
-      EXPECT_LE(row.shards_done, row.shards_total);
+      EXPECT_LT(row.shards_done, row.shards_total);  // the held chunk
       EXPECT_GE(row.shards_done, last_done);  // monotonic across polls
       last_done = row.shards_done;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  audit_thread.join();
   EXPECT_TRUE(saw_inflight_audit);
   EXPECT_TRUE(saw_campaign);
+  worker.release();
+  audit_thread.join();
+  EXPECT_FALSE(reply.cache_hit);
+  {
+    const auto design = circuits::load_design(request.design, request.scale);
+    expect_reports_bit_identical(
+        reply.report,
+        core::audit_designs({&design, 1}, lib(), request.config)[0]);
+  }
 
   // Identical second request: a cache hit, recorded as such.
   {
@@ -1172,6 +1320,8 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
   // with the cache.hits counter delta over the same window. The record is
   // deposited after the reply frame is written, so a client can briefly
   // outrun its own record: poll until both appear.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
   bool miss_recorded = false;
   bool hit_recorded = false;
   while (!(miss_recorded && hit_recorded) &&
@@ -1205,6 +1355,108 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
 
   // Uptime flows through stats too (appended STTS field).
   EXPECT_GT(poll.stats().uptime_ms + 1, 0u);  // present and decodable
+  daemon->request_stop();
+  daemon->wait();
+}
+
+TEST_F(ServerTest, DistributedAuditsWaitOnlyOnTheirOwnLeases) {
+  // Both audits run on the daemon's one scheduler. While the first one's
+  // lease is held, a second audit of another design, on another
+  // connection, still completes: its feeder leases only its own campaign
+  // (on the worker's later, honest connection), and its handler waits on
+  // nothing else.
+  HeldWorker worker;
+  auto daemon = make_server(1, server::kDefaultMaxFrame, worker.endpoint());
+  const server::AuditRequest first = held_audit_request();
+  server::AuditReply first_reply;
+  std::thread first_thread([&daemon, &first, &first_reply] {
+    server::Client client(daemon->socket_path());
+    first_reply = client.audit(first);
+  });
+  EXPECT_TRUE(worker.wait_for_held_shard());
+
+  server::AuditRequest second;
+  second.design = "square";
+  second.scale = 0.3;
+  second.config = audit_config();
+  {
+    server::Client client(daemon->socket_path());
+    const auto reply = client.audit(second);
+    const auto design = circuits::load_design(second.design, second.scale);
+    expect_reports_bit_identical(
+        reply.report,
+        core::audit_designs({&design, 1}, lib(), second.config)[0]);
+  }
+  // The first audit is still waiting on its held lease.
+  server::Client poll(daemon->socket_path());
+  bool first_in_flight = false;
+  for (const auto& entry : poll.status().inflight) {
+    first_in_flight = first_in_flight ||
+                      entry.kind == static_cast<std::uint8_t>(
+                                        server::RequestKind::kAudit);
+  }
+  EXPECT_TRUE(first_in_flight);
+
+  worker.release();
+  first_thread.join();
+  const auto design = circuits::load_design(first.design, first.scale);
+  expect_reports_bit_identical(
+      first_reply.report,
+      core::audit_designs({&design, 1}, lib(), first.config)[0]);
+  daemon->request_stop();
+  daemon->wait();
+}
+
+TEST_F(ServerTest, SmallAuditIsAnsweredBesideABigOne) {
+  // Each handler runs and waits on its own campaign only: on a 2-lane
+  // daemon, a small audit that arrives while a big one runs is answered
+  // with most of the big one's shards still to go.
+  auto daemon = make_server(2);
+  server::AuditRequest big;
+  big.design = "des3";
+  big.scale = 1.0;
+  big.config = audit_config();
+  big.config.tvla.traces = 65536;  // 64 shards
+  std::thread big_thread([&daemon, &big] {
+    server::Client client(daemon->socket_path());
+    EXPECT_FALSE(client.audit(big).cache_hit);
+  });
+
+  server::Client poll(daemon->socket_path());
+  const auto big_row = [&poll]() -> std::optional<engine::CampaignProgress> {
+    for (const auto& row : poll.status().campaigns) {
+      if (row.label == "des3") return row;
+    }
+    return std::nullopt;
+  };
+  std::optional<engine::CampaignProgress> before;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!(before = big_row()) && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(before.has_value());
+  if (before) {
+    EXPECT_FALSE(before->stopped);
+    EXPECT_EQ(before->shards_total, 64u);
+    EXPECT_LT(before->shards_done, before->shards_total);
+
+    server::AuditRequest small;
+    small.design = "square";
+    small.scale = 1.0;
+    small.config = audit_config();
+    small.config.tvla.traces = 4096;
+    {
+      server::Client client(daemon->socket_path());
+      EXPECT_FALSE(client.audit(small).cache_hit);
+    }
+    const auto after = big_row();
+    EXPECT_TRUE(after.has_value()) << "the big audit finished first";
+    if (after) {
+      EXPECT_LT(after->shards_done, after->shards_total / 2);
+    }
+  }
+  big_thread.join();
   daemon->request_stop();
   daemon->wait();
 }

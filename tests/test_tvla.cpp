@@ -158,7 +158,10 @@ TEST(Tvla, FixedVsFixedDistinguishesVectors) {
   config.noise_std_fj = 0.3;
   config.fixed_input = {true};
   config.fixed_input_b = {false};
-  const auto report = tvla::run_fixed_vs_fixed(nl, lib(), config);
+  const auto report = tvla::run({.design = &nl,
+                                 .lib = &lib(),
+                                 .protocol = tvla::Protocol::kFixedVsFixed,
+                                 .config = config});
   // Class A settles high (toggle iff base was 0), class B settles low:
   // different toggle probabilities unless base is uniform... both are
   // Bernoulli(1/2) against a random base - so the BUF shows no difference.
@@ -194,6 +197,17 @@ TEST(Tvla, ConfigValidation) {
   config2.input_class = {tvla::InputClass::kSensitive};  // wrong size
   EXPECT_THROW((void)tvla::run_fixed_vs_random(nl, lib(), config2),
                std::invalid_argument);
+}
+
+TEST(Tvla, SequentialDesignRejectsZeroCyclesPerBatch) {
+  // A sequential batch packs 64 * cycles_per_batch samples, and the batch
+  // count divides by that: zero must be refused, not divided by.
+  const auto nl = circuits::make_memctrl(6, 8);
+  tvla::TvlaConfig config;
+  config.cycles_per_batch = 0;
+  EXPECT_THROW((void)tvla::run_fixed_vs_random(nl, lib(), config),
+               std::invalid_argument);
+  EXPECT_THROW(tvla::ShardRunner(nl, lib(), config), std::invalid_argument);
 }
 
 }  // namespace

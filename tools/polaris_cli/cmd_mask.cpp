@@ -49,7 +49,7 @@ int cmd_mask(std::span<const char* const> args) {
   const auto lib = techlib::TechLibrary::default_library();
   // Masking itself is TVLA-free; the sign-off campaigns (before on the
   // original, after on the masked netlist) are independent, so they drain
-  // the global scheduler together instead of running back to back.
+  // together instead of running back to back.
   auto outcome =
       polaris.mask_design(design, lib, mask_size, mode, /*verify=*/false);
   netlist::write_verilog_file(outcome.masked, out_path);
@@ -58,13 +58,15 @@ int cmd_mask(std::span<const char* const> args) {
   if (verify) {
     const auto tvla_config = core::tvla_config_for(polaris.config(), design);
     engine::Scheduler scheduler(polaris.config().threads);
-    auto before_future = tvla::submit_fixed_vs_random(scheduler, design.netlist,
-                                                      lib, tvla_config);
-    auto after_future = tvla::submit_fixed_vs_random(scheduler, outcome.masked,
-                                                     lib, tvla_config);
-    scheduler.drain();
-    before = before_future.get();
-    outcome.verification = after_future.get();
+    auto before_campaign = tvla::submit(
+        scheduler,
+        {.design = &design.netlist, .lib = &lib, .config = tvla_config});
+    auto after_campaign = tvla::submit(
+        scheduler,
+        {.design = &outcome.masked, .lib = &lib, .config = tvla_config});
+    scheduler.drain({before_campaign.id(), after_campaign.id()});
+    before = before_campaign.get();
+    outcome.verification = after_campaign.get();
   }
 
   const tvla::LeakageReport* before_report = before ? &*before : nullptr;
