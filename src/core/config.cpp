@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "engine/thread_pool.hpp"
 #include "ml/adaboost.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/forest.hpp"
@@ -254,12 +255,16 @@ std::uint64_t design_fingerprint(const circuits::Design& design) {
 }
 
 std::unique_ptr<ml::Classifier> make_model(const PolarisConfig& config) {
+  // The fit's lane count is an execution knob like `threads` itself: the
+  // model configs never serialize it, so bundles do not depend on it.
+  const std::size_t lanes = engine::ThreadPool::resolve_threads(config.threads);
   switch (config.model) {
     case ModelKind::kRandomForest: {
       ml::ForestConfig forest;
       forest.trees = config.model_rounds / 4 + 20;
       forest.max_depth = 8;
       forest.seed = config.seed;
+      forest.lanes = lanes;
       return std::make_unique<ml::RandomForest>(forest);
     }
     case ModelKind::kXgboost: {
@@ -268,6 +273,7 @@ std::unique_ptr<ml::Classifier> make_model(const PolarisConfig& config) {
       gbdt.max_depth = 4;
       gbdt.learning_rate = config.learning_rate;
       gbdt.seed = config.seed;
+      gbdt.lanes = lanes;
       return std::make_unique<ml::Gbdt>(gbdt);
     }
     case ModelKind::kAdaBoost: {
@@ -278,12 +284,14 @@ std::unique_ptr<ml::Classifier> make_model(const PolarisConfig& config) {
       // the paper's 0.01 is honoured via `learning_rate` scaling.
       ada.learning_rate = std::max(config.learning_rate, 0.01) * 50.0;
       ada.seed = config.seed;
+      ada.lanes = lanes;
       return std::make_unique<ml::AdaBoost>(ada);
     }
     case ModelKind::kDecisionTree: {
       ml::DecisionTreeConfig tree;
       tree.max_depth = 8;
       tree.seed = config.seed;
+      tree.lanes = lanes;
       return std::make_unique<ml::DecisionTree>(tree);
     }
   }

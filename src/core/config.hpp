@@ -69,11 +69,12 @@ struct PolarisConfig {
   std::uint64_t seed = 1;
 
   /// Worker threads for the whole flow: Algorithm 1 runs its labelling
-  /// campaigns concurrently and every TVLA campaign shards its trace
-  /// budget. When nonzero this overrides `tvla.threads` via
-  /// tvla_config_for; 0 (auto) leaves an explicit `tvla.threads` alone.
-  /// 0 = all hardware threads, 1 = fully serial. Results are independent
-  /// of it.
+  /// campaigns concurrently, every TVLA campaign shards its trace budget,
+  /// and the model fit scans a tree node's candidate features on this many
+  /// lanes (make_model passes it, resolved, as the model config's `lanes`).
+  /// When nonzero this overrides `tvla.threads` via tvla_config_for; 0
+  /// (auto) leaves an explicit `tvla.threads` alone. 0 = all hardware
+  /// threads, 1 = fully serial. Results are independent of it.
   std::size_t threads = 0;
 };
 

@@ -29,13 +29,14 @@ void AdaBoost::fit(const Dataset& data) {
   std::vector<std::size_t> all(working.size());
   std::iota(all.begin(), all.end(), 0);
   util::Xoshiro256 rng(config_.seed);
+  TreeFitter fitter(working, config_.lanes);
 
   for (std::size_t round = 0; round < config_.rounds; ++round) {
     TreeConfig tree_config;
     tree_config.max_depth = config_.max_depth;
     tree_config.min_samples_leaf = config_.min_samples_leaf;
     tree_config.seed = rng();
-    Tree tree = fit_classification_tree(working, all, tree_config);
+    Tree tree = fitter.classification_tree(all, tree_config);
 
     // Weighted error of the hard prediction.
     double err = 0.0;

@@ -1,10 +1,35 @@
 #include "ml/dataset.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace polaris::ml {
+
+namespace {
+
+/// Every row has the first row's width and only finite values: the split
+/// scan reads every cell of every row, and its sorts need a strict weak
+/// order, which NaN breaks.
+void check_row(std::span<const double> row, std::size_t width,
+               const char* where) {
+  if (row.size() != width) {
+    throw std::invalid_argument(std::string(where) +
+                                ": feature width mismatch (" +
+                                std::to_string(row.size()) + ", expected " +
+                                std::to_string(width) + ")");
+  }
+  for (const double v : row) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument(std::string(where) +
+                                  ": non-finite feature value");
+    }
+  }
+}
+
+}  // namespace
 
 Dataset::Dataset(std::vector<std::vector<double>> features,
                  std::vector<int> labels)
@@ -12,13 +37,13 @@ Dataset::Dataset(std::vector<std::vector<double>> features,
   if (rows_.size() != labels_.size()) {
     throw std::invalid_argument("Dataset: feature/label size mismatch");
   }
+  for (const auto& row : rows_) check_row(row, rows_[0].size(), "Dataset");
   weights_.assign(labels_.size(), 1.0);
 }
 
 void Dataset::add(std::vector<double> features, int label, double weight) {
-  if (!rows_.empty() && features.size() != rows_[0].size()) {
-    throw std::invalid_argument("Dataset::add: feature width mismatch");
-  }
+  check_row(features, rows_.empty() ? features.size() : rows_[0].size(),
+            "Dataset::add");
   rows_.push_back(std::move(features));
   labels_.push_back(label);
   weights_.push_back(weight);

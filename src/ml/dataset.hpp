@@ -13,8 +13,12 @@ namespace polaris::ml {
 class Dataset {
  public:
   Dataset() = default;
+  /// Throws std::invalid_argument on a label count that differs from the
+  /// row count, rows of unequal width, or a non-finite feature value.
   Dataset(std::vector<std::vector<double>> features, std::vector<int> labels);
 
+  /// Throws std::invalid_argument on a row whose width differs from the
+  /// first row's, or that holds a non-finite value.
   void add(std::vector<double> features, int label, double weight = 1.0);
 
   [[nodiscard]] std::size_t size() const { return labels_.size(); }

@@ -17,7 +17,8 @@ void DecisionTree::fit(const Dataset& data) {
   tree_config.min_samples_leaf = config_.min_samples_leaf;
   tree_config.seed = config_.seed;
   ensemble_.trees.push_back(
-      {fit_classification_tree(data, indices, tree_config), 1.0});
+      {TreeFitter(data, config_.lanes).classification_tree(indices, tree_config),
+       1.0});
 }
 
 double DecisionTree::predict_margin(std::span<const double> x) const {

@@ -13,6 +13,9 @@ struct DecisionTreeConfig {
   std::size_t max_depth = 8;
   std::size_t min_samples_leaf = 2;
   std::uint64_t seed = 1;
+  /// Split-search threads (TreeFitter). Execution only: never serialized,
+  /// and the fit is bit-identical at every value.
+  std::size_t lanes = 1;
 };
 
 class DecisionTree final : public Classifier {

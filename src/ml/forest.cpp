@@ -19,6 +19,7 @@ void RandomForest::fit(const Dataset& data) {
 
   const double tree_weight = 1.0 / static_cast<double>(config_.trees);
   std::vector<std::size_t> bootstrap(data.size());
+  TreeFitter fitter(data, config_.lanes);
   for (std::size_t t = 0; t < config_.trees; ++t) {
     for (auto& index : bootstrap) index = rng.bounded(data.size());
     TreeConfig tree_config;
@@ -27,7 +28,7 @@ void RandomForest::fit(const Dataset& data) {
     tree_config.features_per_split = features_per_split;
     tree_config.seed = rng();
     ensemble_.trees.push_back(
-        {fit_classification_tree(data, bootstrap, tree_config), tree_weight});
+        {fitter.classification_tree(bootstrap, tree_config), tree_weight});
   }
 }
 

@@ -14,6 +14,9 @@ struct ForestConfig {
   /// 0 = sqrt(feature count), the usual default.
   std::size_t features_per_split = 0;
   std::uint64_t seed = 1;
+  /// Split-search threads (TreeFitter). Execution only: never serialized,
+  /// and the fit is bit-identical at every value.
+  std::size_t lanes = 1;
 };
 
 class RandomForest final : public Classifier {

@@ -23,6 +23,7 @@ void Gbdt::fit(const Dataset& data) {
   std::vector<double> margin(data.size(), ensemble_.base);
   std::vector<double> gradients(data.size());
   std::vector<double> hessians(data.size());
+  TreeFitter fitter(data, config_.lanes);
 
   for (std::size_t round = 0; round < config_.rounds; ++round) {
     for (std::size_t i = 0; i < data.size(); ++i) {
@@ -37,7 +38,7 @@ void Gbdt::fit(const Dataset& data) {
     tree_config.lambda = config_.lambda;
     tree_config.gamma = config_.gamma;
     tree_config.min_samples_leaf = config_.min_samples_leaf;
-    Tree tree = fit_boost_tree(data, gradients, hessians, tree_config);
+    Tree tree = fitter.boost_tree(gradients, hessians, tree_config);
 
     for (std::size_t i = 0; i < data.size(); ++i) {
       margin[i] += config_.learning_rate * tree.predict(data.row(i));

@@ -20,6 +20,9 @@ struct GbdtConfig {
   double gamma = 0.0;
   std::size_t min_samples_leaf = 2;
   std::uint64_t seed = 1;
+  /// Split-search threads (TreeFitter). Execution only: never serialized,
+  /// and the fit is bit-identical at every value.
+  std::size_t lanes = 1;
 };
 
 class Gbdt final : public Classifier {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -65,21 +66,50 @@ struct TreeConfig {
   std::uint64_t seed = 1;
 };
 
-/// Fits a weighted-Gini classification tree; leaf value = weighted positive
-/// fraction. `sample_indices` selects (with multiplicity) the training rows.
-[[nodiscard]] Tree fit_classification_tree(const Dataset& data,
-                                           std::span<const std::size_t> indices,
-                                           const TreeConfig& config);
-
-/// Fits a second-order regression tree on gradient/hessian pairs (XGBoost
-/// objective): leaf value = -sum(g)/(sum(h) + lambda), split gain per the
-/// standard formula with regularization lambda and minimum gain gamma.
+/// Second-order regression tree config (XGBoost objective): leaf value =
+/// -sum(g)/(sum(h) + lambda), split gain per the standard formula with
+/// regularization lambda and minimum gain gamma.
 struct BoostTreeConfig {
   std::size_t max_depth = 4;
   double lambda = 1.0;
   double gamma = 0.0;
   std::size_t min_samples_leaf = 2;
 };
+
+/// Fits the trees of one model fit. Construction builds the dataset's bin
+/// matrix (each feature's sorted distinct values and a one-byte bin per
+/// row), which every tree reuses, and allocates the scan scratch once.
+/// A node's candidate features fan out over up to `lanes` threads of the
+/// shared pool; the fitted trees are bit-identical at every lane count
+/// (DESIGN.md "Model fitting"). Keeps a reference to `data`: its features
+/// must not change while the fitter lives, its weights may.
+class TreeFitter {
+ public:
+  explicit TreeFitter(const Dataset& data, std::size_t lanes = 1);
+  ~TreeFitter();
+  TreeFitter(const TreeFitter&) = delete;
+  TreeFitter& operator=(const TreeFitter&) = delete;
+
+  /// Weighted-Gini classification tree; leaf value = weighted positive
+  /// fraction. `indices` selects (with multiplicity) the training rows.
+  [[nodiscard]] Tree classification_tree(std::span<const std::size_t> indices,
+                                         const TreeConfig& config);
+  /// Regression tree on per-row gradient/hessian pairs over every row.
+  [[nodiscard]] Tree boost_tree(std::span<const double> gradients,
+                                std::span<const double> hessians,
+                                const BoostTreeConfig& config);
+
+ private:
+  struct State;
+  template <typename PayloadFn, typename LeafFn, typename ScoreFn>
+  class Builder;
+  std::unique_ptr<State> state_;
+};
+
+/// One-tree forms of TreeFitter (one lane).
+[[nodiscard]] Tree fit_classification_tree(const Dataset& data,
+                                           std::span<const std::size_t> indices,
+                                           const TreeConfig& config);
 [[nodiscard]] Tree fit_boost_tree(const Dataset& data,
                                   std::span<const double> gradients,
                                   std::span<const double> hessians,

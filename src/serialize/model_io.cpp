@@ -105,7 +105,14 @@ ml::Dataset read_dataset(Reader& in) {
   if (labels.size() != rows || weights.size() != rows) {
     throw std::runtime_error("polaris archive: dataset row/label mismatch");
   }
-  ml::Dataset data(std::move(features), std::move(labels));
+  // A non-finite cell is a corrupt archive, reported as this layer's error.
+  ml::Dataset data = [&] {
+    try {
+      return ml::Dataset(std::move(features), std::move(labels));
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(std::string("polaris archive: ") + e.what());
+    }
+  }();
   for (std::size_t i = 0; i < weights.size(); ++i) data.set_weight(i, weights[i]);
   return data;
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ml/dataset.hpp"
 #include "ml/metrics.hpp"
@@ -70,6 +71,30 @@ TEST(Dataset, AppendChecksWidth) {
   a.append(c);
   EXPECT_EQ(a.size(), 2u);
   EXPECT_DOUBLE_EQ(a.weight(1), 3.0);
+}
+
+TEST(Dataset, ConstructorRejectsRaggedRows) {
+  // feature_count() reads row 0, so a shorter later row would be read past
+  // its end by the split scan.
+  EXPECT_THROW(Dataset({{1.0, 2.0}, {3.0}}, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(Dataset({{1.0}, {2.0, 3.0}}, {0, 1}), std::invalid_argument);
+  const Dataset ok({{1.0, 2.0}, {3.0, 4.0}}, {0, 1});
+  EXPECT_EQ(ok.feature_count(), 2u);
+}
+
+TEST(Dataset, RejectsNonFiniteFeatures) {
+  // NaN breaks the strict weak order the split scan's sorts rely on.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(Dataset({{1.0, 2.0}, {bad, 4.0}}, {0, 1}),
+                 std::invalid_argument);
+    Dataset data;
+    data.add({1.0, 2.0}, 0);
+    EXPECT_THROW(data.add({3.0, bad}, 1), std::invalid_argument);
+    EXPECT_THROW(Dataset().add({bad}, 1), std::invalid_argument);
+    EXPECT_EQ(data.size(), 1u);
+  }
 }
 
 TEST(Smote, BalancesMinorityClass) {

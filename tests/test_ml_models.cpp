@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "engine/thread_pool.hpp"
 #include "ml/adaboost.hpp"
+#include "ml/decision_tree.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/metrics.hpp"
+#include "serialize/archive.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -143,6 +151,77 @@ TEST(Models, DeterministicForFixedSeed) {
   b.fit(data);
   for (std::size_t i = 0; i < 20; ++i) {
     EXPECT_DOUBLE_EQ(a.predict_proba(data.row(i)), b.predict_proba(data.row(i)));
+  }
+}
+
+/// Wide enough that a node's split search fans out over the pool, with
+/// every scan path: constant, binary and 5-valued columns (histogram
+/// buckets), a 30-valued column (histogram, then the sort sweep in large
+/// nodes) and continuous columns (unbinned).
+Dataset wide_dataset(std::size_t n, std::uint64_t seed) {
+  polaris::util::Xoshiro256 rng(seed);
+  Dataset data;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> x(48);
+    x[0] = 1.0;
+    for (std::size_t f = 1; f < 40; ++f) x[f] = rng.chance(0.2) ? 1.0 : 0.0;
+    for (std::size_t f = 40; f < 44; ++f) {
+      x[f] = static_cast<double>(rng.bounded(5));
+    }
+    x[44] = static_cast<double>(rng.bounded(30));
+    for (std::size_t f = 45; f < 48; ++f) x[f] = rng.uniform();
+    const double score = x[1] + x[2] - x[3] + 0.3 * x[40] - 0.05 * x[44] +
+                         x[45] + rng.uniform(-1.0, 1.0);
+    data.add(std::move(x), score > 0.5 ? 1 : 0, rng.uniform(0.5, 2.0));
+  }
+  return data;
+}
+
+std::vector<std::uint8_t> fitted_bytes(Classifier& model, const Dataset& data) {
+  model.fit(data);
+  polaris::serialize::Writer out;
+  save_classifier(out, model);
+  return out.bytes();
+}
+
+TEST(Models, FitIsIndependentOfLaneCount) {
+  // Lanes only schedule the per-candidate scans; the candidates are reduced
+  // in a fixed order, so every lane count serializes to the same bytes.
+  const Dataset data = wide_dataset(2048, 21);
+  const std::vector<std::function<std::unique_ptr<Classifier>(std::size_t)>>
+      makers = {
+          [](std::size_t lanes) {
+            return std::make_unique<AdaBoost>(
+                AdaBoostConfig{.rounds = 8, .max_depth = 2, .lanes = lanes});
+          },
+          [](std::size_t lanes) {
+            return std::make_unique<Gbdt>(GbdtConfig{
+                .rounds = 4, .max_depth = 3, .learning_rate = 0.3, .lanes = lanes});
+          },
+          [](std::size_t lanes) {
+            return std::make_unique<RandomForest>(ForestConfig{
+                .trees = 4, .max_depth = 4, .features_per_split = 40, .seed = 3,
+                .lanes = lanes});
+          },
+          [](std::size_t lanes) {
+            return std::make_unique<DecisionTree>(
+                DecisionTreeConfig{.max_depth = 5, .lanes = lanes});
+          },
+      };
+  for (const auto& make : makers) {
+    const auto reference_model = make(1);
+    const auto reference = fitted_bytes(*reference_model, data);
+    for (const std::size_t lanes : {2, 3, 8}) {
+      EXPECT_EQ(fitted_bytes(*make(lanes), data), reference)
+          << reference_model->name() << " at " << lanes << " lanes";
+    }
+    // Inside a pool job the fan-out runs inline; two concurrent fits share
+    // the dataset.
+    std::vector<std::uint8_t> nested[2];
+    polaris::engine::ThreadPool::shared().parallel_for(
+        2, 2, [&](std::size_t i) { nested[i] = fitted_bytes(*make(3), data); });
+    EXPECT_EQ(nested[0], reference) << reference_model->name() << " in a job";
+    EXPECT_EQ(nested[1], reference) << reference_model->name() << " in a job";
   }
 }
 

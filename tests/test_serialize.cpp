@@ -348,6 +348,25 @@ TEST(ModelIo, OversizedDatasetRowCountFails) {
   EXPECT_THROW((void)serialize::read_dataset(in), std::runtime_error);
 }
 
+TEST(ModelIo, NonFiniteDatasetCellFails) {
+  // Dataset rejects non-finite features with std::invalid_argument; the
+  // codec reports it as its own clean error.
+  serialize::Writer out;
+  out.begin_chunk("DATA");
+  out.u64(2);  // rows
+  out.u64(2);  // feature width
+  out.f64(1.0);
+  out.f64(2.0);
+  out.f64(std::numeric_limits<double>::quiet_NaN());
+  out.f64(4.0);
+  out.i32_vec(std::vector<int>{0, 1});
+  out.f64_vec(std::vector<double>{1.0, 1.0});
+  out.end_chunk();
+  serialize::Reader in(out.finish());
+  in.enter_chunk("DATA");
+  EXPECT_THROW((void)serialize::read_dataset(in), std::runtime_error);
+}
+
 TEST(Archive, OversizedVectorCountFails) {
   // A corrupt length prefix must not drive a giant allocation; craft a
   // CRC-valid archive whose vector *count* lies.
