@@ -26,9 +26,11 @@
 #pragma once
 
 #include <concepts>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <initializer_list>
 #include <span>
 #include <string>
@@ -164,6 +166,39 @@ inline JsonLine& append_obs_counters(JsonLine& line,
     line.field(key, snapshot.counter_value(name));
   }
   return line;
+}
+
+/// FNV-1a over raw bytes, as 16 hex digits: the benches' bit-identity
+/// fingerprint (a model's serialized bytes, a t-series' IEEE-754 patterns).
+inline std::string fnv1a_hex(const void* data, std::size_t size) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return hex;
+}
+
+/// The CPU model string from /proc/cpuinfo ("unknown" where there is
+/// none), with quotes and backslashes dropped so it fits a JsonLine.
+inline std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model;
+    for (const char c : line.substr(colon + 1)) {
+      if (c != '"' && c != '\\') model += c;
+    }
+    model.erase(0, model.find_first_not_of(' '));
+    return model;
+  }
+  return "unknown";
 }
 
 struct TrainedPolaris {

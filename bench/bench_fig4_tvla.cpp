@@ -2,19 +2,54 @@
 // Gates exceeding threshold (+-4.5) are considered as leaky." Prints the
 // per-gate t-value series (binned ASCII profile) and exports the raw series
 // as CSV.
+//
+// First come the kernel probes (plain aes_sbox, its early-stop variant, and
+// masked square and des3); POLARIS_BENCH_KERNEL_ONLY=1 stops after them.
+// They use only public API, so this file also builds against older sources
+// for a same-host before/after comparison.
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "circuits/aes_sbox.hpp"
 #include "engine/thread_pool.hpp"
+#include "masking/masking.hpp"
+#include "power/power_model.hpp"
+#include "power/sample_plan.hpp"
 #include "sim/compiled.hpp"
 #include "sim/simd.hpp"
 #include "util/csv.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
 
 using namespace polaris;
+
+namespace {
+
+/// `count` maskable gates of `design`, drawn by a Fisher-Yates shuffle with
+/// the given seed (hand-written, so the draw is the same on every standard
+/// library).
+std::vector<netlist::GateId> shuffled_maskable(const netlist::Netlist& design,
+                                               std::size_t count,
+                                               std::uint64_t seed) {
+  std::vector<netlist::GateId> gates;
+  for (netlist::GateId g = 0; g < design.gate_count(); ++g) {
+    if (netlist::is_maskable(design.gate(g).type)) gates.push_back(g);
+  }
+  util::Xoshiro256 rng(seed);
+  for (std::size_t i = gates.size(); i > 1; --i) {
+    std::swap(gates[i - 1], gates[rng.bounded(i)]);
+  }
+  if (gates.size() > count) gates.resize(count);
+  return gates;
+}
+
+}  // namespace
 
 int main() {
   const auto setup = bench::BenchSetup::from_env();
@@ -108,7 +143,63 @@ int main() {
           .field("campaign_seconds", adaptive_seconds)
           .print();
     }
-    // CI bench-smoke runs just the kernel probe: the full Fig. 4 flow below
+    // --- masked probe: the multi-member-group readout -------------------
+    // Masked square and des3 (200 maskable gates drawn by a seeded shuffle,
+    // Trichina) on one thread. Every masked composite and every reader
+    // charged a demask XOR is a multi-member group, so this times the
+    // readout the plain probe above never reaches. Best of three runs; the
+    // t-series hash must match across builds, and each row carries the
+    // host fingerprint.
+    {
+      const auto runtime = obs::runtime_info();
+      for (const char* name : {"square", "des3"}) {
+        const auto design = circuits::get_design(name, setup.scale);
+        const auto masked = masking::apply_masking(
+            design.netlist, shuffled_maskable(design.netlist, 200, 5));
+        const auto compiled_masked = sim::compile(masked.design);
+        const power::PowerModel power(masked.design, setup.lib);
+        const power::SamplePlan plan(*compiled_masked, power);
+        tvla::TvlaConfig masked_config = config;
+        masked_config.threads = 1;
+        double best_seconds = 0.0;
+        std::string hash;
+        for (int run = 0; run < 3; ++run) {
+          util::Timer timer;
+          const auto masked_report = tvla::run({.compiled = compiled_masked,
+                                                .lib = &setup.lib,
+                                                .config = masked_config});
+          const double seconds = timer.seconds();
+          if (run == 0 || seconds < best_seconds) best_seconds = seconds;
+          const auto& t = masked_report.t_values();
+          hash = bench::fnv1a_hex(t.data(), t.size() * sizeof(double));
+        }
+        const double traces_per_sec =
+            best_seconds > 0.0
+                ? static_cast<double>(setup.traces) / best_seconds
+                : 0.0;
+        std::printf("masked probe: %s, %zu gates masked (%zu multi groups), "
+                    "%zu traces in %.3fs on 1 thread, t-series fnv1a %s\n\n",
+                    name, masked.masked_gates, plan.multi_group_count(),
+                    setup.traces, best_seconds, hash.c_str());
+        bench::JsonLine("fig4_tvla_masked_kernel")
+            .field("design", name)
+            .field("scale", setup.scale, 2)
+            .field("masked_gates", masked.masked_gates)
+            .field("multi_groups", plan.multi_group_count())
+            .field("traces", setup.traces)
+            .field("threads", std::size_t{1})
+            .field("lane_words", lane_words)
+            .field("campaign_seconds", best_seconds)
+            .field("traces_per_sec", traces_per_sec, 1)
+            .field("t_fnv1a", hash)
+            .field("nproc", std::thread::hardware_concurrency())
+            .field("cpu", bench::cpu_model())
+            .field("build_type", runtime.build_type)
+            .field("simd", runtime.simd)
+            .print();
+      }
+    }
+    // CI bench-smoke runs just the kernel probes: the full Fig. 4 flow below
     // trains a model first, which a perf-recording job does not need.
     const char* kernel_only = std::getenv("POLARIS_BENCH_KERNEL_ONLY");
     if (kernel_only != nullptr && *kernel_only != '\0' && *kernel_only != '0') {

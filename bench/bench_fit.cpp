@@ -12,8 +12,7 @@
 // Uses only public API, so the same file builds against older sources for a
 // same-host before/after comparison. Not gated: absolute times vary by host.
 #include <algorithm>
-#include <cstdint>
-#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,31 +25,6 @@ using namespace polaris;
 namespace {
 
 constexpr std::size_t kFits = 5;
-
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const std::uint8_t b : bytes) {
-    hash ^= b;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::string cpu_model() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  for (std::string line; std::getline(cpuinfo, line);) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) break;
-    std::string model;
-    for (const char c : line.substr(colon + 1)) {
-      if (c != '"' && c != '\\') model += c;
-    }
-    model.erase(0, model.find_first_not_of(' '));
-    return model;
-  }
-  return "unknown";
-}
 
 }  // namespace
 
@@ -73,7 +47,7 @@ int main() {
       config.model = kind;
       config.threads = lanes;
       std::vector<double> ms;
-      std::uint64_t hash = 0;
+      std::string hash;
       for (std::size_t fit = 0; fit < kFits; ++fit) {
         auto model = core::make_model(config);
         timer.reset();
@@ -81,12 +55,9 @@ int main() {
         ms.push_back(timer.seconds() * 1e3);
         serialize::Writer out;
         ml::save_classifier(out, *model);
-        hash = fnv1a(out.bytes());
+        hash = bench::fnv1a_hex(out.bytes().data(), out.bytes().size());
       }
       std::sort(ms.begin(), ms.end());
-      char hex[17];
-      std::snprintf(hex, sizeof hex, "%016llx",
-                    static_cast<unsigned long long>(hash));
       bench::JsonLine("fit")
           .field("model", core::to_string(kind))
           .field("lanes", lanes)
@@ -95,7 +66,7 @@ int main() {
           .field("fits", kFits)
           .field("min_ms", ms.front(), 1)
           .field("median_ms", ms[ms.size() / 2], 1)
-          .field("model_fnv1a", std::string_view(hex))
+          .field("model_fnv1a", hash)
           .print();
     }
   }
@@ -103,7 +74,7 @@ int main() {
   const auto runtime = obs::runtime_info();
   bench::JsonLine("fit_host")
       .field("nproc", std::thread::hardware_concurrency())
-      .field("cpu", cpu_model())
+      .field("cpu", bench::cpu_model())
       .field("build_type", runtime.build_type)
       .field("simd", runtime.simd)
       .field("lane_words", runtime.lane_words)

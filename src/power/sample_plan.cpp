@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "power/sample_plan_kernels.hpp"
+#include "sim/simd.hpp"
+
 namespace polaris::power {
 
 using netlist::GateId;
@@ -34,8 +37,9 @@ SamplePlan::SamplePlan(const sim::CompiledDesign& compiled,
     }
   }
 
-  // active_gates() is ascending by id, so singles_ and multis_ inherit the
-  // ascending-GateId order the accumulation contract requires.
+  // active_gates() is ascending by id, so singles_ and multis_ start in
+  // ascending-GateId order; the stable sort by multi index then keeps that
+  // order within each group and makes every tile's members contiguous.
   single_energy_.assign(group_count, 0.0);
   for (const GateId g : power.active_gates()) {
     const GateId grp = design.gate(g).group;
@@ -48,6 +52,107 @@ SamplePlan::SamplePlan(const sim::CompiledDesign& compiled,
           MultiOp{compiled.toggle_slot(g), multi, power.gate_energy(g)});
     }
   }
+  std::stable_sort(multis_.begin(), multis_.end(),
+                   [](const MultiOp& a, const MultiOp& b) {
+                     return a.multi < b.multi;
+                   });
+  multi_begin_.assign(multi_group_ids_.size() + 1, 0);
+  for (const MultiOp& op : multis_) multi_begin_[op.multi + 1]++;
+  for (std::size_t m = 0; m < multi_group_ids_.size(); ++m) {
+    multi_begin_[m + 1] += multi_begin_[m];
+  }
+}
+
+namespace {
+
+using detail::kTileGroups;
+using detail::kTileLanes;
+
+/// The portable tile: plain doubles, one per group. The per-group loops
+/// have a fixed trip count, so the compiler may vectorize them with the
+/// base ISA's vectors; either way each group sees the same IEEE ops.
+struct PortableTile {
+  double v[kTileGroups];
+
+  static PortableTile load(const double* p) {
+    PortableTile t;
+    for (std::size_t i = 0; i < kTileGroups; ++i) t.v[i] = p[i];
+    return t;
+  }
+  void store(double* p) const {
+    for (std::size_t i = 0; i < kTileGroups; ++i) p[i] = v[i];
+  }
+  static PortableTile broadcast(double x) {
+    PortableTile t;
+    for (std::size_t i = 0; i < kTileGroups; ++i) t.v[i] = x;
+    return t;
+  }
+  static PortableTile take(double* p) {
+    const PortableTile t = load(p);
+    for (std::size_t i = 0; i < kTileGroups; ++i) p[i] = 0.0;
+    return t;
+  }
+  friend PortableTile operator+(PortableTile a, const PortableTile& b) {
+    for (std::size_t i = 0; i < kTileGroups; ++i) a.v[i] = a.v[i] + b.v[i];
+    return a;
+  }
+  friend PortableTile operator-(PortableTile a, const PortableTile& b) {
+    for (std::size_t i = 0; i < kTileGroups; ++i) a.v[i] = a.v[i] - b.v[i];
+    return a;
+  }
+  friend PortableTile operator*(PortableTile a, const PortableTile& b) {
+    for (std::size_t i = 0; i < kTileGroups; ++i) a.v[i] = a.v[i] * b.v[i];
+    return a;
+  }
+  friend PortableTile operator/(PortableTile a, const PortableTile& b) {
+    for (std::size_t i = 0; i < kTileGroups; ++i) a.v[i] = a.v[i] / b.v[i];
+    return a;
+  }
+
+  /// Adds each member's energy into the lane-major tile at its set toggle
+  /// bits only. A ctz loop: the base x86-64 ISA has no per-lane variable
+  /// shift, and branch-free adds measured slower without one.
+  static void sum_lanes(const detail::MultiBlock& block, std::size_t g0,
+                        std::size_t w) {
+    const std::size_t end =
+        block.groups - g0 < kTileGroups ? block.groups : g0 + kTileGroups;
+    for (std::size_t g = g0; g < end; ++g) {
+      double* column = block.scratch + (g - g0);
+      for (std::uint32_t k = block.member_begin[g];
+           k < block.member_begin[g + 1]; ++k) {
+        const SamplePlan::MultiOp& op = block.members[k];
+        std::uint64_t bits =
+            block.toggle_words[op.toggle_slot * block.lane_words + w];
+        while (bits != 0) {
+          column[static_cast<std::size_t>(__builtin_ctzll(bits)) *
+                 kTileGroups] += op.energy;
+          bits &= bits - 1;
+        }
+      }
+    }
+  }
+};
+
+static_assert(kTileLanes * kTileGroups * 2 == SamplePlan::kScratchDoubles);
+
+}  // namespace
+
+void SamplePlan::read_multis(const std::uint64_t* toggle_words,
+                             std::size_t lane_words, std::size_t active_words,
+                             const std::uint64_t* class_masks,
+                             ClassState fixed, ClassState random,
+                             double* scratch) const {
+  const detail::MultiBlock block{multis_.data(), multi_begin_.data(),
+                                 multi_group_ids_.size(), toggle_words,
+                                 lane_words, active_words, class_masks,
+                                 fixed, random, scratch};
+  if (sim::avx2_enabled()) {
+    if (const detail::MultiReadoutFn avx2 = detail::avx2_multi_readout()) {
+      avx2(block);
+      return;
+    }
+  }
+  detail::read_multis_tiled<PortableTile>(block);
 }
 
 }  // namespace polaris::power

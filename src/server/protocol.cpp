@@ -512,7 +512,7 @@ ShardReply decode_shard_reply(std::span<const std::uint8_t> body) {
   in.enter_chunk("SHRS");
   ShardReply reply;
   // Check-before-allocate: a shard entry is at least its 8-byte index
-  // plus a MOMV chunk header and counters.
+  // plus a moments chunk header and counters.
   const std::uint64_t count = in.u64();
   if (count > in.remaining() / 16) {
     throw std::runtime_error("polaris serve: shard count exceeds payload");

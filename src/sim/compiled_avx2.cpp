@@ -1,9 +1,10 @@
 // AVX2 instantiations of the shared kernel template (compiled_kernels.hpp).
 //
-// This is the only translation unit built with -mavx2 (CMake sets the flag
-// per-source), so __m256i codegen never leaks into code that runs before
-// the CPUID dispatch check. On builds without AVX2 support the stubs below
-// report "not built" and every dispatch falls back to the portable table.
+// This and power/sample_plan_avx2.cpp are the only translation units built
+// with -mavx2 (CMake sets the flag per-source), so __m256i codegen never
+// leaks into code that runs before the CPUID dispatch check. On builds
+// without AVX2 support the stubs below report "not built" and every
+// dispatch falls back to the portable table.
 #include "sim/compiled_kernels.hpp"
 
 #if defined(__AVX2__)

@@ -1,4 +1,5 @@
-// Runtime SIMD dispatch control for the compiled simulation kernel.
+// Runtime SIMD dispatch control for the compiled simulation kernel and the
+// sampling readout (power/sample_plan.hpp).
 //
 // The kernel (compiled.hpp) evaluates K-word *lane blocks*: every value
 // slot owns K contiguous 64-bit words, so one op processes 64*K traces.
@@ -16,7 +17,8 @@
 //  * set_simd_mode() overrides both - the property tests force kPortable
 //    and kAvx2 in turn and assert bit-identical words.
 // Sub-vector widths (1 and 2 words) always take the portable path;
-// simd_name() reports the path a given width would actually use.
+// simd_name() reports the path a given width would actually use. The
+// sampling readout follows the same mode at every width.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +47,14 @@ enum class SimdMode { kAuto, kPortable, kAvx2 };
 /// the build lacks AVX2 (callers probe avx2_supported() && avx2_built()).
 void set_simd_mode(SimdMode mode);
 
+/// True when the current mode lets AVX2 code run at all: kAvx2, or kAuto on
+/// a CPU and build that have it. The sampling readout
+/// (power/sample_plan.hpp), whose vectors run across gate groups rather
+/// than lane words, asks this directly.
+[[nodiscard]] bool avx2_enabled() noexcept;
+
 /// True when a kernel dispatch at this width takes the AVX2 path under the
-/// current mode.
+/// current mode: avx2_enabled() and a width of 4 or 8 words.
 [[nodiscard]] bool simd_active(std::size_t lane_words) noexcept;
 /// "avx2" or "portable" - the path simd_active() resolves to. Bench probes
 /// record this next to traces/sec.

@@ -49,16 +49,34 @@ void MomentAccumulator::merge(const MomentAccumulator& other) noexcept {
   n_ = static_cast<std::size_t>(n);
 }
 
+void CampaignMoments::ClassMoments::merge(std::uint64_t na,
+                                          const ClassMoments& other,
+                                          std::uint64_t nb) {
+  if (nb == 0) return;
+  if (na == 0) {
+    *this = other;
+    return;
+  }
+  // MomentAccumulator::merge's mean and S2 steps, in the same order.
+  const double a = static_cast<double>(na);
+  const double b = static_cast<double>(nb);
+  const double n = a + b;
+  for (std::size_t i = 0; i < mean.size(); ++i) {
+    const double delta = other.mean[i] - mean[i];
+    const double delta2 = delta * delta;
+    s2[i] = s2[i] + other.s2[i] + delta2 * a * b / n;
+    mean[i] += delta * b / n;
+  }
+}
+
 void CampaignMoments::merge(const CampaignMoments& other) {
+  fixed_.merge(n_fixed_, other.fixed_, other.n_fixed_);
+  random_.merge(n_random_, other.random_, other.n_random_);
   n_fixed_ += other.n_fixed_;
   n_random_ += other.n_random_;
   for (std::size_t g = 0; g < single_ones_fixed_.size(); ++g) {
     single_ones_fixed_[g] += other.single_ones_fixed_[g];
     single_ones_random_[g] += other.single_ones_random_[g];
-  }
-  for (std::size_t m = 0; m < multi_fixed_.size(); ++m) {
-    multi_fixed_[m].merge(other.multi_fixed_[m]);
-    multi_random_[m].merge(other.multi_random_[m]);
   }
 }
 

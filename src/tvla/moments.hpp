@@ -11,6 +11,9 @@
 // the same family the Schneider-Moradi paper derives), plus a pairwise
 // merge() so accumulators can be combined across batches. The naive two-pass
 // reference (Eq. 2) lives in welch.hpp for tests and the ablation bench.
+// Campaigns keep only the mean and S2 steps of the same recurrence
+// (CampaignMoments below, updated by power::SamplePlan's readout), since
+// Welch's t reads nothing else.
 #pragma once
 
 #include <cstddef>
@@ -42,25 +45,10 @@ class MomentAccumulator {
   [[nodiscard]] double kurtosis() const noexcept;
 
   /// Raw centered power sums S_d = sum (x-mean)^d, d = 2..4 - the exact
-  /// internal state, exposed so shard results can travel across hosts
-  /// (tvla/moments_io.hpp) and be restored bit-identically.
+  /// internal state.
   [[nodiscard]] double sum2() const noexcept { return s2_; }
   [[nodiscard]] double sum3() const noexcept { return s3_; }
   [[nodiscard]] double sum4() const noexcept { return s4_; }
-
-  /// Rebuilds an accumulator from its exact serialized state. merge() on a
-  /// restored accumulator runs the same float ops as on the original.
-  [[nodiscard]] static MomentAccumulator restore(std::size_t n, double mean,
-                                                 double s2, double s3,
-                                                 double s4) noexcept {
-    MomentAccumulator acc;
-    acc.n_ = n;
-    acc.mean_ = mean;
-    acc.s2_ = s2;
-    acc.s3_ = s3;
-    acc.s4_ = s4;
-    return acc;
-  }
 
  private:
   std::size_t n_ = 0;
@@ -68,6 +56,14 @@ class MomentAccumulator {
   double s2_ = 0.0;  // sum (x-mean)^2
   double s3_ = 0.0;
   double s4_ = 0.0;
+};
+
+/// One class's running mean and centred sum of squares
+/// S2 = sum (x - mean)^2 over a multi-member group's samples: with the
+/// class count, everything Welch's t (Eq. 1) reads.
+struct MeanS2 {
+  double mean = 0.0;
+  double s2 = 0.0;
 };
 
 /// Mergeable per-campaign statistics block - the unit of state a trace
@@ -78,17 +74,20 @@ class MomentAccumulator {
 ///  * single-member gate groups: samples are binary {0, E}, so only toggle
 ///    counts per class are kept (exact integer merge);
 ///  * multi-member groups: real-valued group-energy sums per trace, kept as
-///    one MomentAccumulator per class (Chan/Pebay merge).
-/// Class sample counts (fixed/random lane totals) are shared by all groups
-/// of a campaign and stored once.
+///    one MeanS2 per class in structure-of-arrays form, which the sampling
+///    readout (power::SamplePlan::sample) updates in place tile by tile.
+/// Every group takes one sample per lane, so each class's count is the
+/// class's lane total, stored once (n_fixed()/n_random()). The third and
+/// fourth centred sums of MomentAccumulator are not kept: no report reads
+/// them, and mean and S2 never depend on them.
 class CampaignMoments {
  public:
   CampaignMoments() = default;
   CampaignMoments(std::size_t group_count, std::size_t multi_group_count)
       : single_ones_fixed_(group_count, 0),
         single_ones_random_(group_count, 0),
-        multi_fixed_(multi_group_count),
-        multi_random_(multi_group_count) {}
+        fixed_(multi_group_count),
+        random_(multi_group_count) {}
 
   /// Per sample step: how many lanes were in each class.
   void add_lane_counts(std::uint64_t fixed, std::uint64_t random) noexcept {
@@ -101,15 +100,11 @@ class CampaignMoments {
     single_ones_fixed_[group] += fixed;
     single_ones_random_[group] += random;
   }
-  /// Multi-member group: one summed-energy sample in the given class.
-  void add_multi_sample(std::size_t multi_index, bool fixed_class,
-                        double value) noexcept {
-    (fixed_class ? multi_fixed_ : multi_random_)[multi_index].add(value);
-  }
 
   /// Combines another shard's statistics. Integer counters merge exactly;
-  /// moment accumulators use the pairwise Chan merge, so calling merge() in
-  /// a fixed shard order gives bit-reproducible results.
+  /// each class's multi state uses the pairwise Chan merge with the two
+  /// class counts, so calling merge() in a fixed shard order gives
+  /// bit-reproducible results.
   void merge(const CampaignMoments& other);
 
   [[nodiscard]] std::uint64_t n_fixed() const noexcept { return n_fixed_; }
@@ -120,34 +115,60 @@ class CampaignMoments {
   [[nodiscard]] std::uint64_t single_ones_random(std::size_t group) const noexcept {
     return single_ones_random_[group];
   }
-  [[nodiscard]] const MomentAccumulator& multi_fixed(std::size_t i) const noexcept {
-    return multi_fixed_[i];
+  /// Multi group i's state in the fixed (random) class, over n_fixed()
+  /// (n_random()) samples.
+  [[nodiscard]] MeanS2 multi_fixed(std::size_t i) const noexcept {
+    return fixed_.at(i);
   }
-  [[nodiscard]] const MomentAccumulator& multi_random(std::size_t i) const noexcept {
-    return multi_random_[i];
+  [[nodiscard]] MeanS2 multi_random(std::size_t i) const noexcept {
+    return random_.at(i);
   }
 
   [[nodiscard]] std::size_t group_count() const noexcept {
     return single_ones_fixed_.size();
   }
   [[nodiscard]] std::size_t multi_group_count() const noexcept {
-    return multi_fixed_.size();
+    return fixed_.mean.size();
   }
 
-  /// Restores one multi-member group's accumulator pair from serialized
-  /// state (tvla/moments_io.hpp). Counts and single-group toggles are
-  /// restorable through add_lane_counts/add_single_ones on a fresh object;
-  /// only the accumulators need direct placement.
-  void set_multi(std::size_t multi_index, MomentAccumulator fixed,
-                 MomentAccumulator random) noexcept {
-    multi_fixed_[multi_index] = fixed;
-    multi_random_[multi_index] = random;
+  /// Restores one multi-member group's state from serialized form
+  /// (tvla/moments_io.hpp). Counts and single-group toggles are restorable
+  /// through add_lane_counts/add_single_ones on a fresh object.
+  void set_multi(std::size_t i, MeanS2 fixed, MeanS2 random) noexcept {
+    fixed_.set(i, fixed);
+    random_.set(i, random);
+  }
+
+  /// One class's multi-group means and S2 sums, dense by multi index: the
+  /// arrays the sampling readout updates in place.
+  [[nodiscard]] double* multi_mean_data(bool fixed_class) noexcept {
+    return (fixed_class ? fixed_ : random_).mean.data();
+  }
+  [[nodiscard]] double* multi_s2_data(bool fixed_class) noexcept {
+    return (fixed_class ? fixed_ : random_).s2.data();
   }
 
  private:
+  /// One class's multi-group state, structure-of-arrays.
+  struct ClassMoments {
+    explicit ClassMoments(std::size_t groups = 0)
+        : mean(groups, 0.0), s2(groups, 0.0) {}
+    [[nodiscard]] MeanS2 at(std::size_t i) const noexcept {
+      return {mean[i], s2[i]};
+    }
+    void set(std::size_t i, MeanS2 value) noexcept {
+      mean[i] = value.mean;
+      s2[i] = value.s2;
+    }
+    /// Chan merge of `other` (nb samples per group) into this (na).
+    void merge(std::uint64_t na, const ClassMoments& other, std::uint64_t nb);
+
+    std::vector<double> mean, s2;
+  };
+
   std::uint64_t n_fixed_ = 0, n_random_ = 0;
   std::vector<std::uint64_t> single_ones_fixed_, single_ones_random_;
-  std::vector<MomentAccumulator> multi_fixed_, multi_random_;
+  ClassMoments fixed_, random_;
 };
 
 }  // namespace polaris::tvla

@@ -1,33 +1,33 @@
 #include "tvla/moments_io.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace polaris::tvla {
 
 namespace {
 
-void write_accumulator(serialize::Writer& out, const MomentAccumulator& acc) {
-  out.u64(acc.count());
-  out.f64(acc.mean());
-  out.f64(acc.sum2());
-  out.f64(acc.sum3());
-  out.f64(acc.sum4());
+constexpr char kTag[] = "MOMC";
+
+void write_class(serialize::Writer& out, MeanS2 state) {
+  out.f64(state.mean);
+  out.f64(state.s2);
 }
 
-MomentAccumulator read_accumulator(serialize::Reader& in) {
-  const std::uint64_t n = in.u64();
-  const double mean = in.f64();
-  const double s2 = in.f64();
-  const double s3 = in.f64();
-  const double s4 = in.f64();
-  return MomentAccumulator::restore(static_cast<std::size_t>(n), mean, s2, s3,
-                                    s4);
+MeanS2 read_class(serialize::Reader& in) {
+  const MeanS2 state{in.f64(), in.f64()};
+  if (!std::isfinite(state.mean) || !std::isfinite(state.s2) ||
+      state.s2 < 0.0) {
+    throw std::runtime_error("polaris tvla: moments multi-group state is "
+                             "not finite or has a negative S2");
+  }
+  return state;
 }
 
 }  // namespace
 
 void write_moments(serialize::Writer& out, const CampaignMoments& moments) {
-  out.begin_chunk("MOMV");
+  out.begin_chunk(kTag);
   out.u64(moments.n_fixed());
   out.u64(moments.n_random());
   out.u64(moments.group_count());
@@ -37,26 +37,26 @@ void write_moments(serialize::Writer& out, const CampaignMoments& moments) {
     out.varint(moments.single_ones_random(g));
   }
   for (std::size_t i = 0; i < moments.multi_group_count(); ++i) {
-    write_accumulator(out, moments.multi_fixed(i));
-    write_accumulator(out, moments.multi_random(i));
+    write_class(out, moments.multi_fixed(i));
+    write_class(out, moments.multi_random(i));
   }
   out.end_chunk();
 }
 
 CampaignMoments read_moments(serialize::Reader& in) {
-  in.enter_chunk("MOMV");
+  in.enter_chunk(kTag);
   const std::uint64_t n_fixed = in.u64();
   const std::uint64_t n_random = in.u64();
   const std::uint64_t groups = in.u64();
   const std::uint64_t multis = in.u64();
   // Check-before-allocate: a single group is at least two 1-byte varints,
-  // a multi group exactly two 40-byte accumulators - hostile counts are
+  // a multi group exactly four 8-byte doubles - hostile counts are
   // rejected before the block is sized.
   if (groups > in.remaining() / 2) {
     throw std::runtime_error("polaris tvla: moments group count exceeds "
                              "payload size");
   }
-  if (multis > (in.remaining() - 2 * groups) / 80) {
+  if (multis > (in.remaining() - 2 * groups) / 32) {
     throw std::runtime_error("polaris tvla: moments multi-group count "
                              "exceeds payload size");
   }
@@ -73,8 +73,8 @@ CampaignMoments read_moments(serialize::Reader& in) {
     moments.add_single_ones(static_cast<std::size_t>(g), fixed, random);
   }
   for (std::uint64_t i = 0; i < multis; ++i) {
-    MomentAccumulator fixed = read_accumulator(in);
-    MomentAccumulator random = read_accumulator(in);
+    const MeanS2 fixed = read_class(in);
+    const MeanS2 random = read_class(in);
     moments.set_multi(static_cast<std::size_t>(i), fixed, random);
   }
   in.exit_chunk();

@@ -84,21 +84,24 @@ std::vector<bool> derive_fixed_vector(std::size_t n, std::uint64_t seed) {
 /// Out-of-line instantiation point for the blocked readout. The library
 /// targets baseline x86-64, where __builtin_popcountll compiles to a
 /// multi-op bit-twiddling sequence - and two popcounts per (single op,
-/// lane word) dominate the sampling loop. target_clones emits a second
+/// lane word) dominate the single-group loop. target_clones emits a second
 /// clone of this function (template body inlined) compiled with the
 /// hardware popcnt instruction and picks it via the loader's ifunc
 /// resolver on CPUs that have it: same integer results, no portability
-/// loss, no per-call dispatch cost. ThreadSanitizer builds keep only the
-/// default clone: the instrumented ifunc resolver runs during relocation,
-/// before the TSan runtime is up, and crashes the binary at start-up.
+/// loss, no per-call dispatch cost. The multi-group readout is an
+/// out-of-line call whose kernel the sim::simd policy picks instead
+/// (power/sample_plan.hpp), so POLARIS_SIMD=off reaches it.
+/// ThreadSanitizer builds keep only the default clone: the instrumented
+/// ifunc resolver runs during relocation, before the TSan runtime is up,
+/// and crashes the binary at start-up.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("popcnt", "default")))
 #endif
 void sample_block(const power::SamplePlan& plan,
                   const std::uint64_t* toggle_words, std::size_t lane_words,
                   std::size_t active_words, const std::uint64_t* class_masks,
-                  double* lane_sums, CampaignMoments& moments) {
-  plan.sample(toggle_words, lane_words, active_words, class_masks, lane_sums,
+                  double* scratch, CampaignMoments& moments) {
+  plan.sample(toggle_words, lane_words, active_words, class_masks, scratch,
               moments);
 }
 
@@ -209,15 +212,14 @@ struct ShardRunner::Impl {
   /// Runs shard `shard` of the campaign's ShardPlan into a fresh moments
   /// block: blocks of up to lane_words_ batches, re-anchored at the shard
   /// begin, so the result is the shard state any scheduler, thread count,
-  /// or host produces. The simulator and lane-sum scratch die with the
+  /// or host produces. The simulator and readout scratch die with the
   /// call; only the moments travel on to the merge.
   [[nodiscard]] CampaignMoments run_shard(std::size_t shard) const {
     ShardState state{
         sim::Simulator(compiled_, /*seed=*/0, lane_words_),
         std::vector<util::Xoshiro256>(lane_words_, util::Xoshiro256(0)),
         std::vector<std::uint64_t>(lane_words_, 0), empty_moments(),
-        std::vector<double>(
-            plan_.multi_group_count() * lane_words_ * sim::kLanes, 0.0)};
+        std::vector<double>(power::SamplePlan::kScratchDoubles, 0.0)};
     const std::size_t end = shards_.end(shard);
     for (std::size_t b = shards_.begin(shard); b < end; b += lane_words_) {
       run_block(state, b, std::min(lane_words_, end - b));
@@ -232,14 +234,14 @@ struct ShardRunner::Impl {
 
   /// Everything one shard mutates: its own K-word simulator, one
   /// per-batch stimulus stream and class mask per lane word, the mergeable
-  /// statistics, and the per-(word, lane) group energy scratch (the fused
-  /// power accumulation - no per-lane power vector is ever materialized).
+  /// statistics, and one tile of multi-group lane sums (the fused power
+  /// accumulation - no per-lane power vector is ever materialized).
   struct ShardState {
     sim::Simulator simulator;
     std::vector<util::Xoshiro256> stimulus;   // one stream per lane word
     std::vector<std::uint64_t> class_masks;   // per-word fixed-class mask
     CampaignMoments moments;
-    std::vector<double> lane_sums;
+    std::vector<double> scratch;  // power::SamplePlan::kScratchDoubles
   };
 
   /// Fixed trace milestones (min_traces, 2x, 4x, ... strictly below the
@@ -429,13 +431,13 @@ struct ShardRunner::Impl {
 
   /// Fused toggle/energy readout of the block via the compiled sampling
   /// plan (power::SamplePlan::sample): singles feed the binary counters,
-  /// multi members accumulate pre-resolved energies per (word, lane) in
-  /// ascending-GateId order, and per-group samples are pushed word-major -
-  /// the accumulation-order contract that keeps every t-stat bit-identical
-  /// to the one-word path.
+  /// multi groups are read out a tile at a time, each group's samples
+  /// summed in ascending-GateId order and pushed word-major - the
+  /// accumulation-order contract that keeps every t-stat bit-identical to
+  /// the one-word path.
   void sample(ShardState& state, std::size_t words) const {
     sample_block(plan_, state.simulator.toggle_words(), lane_words_, words,
-                 state.class_masks.data(), state.lane_sums.data(),
+                 state.class_masks.data(), state.scratch.data(),
                  state.moments);
   }
 
@@ -457,8 +459,9 @@ struct ShardRunner::Impl {
                      plan_.single_energy(grp), noise_var)
                      .t;
       } else {
-        t[grp] = welch_t(moments.multi_fixed(multi),
-                         moments.multi_random(multi), noise_var)
+        t[grp] = welch_t(moments.n_fixed(), moments.multi_fixed(multi),
+                         moments.n_random(), moments.multi_random(multi),
+                         noise_var)
                      .t;
       }
     }

@@ -25,10 +25,19 @@ WelchResult welch_t(const MomentAccumulator& q0, const MomentAccumulator& q1) {
 
 WelchResult welch_t(const MomentAccumulator& q0, const MomentAccumulator& q1,
                     double noise_var) {
-  return welch_t(q0.mean(), q0.variance_sample() + noise_var,
-                 static_cast<double>(q0.count()), q1.mean(),
-                 q1.variance_sample() + noise_var,
-                 static_cast<double>(q1.count()));
+  return welch_t(q0.count(), {q0.mean(), q0.sum2()}, q1.count(),
+                 {q1.mean(), q1.sum2()}, noise_var);
+}
+
+WelchResult welch_t(std::uint64_t n0, MeanS2 q0, std::uint64_t n1, MeanS2 q1,
+                    double noise_var) {
+  // MomentAccumulator::variance_sample() on the same state.
+  const auto variance = [](std::uint64_t n, double s2) {
+    return n < 2 ? 0.0 : s2 / static_cast<double>(n - 1);
+  };
+  return welch_t(q0.mean, variance(n0, q0.s2) + noise_var,
+                 static_cast<double>(n0), q1.mean,
+                 variance(n1, q1.s2) + noise_var, static_cast<double>(n1));
 }
 
 WelchResult welch_t_binary_energy(std::uint64_t n0, std::uint64_t ones0,

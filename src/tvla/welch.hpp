@@ -36,6 +36,14 @@ struct WelchResult {
                                   const MomentAccumulator& q1,
                                   double noise_var);
 
+/// Same, from per-class counts and mean/S2 state (a campaign's multi-member
+/// groups, tvla::CampaignMoments): sample variance S2/(n-1), 0 below two
+/// samples, plus `noise_var`. Bit-identical to the accumulator overload on
+/// accumulators with the same count, mean and S2.
+[[nodiscard]] WelchResult welch_t(std::uint64_t n0, MeanS2 q0,
+                                  std::uint64_t n1, MeanS2 q1,
+                                  double noise_var);
+
 /// Binary samples on a physical scale: x in {0, energy} per class, plus the
 /// additive noise floor. Class means are energy*p and sample variances
 /// energy^2 * n*p*(1-p)/(n-1) + noise_var. This is the single-member-group

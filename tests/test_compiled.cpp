@@ -7,7 +7,9 @@
 // end-to-end determinism lock (committed CSVs, byte-stable).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -269,50 +271,93 @@ TEST(CompiledKernel, SamplePlanPreservesAscendingOrderWithinGroups) {
   const power::SamplePlan plan(*compiled, power);
   ASSERT_GT(plan.multi_group_count(), 0u);
 
-  // Reconstruct the gate order the plan's multis were emitted in: it must
-  // be ascending GateId (the accumulation-order contract, DESIGN.md).
-  std::size_t cursor = 0;
-  GateId previous_gate = 0;
+  // The accumulation-order contract (DESIGN.md): each multi group's
+  // members are ascending by GateId, and every active member of a multi
+  // group appears exactly once, in its own group's run. Toggle slots map
+  // back to gates one to one.
+  std::map<std::uint32_t, GateId> gate_of_slot;
+  for (const GateId g : power.active_gates()) {
+    gate_of_slot.emplace(compiled->toggle_slot(g), g);
+  }
+  std::vector<bool> seen(masked.design.gate_count(), false);
+  std::size_t members = 0;
+  for (std::size_t m = 0; m < plan.multi_group_count(); ++m) {
+    bool first = true;
+    GateId previous_gate = 0;
+    for (const auto& op : plan.multi_members(m)) {
+      ASSERT_EQ(op.multi, m);
+      const auto found = gate_of_slot.find(op.toggle_slot);
+      ASSERT_NE(found, gate_of_slot.end());
+      const GateId g = found->second;
+      EXPECT_EQ(plan.group_multi_index(masked.design.gate(g).group), m);
+      EXPECT_EQ(op.energy, power.gate_energy(g));
+      if (!first) {
+        EXPECT_GT(g, previous_gate) << "multi group " << m;
+      }
+      EXPECT_FALSE(seen[g]) << "gate " << g << " appears twice";
+      seen[g] = true;
+      first = false;
+      previous_gate = g;
+      ++members;
+    }
+  }
+  std::size_t active_multi_members = 0;
   for (const GateId g : power.active_gates()) {
     const GateId group = masked.design.gate(g).group;
     if (plan.group_multi_index(group) == power::SamplePlan::kNotMulti) continue;
-    ASSERT_LT(cursor, plan.multis().size());
-    EXPECT_EQ(plan.multis()[cursor].toggle_slot, compiled->toggle_slot(g));
-    if (cursor > 0) {
-      EXPECT_GT(g, previous_gate);
-    }
-    previous_gate = g;
-    ++cursor;
+    EXPECT_TRUE(seen[g]) << "gate " << g << " missing";
+    ++active_multi_members;
   }
-  EXPECT_EQ(cursor, plan.multis().size());
+  EXPECT_EQ(members, active_multi_members);
+  EXPECT_EQ(members, plan.multis().size());
+}
+
+/// Plain square (single-member groups only) and a masked copy, whose
+/// masked composites and demask-charged readers are multi-member groups:
+/// the two readouts every campaign identity test covers.
+std::vector<netlist::Netlist> identity_designs() {
+  const auto square = circuits::get_design("square", 0.3);
+  std::vector<GateId> targets;
+  for (GateId g = 0; g < square.netlist.gate_count(); ++g) {
+    if (netlist::is_maskable(square.netlist.gate(g).type) && g % 3 == 0) {
+      targets.push_back(g);
+    }
+  }
+  auto masked = masking::apply_masking(square.netlist, targets).design;
+  std::vector<netlist::Netlist> designs;
+  designs.push_back(square.netlist);
+  designs.push_back(std::move(masked));
+  return designs;
 }
 
 TEST(CompiledKernel, CampaignBitIdenticalAcrossThreads) {
-  const auto design = circuits::get_design("square", 0.3);
-  tvla::TvlaConfig config;
-  config.traces = 2048;
-  config.seed = 77;
-  config.noise_std_fj = 1.0;
+  for (const auto& design : identity_designs()) {
+    SCOPED_TRACE(design.gate_count());
+    tvla::TvlaConfig config;
+    config.traces = 2048;
+    config.seed = 77;
+    config.noise_std_fj = 1.0;
 
-  config.threads = 1;
-  const auto t1 = tvla::run_fixed_vs_random(design.netlist, lib(), config);
-  for (const std::size_t threads : {2u, 8u}) {
-    config.threads = threads;
-    const auto tn = tvla::run_fixed_vs_random(design.netlist, lib(), config);
-    ASSERT_EQ(t1.t_values().size(), tn.t_values().size());
-    for (std::size_t g = 0; g < t1.t_values().size(); ++g) {
-      ASSERT_EQ(t1.t_values()[g], tn.t_values()[g]) << "threads=" << threads;
+    config.threads = 1;
+    const auto t1 = tvla::run_fixed_vs_random(design, lib(), config);
+    for (const std::size_t threads : {2u, 8u}) {
+      config.threads = threads;
+      const auto tn = tvla::run_fixed_vs_random(design, lib(), config);
+      ASSERT_EQ(t1.t_values().size(), tn.t_values().size());
+      for (std::size_t g = 0; g < t1.t_values().size(); ++g) {
+        ASSERT_EQ(t1.t_values()[g], tn.t_values()[g]) << "threads=" << threads;
+      }
     }
-  }
 
-  // A pre-compiled plan in the spec shares one CompiledDesign across
-  // campaigns and still reproduces the same report bit-for-bit.
-  const auto compiled = sim::compile(design.netlist);
-  config.threads = 2;
-  const auto shared_plan =
-      tvla::run({.compiled = compiled, .lib = &lib(), .config = config});
-  for (std::size_t g = 0; g < t1.t_values().size(); ++g) {
-    ASSERT_EQ(t1.t_values()[g], shared_plan.t_values()[g]);
+    // A pre-compiled plan in the spec shares one CompiledDesign across
+    // campaigns and still reproduces the same report bit-for-bit.
+    const auto compiled = sim::compile(design);
+    config.threads = 2;
+    const auto shared_plan =
+        tvla::run({.compiled = compiled, .lib = &lib(), .config = config});
+    for (std::size_t g = 0; g < t1.t_values().size(); ++g) {
+      ASSERT_EQ(t1.t_values()[g], shared_plan.t_values()[g]);
+    }
   }
 }
 
@@ -423,23 +468,24 @@ TEST(CompiledKernel, CampaignBitIdenticalAcrossLaneWords) {
   // every width > 1 exercises tail blocks inside shard ranges. lane_words
   // is an execution knob like threads: the report must be bit-identical
   // for every setting (0 = auto).
-  const auto design = circuits::get_design("square", 0.3);
-  tvla::TvlaConfig config;
-  config.traces = 1984;
-  config.seed = 77;
-  config.noise_std_fj = 1.0;
-  config.threads = 2;
+  for (const auto& design : identity_designs()) {
+    SCOPED_TRACE(design.gate_count());
+    tvla::TvlaConfig config;
+    config.traces = 1984;
+    config.seed = 77;
+    config.noise_std_fj = 1.0;
+    config.threads = 2;
 
-  config.lane_words = 1;
-  const auto base = tvla::run_fixed_vs_random(design.netlist, lib(), config);
-  for (const std::size_t lane_words : {0u, 2u, 4u, 8u}) {
-    config.lane_words = lane_words;
-    const auto blocked =
-        tvla::run_fixed_vs_random(design.netlist, lib(), config);
-    ASSERT_EQ(base.t_values().size(), blocked.t_values().size());
-    for (std::size_t g = 0; g < base.t_values().size(); ++g) {
-      ASSERT_EQ(base.t_values()[g], blocked.t_values()[g])
-          << "lane_words=" << lane_words;
+    config.lane_words = 1;
+    const auto base = tvla::run_fixed_vs_random(design, lib(), config);
+    for (const std::size_t lane_words : {0u, 2u, 4u, 8u}) {
+      config.lane_words = lane_words;
+      const auto blocked = tvla::run_fixed_vs_random(design, lib(), config);
+      ASSERT_EQ(base.t_values().size(), blocked.t_values().size());
+      for (std::size_t g = 0; g < base.t_values().size(); ++g) {
+        ASSERT_EQ(base.t_values()[g], blocked.t_values()[g])
+            << "lane_words=" << lane_words;
+      }
     }
   }
 }
@@ -493,6 +539,35 @@ TEST(CompiledKernel, ForcedPortableMatchesForcedAvx2) {
     sim::set_simd_mode(sim::SimdMode::kAuto);
     EXPECT_EQ(portable_values, avx2_values) << "lane_words=" << lane_words;
     EXPECT_EQ(portable_toggles, avx2_toggles) << "lane_words=" << lane_words;
+  }
+}
+
+TEST(CompiledKernel, MaskedCampaignForcedPortableMatchesForcedAvx2) {
+  if (!(sim::avx2_built() && sim::avx2_supported())) {
+    GTEST_SKIP() << "AVX2 unavailable on this build/host";
+  }
+  // The multi-group readout has a portable and an AVX2 kernel. The same
+  // masked campaign under each forced mode must give identical t bits, at
+  // one lane word (where the simulator itself stays portable) and at four.
+  const auto design = identity_designs().back();
+  tvla::TvlaConfig config;
+  config.traces = 1984;
+  config.seed = 5;
+  config.noise_std_fj = 1.0;
+  config.threads = 2;
+  for (const std::size_t lane_words : {1u, 4u}) {
+    config.lane_words = lane_words;
+    sim::set_simd_mode(sim::SimdMode::kPortable);
+    const auto portable = tvla::run_fixed_vs_random(design, lib(), config);
+    sim::set_simd_mode(sim::SimdMode::kAvx2);
+    const auto avx2 = tvla::run_fixed_vs_random(design, lib(), config);
+    sim::set_simd_mode(sim::SimdMode::kAuto);
+    ASSERT_EQ(portable.t_values().size(), avx2.t_values().size());
+    for (std::size_t g = 0; g < portable.t_values().size(); ++g) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(portable.t_values()[g]),
+                std::bit_cast<std::uint64_t>(avx2.t_values()[g]))
+          << "lane_words=" << lane_words << " group " << g;
+    }
   }
 }
 

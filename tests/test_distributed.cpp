@@ -13,6 +13,8 @@
 #include <bit>
 #include <chrono>
 #include <functional>
+#include <initializer_list>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 
 #include "circuits/suite.hpp"
 #include "core/polaris.hpp"
+#include "masking/masking.hpp"
 #include "netlist/netlist_io.hpp"
 #include "obs/obs.hpp"
 #include "server/client.hpp"
@@ -98,23 +101,36 @@ struct Fleet {
 // --- wire codecs -------------------------------------------------------------
 
 TEST(DistributedCodec, MomentsRoundTripBitExactly) {
-  // voter carries multi-member groups (the accumulator path); des3 at the
-  // benchmark's 65536 traces is the large single-group case the varint
+  // A masked voter carries multi-member groups (the mean/S2 path); des3 at
+  // the benchmark's 65536 traces is the large single-group case the varint
   // counters shrink.
+  auto masked_voter = circuits::load_design("voter", 0.3);
+  std::vector<netlist::GateId> targets;
+  for (netlist::GateId g = 0; g < masked_voter.netlist.gate_count(); ++g) {
+    const auto type = masked_voter.netlist.gate(g).type;
+    if (netlist::is_maskable(type) && g % 3 == 0) targets.push_back(g);
+  }
+  masked_voter.netlist =
+      masking::apply_masking(masked_voter.netlist, targets).design;
   struct Case {
-    const char* name;
-    double scale;
+    circuits::Design design;
     std::size_t traces;
+    bool masked;
   };
-  for (const Case& c : {Case{"voter", 0.3, 512}, Case{"des3", 1.0, 65536}}) {
-    SCOPED_TRACE(c.name);
-    const auto design = circuits::load_design(c.name, c.scale);
+  for (const Case& c : {Case{std::move(masked_voter), 512, true},
+                        Case{circuits::load_design("des3", 1.0), 65536,
+                             false}}) {
+    SCOPED_TRACE(c.design.name);
+    const auto& design = c.design;
     auto config = audit_config();
     config.tvla.traces = c.traces;
     tvla::ShardRunner runner(design.netlist, lib(),
                              core::tvla_config_for(config, design));
     ASSERT_GE(runner.shard_count(), 2u);
     const auto moments = runner.run_shard(1);
+    if (c.masked) {
+      ASSERT_GT(moments.multi_group_count(), 0u);
+    }
 
     serialize::Writer out;
     tvla::write_moments(out, moments);
@@ -124,13 +140,13 @@ TEST(DistributedCodec, MomentsRoundTripBitExactly) {
     const auto back = tvla::read_moments(in);
 
     // Re-encoding the decoded state must reproduce the archive byte for
-    // byte - the accumulator survived the trip with every IEEE-754 bit
-    // pattern intact, which is exactly what the coordinator's merge requires.
+    // byte - the state survived the trip with every IEEE-754 bit pattern
+    // intact, which is exactly what the coordinator's merge requires.
     serialize::Writer again;
     tvla::write_moments(again, back);
     EXPECT_EQ(bytes, again.finish());
 
-    if (std::string(c.name) == "des3") {
+    if (!c.masked) {
       // The same block in the dense layout of older builds: archive
       // framing (16 bytes), chunk prefix (12), four u64 counts, two u64
       // per single group and two 40-byte accumulators per multi group.
@@ -141,14 +157,14 @@ TEST(DistributedCodec, MomentsRoundTripBitExactly) {
   }
 }
 
-/// A "MOMV" chunk with the given header and raw bytes after it.
+/// A "MOMC" chunk with the given header and raw bytes after it.
 std::vector<std::uint8_t> raw_moments_block(std::uint64_t n_fixed,
                                             std::uint64_t n_random,
                                             std::uint64_t groups,
                                             std::uint64_t multis,
                                             std::vector<std::uint8_t> body) {
   serialize::Writer out;
-  out.begin_chunk("MOMV");
+  out.begin_chunk("MOMC");
   out.u64(n_fixed);
   out.u64(n_random);
   out.u64(groups);
@@ -156,6 +172,18 @@ std::vector<std::uint8_t> raw_moments_block(std::uint64_t n_fixed,
   for (const std::uint8_t byte : body) out.u8(byte);
   out.end_chunk();
   return out.finish();
+}
+
+/// `values` as Writer::f64 lays them out: little-endian IEEE-754 bits.
+std::vector<std::uint8_t> f64_bytes(std::initializer_list<double> values) {
+  std::vector<std::uint8_t> bytes;
+  for (const double value : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i) {
+      bytes.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    }
+  }
+  return bytes;
 }
 
 tvla::CampaignMoments decode_moments(std::vector<std::uint8_t> bytes) {
@@ -180,6 +208,10 @@ TEST(DistributedCodec, MomentsDecoderRejectsHostileBlocks) {
   EXPECT_THROW((void)decode_moments(raw_moments_block(
                    4, 4, 0, std::uint64_t{1} << 60, {})),
                std::runtime_error);
+  // A multi group is exactly 32 bytes.
+  EXPECT_THROW((void)decode_moments(raw_moments_block(
+                   4, 4, 0, 1, std::vector<std::uint8_t>(31, 0))),
+               std::runtime_error);
 
   // A toggle count above its class total cannot come from a real shard.
   EXPECT_NO_THROW((void)decode_moments(raw_moments_block(4, 2, 1, 0, {4, 2})));
@@ -188,7 +220,46 @@ TEST(DistributedCodec, MomentsDecoderRejectsHostileBlocks) {
   EXPECT_THROW((void)decode_moments(raw_moments_block(4, 2, 1, 0, {0, 3})),
                std::runtime_error);
 
-  // The dense "MOMS" layout of older builds is refused, not misread.
+  // Multi-group state no real shard produces is refused before any merge:
+  // a NaN mean would make t NaN, and |NaN| > 4.5 is false, so a leaky
+  // group would report clean. The class counts come from the header, so
+  // no per-group count can disagree with them.
+  const auto multi_block = [](double mean_fixed, double s2_fixed,
+                              double mean_random, double s2_random) {
+    return raw_moments_block(
+        4, 4, 0, 1, f64_bytes({mean_fixed, s2_fixed, mean_random, s2_random}));
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto valid = decode_moments(multi_block(1.5, 0.25, 2.0, 0.0));
+  EXPECT_EQ(valid.multi_fixed(0).mean, 1.5);
+  EXPECT_EQ(valid.multi_fixed(0).s2, 0.25);
+  EXPECT_EQ(valid.multi_random(0).mean, 2.0);
+  EXPECT_THROW((void)decode_moments(multi_block(nan, 0.25, 2.0, 0.0)),
+               std::runtime_error);
+  EXPECT_THROW((void)decode_moments(multi_block(1.5, 0.25, inf, 0.0)),
+               std::runtime_error);
+  EXPECT_THROW((void)decode_moments(multi_block(1.5, nan, 2.0, 0.0)),
+               std::runtime_error);
+  EXPECT_THROW((void)decode_moments(multi_block(1.5, 0.25, 2.0, inf)),
+               std::runtime_error);
+  EXPECT_THROW((void)decode_moments(multi_block(1.5, -0.25, 2.0, 0.0)),
+               std::runtime_error);
+
+  // The "MOMV" layout of the previous build (per-group counts, and third
+  // and fourth centred sums) and the dense "MOMS" layout before it are
+  // refused, not misread.
+  serialize::Writer legacy;
+  legacy.begin_chunk("MOMV");
+  for (const std::uint64_t value : {4, 4, 1, 1}) legacy.u64(value);
+  legacy.varint(0);
+  legacy.varint(0);
+  for (int side = 0; side < 2; ++side) {
+    legacy.u64(4);
+    for (const double sum : {1.5, 0.25, 0.0, 0.0}) legacy.f64(sum);
+  }
+  legacy.end_chunk();
+  EXPECT_THROW((void)decode_moments(legacy.finish()), std::runtime_error);
   serialize::Writer dense;
   dense.begin_chunk("MOMS");
   for (const std::uint64_t value : {4, 4, 1, 2, 2, 0}) dense.u64(value);

@@ -137,22 +137,47 @@ TEST(CampaignMoments, ShardedMergeMatchesSinglePass) {
 }
 
 TEST(CampaignMoments, MergeCombinesAllCounters) {
-  tvla::CampaignMoments a(3, 1), b(3, 1);
-  a.add_lane_counts(10, 54);
-  b.add_lane_counts(20, 44);
+  // Blocks as a real shard produces them: every multi group takes one
+  // sample per lane, so its class counts are the block's class totals.
+  // Group 0's samples also run through reference accumulators.
+  util::Xoshiro256 rng(7);
+  tvla::MomentAccumulator whole_fixed, whole_random;
+  const auto block = [&](std::uint64_t n_fixed, std::uint64_t n_random) {
+    tvla::MomentAccumulator fixed, random;
+    for (std::uint64_t i = 0; i < n_fixed; ++i) fixed.add(rng.uniform(1, 3));
+    for (std::uint64_t i = 0; i < n_random; ++i) random.add(rng.uniform(0, 2));
+    whole_fixed.merge(fixed);
+    whole_random.merge(random);
+    tvla::CampaignMoments moments(3, 1);
+    moments.add_lane_counts(n_fixed, n_random);
+    moments.set_multi(0, {fixed.mean(), fixed.sum2()},
+                      {random.mean(), random.sum2()});
+    return moments;
+  };
+  auto a = block(10, 54);
+  auto b = block(20, 44);
   a.add_single_ones(1, 4, 9);
   b.add_single_ones(1, 6, 1);
-  a.add_multi_sample(0, true, 2.0);
-  a.add_multi_sample(0, false, 1.0);
-  b.add_multi_sample(0, true, 4.0);
   a.merge(b);
   EXPECT_EQ(a.n_fixed(), 30u);
   EXPECT_EQ(a.n_random(), 98u);
   EXPECT_EQ(a.single_ones_fixed(1), 10u);
   EXPECT_EQ(a.single_ones_random(1), 10u);
-  EXPECT_EQ(a.multi_fixed(0).count(), 2u);
-  EXPECT_DOUBLE_EQ(a.multi_fixed(0).mean(), 3.0);
-  EXPECT_EQ(a.multi_random(0).count(), 1u);
+  EXPECT_EQ(whole_fixed.count(), a.n_fixed());
+  EXPECT_EQ(whole_random.count(), a.n_random());
+  // The Chan merge runs MomentAccumulator::merge's mean and S2 steps, so
+  // the merged state matches the reference bit for bit.
+  EXPECT_EQ(a.multi_fixed(0).mean, whole_fixed.mean());
+  EXPECT_EQ(a.multi_fixed(0).s2, whole_fixed.sum2());
+  EXPECT_EQ(a.multi_random(0).mean, whole_random.mean());
+  EXPECT_EQ(a.multi_random(0).s2, whole_random.sum2());
+
+  // Merging into an empty block copies the other side's state.
+  tvla::CampaignMoments empty(3, 1);
+  empty.merge(b);
+  EXPECT_EQ(empty.n_fixed(), 20u);
+  EXPECT_EQ(empty.multi_fixed(0).mean, b.multi_fixed(0).mean);
+  EXPECT_EQ(empty.multi_random(0).s2, b.multi_random(0).s2);
 }
 
 // --- Campaign determinism across thread counts -------------------------------

@@ -12,6 +12,7 @@
 // then commit the rewritten CSVs with the change that explains them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -20,12 +21,15 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/suite.hpp"
 #include "core/polaris.hpp"
+#include "masking/masking.hpp"
 #include "techlib/techlib.hpp"
 #include "tvla/tvla.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -138,6 +142,53 @@ TEST(Golden, TvlaMemctrlSequential) {
   const auto report =
       tvla::run_fixed_vs_random(design.netlist, lib(), config);
   check_series("tvla_memctrl.csv", "gate,t", report.t_values());
+}
+
+// The masked series lock the multi-member-group readout (masked composites
+// and demask-charged readers), which the plain designs above never reach.
+
+/// `design` with `count` of its maskable gates masked, drawn by a
+/// Fisher-Yates shuffle seeded with 5 (hand-written, so the draw does not
+/// depend on the standard library's std::shuffle).
+netlist::Netlist masked_design(const netlist::Netlist& design,
+                               std::size_t count, masking::Scheme scheme) {
+  std::vector<netlist::GateId> gates;
+  for (netlist::GateId g = 0; g < design.gate_count(); ++g) {
+    if (netlist::is_maskable(design.gate(g).type)) gates.push_back(g);
+  }
+  util::Xoshiro256 rng(5);
+  for (std::size_t i = gates.size(); i > 1; --i) {
+    std::swap(gates[i - 1], gates[rng.bounded(i)]);
+  }
+  gates.resize(std::min(count, gates.size()));
+  return masking::apply_masking(design, gates, scheme).design;
+}
+
+TEST(Golden, TvlaMaskedSquare) {
+  const auto design = circuits::get_design("square", 0.4);
+  const auto masked =
+      masked_design(design.netlist, 60, masking::Scheme::kTrichina);
+  const auto report =
+      tvla::run_fixed_vs_random(masked, lib(), tvla_golden_config());
+  check_series("tvla_masked_square.csv", "gate,t", report.t_values());
+}
+
+TEST(Golden, TvlaMaskedVoterDom) {
+  const auto design = circuits::get_design("voter", 0.3);
+  const auto masked = masked_design(design.netlist, 40, masking::Scheme::kDom);
+  const auto report =
+      tvla::run_fixed_vs_random(masked, lib(), tvla_golden_config());
+  check_series("tvla_masked_voter_dom.csv", "gate,t", report.t_values());
+}
+
+TEST(Golden, TvlaMaskedMemctrlSequential) {
+  const auto design = circuits::get_design("memctrl", 0.5);
+  const auto masked =
+      masked_design(design.netlist, 30, masking::Scheme::kTrichina);
+  auto config = tvla_golden_config();
+  config.cycles_per_batch = 8;
+  const auto report = tvla::run_fixed_vs_random(masked, lib(), config);
+  check_series("tvla_masked_memctrl.csv", "gate,t", report.t_values());
 }
 
 // --- score_gates through a fixed-seed trained model --------------------------
