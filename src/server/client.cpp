@@ -63,6 +63,10 @@ CancelProbe Client::arm_deadline() {
 Response Client::roundtrip(std::span<const std::uint8_t> payload) {
   const CancelProbe deadline = arm_deadline();
   write_frame(fd_, payload, deadline);
+  return receive(deadline);
+}
+
+Response Client::receive(const CancelProbe& deadline) {
   std::vector<std::uint8_t> reply;
   // No client-side cap beyond sanity: the server is trusted, but a
   // corrupted stream should still fail cleanly, not allocate unboundedly.
@@ -116,21 +120,7 @@ AuditReply Client::audit_stream(
   // deadline re-arms per frame: checkpoints are separated by compute, and
   // the timeout bounds silence, not total campaign time.
   for (;;) {
-    std::vector<std::uint8_t> raw;
-    const FrameResult result =
-        read_frame(fd_, kDefaultMaxFrame * 4, raw, arm_deadline());
-    if (result == FrameResult::kClosed) {
-      throw std::runtime_error("polaris client: server closed the connection");
-    }
-    if (result != FrameResult::kFrame) {
-      throw std::runtime_error("polaris client: malformed response frame");
-    }
-    Response response = decode_response(std::move(raw));
-    if (response.status != Status::kOk) {
-      throw ServerError(response.status,
-                        response.message.empty() ? to_string(response.status)
-                                                 : response.message);
-    }
+    const Response response = receive(arm_deadline());
     if (is_audit_partial(response.body)) {
       if (on_partial) on_partial(decode_audit_partial(response.body));
       continue;

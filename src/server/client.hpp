@@ -50,7 +50,11 @@ class Client {
   void shutdown_server();
 
  private:
+  /// Sends one request frame and receives its reply.
   Response roundtrip(std::span<const std::uint8_t> payload);
+  /// Reads one response frame; a closed or malformed stream throws
+  /// std::runtime_error, a non-OK status rethrows as ServerError.
+  Response receive(const CancelProbe& deadline);
   /// Starts a fresh deadline window (one per public call) and returns the
   /// probe the frame I/O consults; empty when timeouts are disabled.
   CancelProbe arm_deadline();

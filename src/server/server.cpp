@@ -1,13 +1,7 @@
 #include "server/server.hpp"
 
-#include <errno.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <initializer_list>
 #include <string_view>
 #include <utility>
@@ -19,17 +13,6 @@
 namespace polaris::server {
 
 namespace {
-
-/// Poll interval for connection handlers: the latency bound on noticing a
-/// stop request while a client holds an idle connection open. The same
-/// interval is set as SO_RCVTIMEO/SO_SNDTIMEO on every accepted socket, so
-/// a peer that stalls MID-frame also cannot pin a handler across a drain
-/// (the frame I/O layer re-checks its cancel probe on every timeout).
-constexpr int kHandlerPollMs = 100;
-
-/// Accept-loop poll interval: bounds how long a finished connection's
-/// thread lingers before being reaped.
-constexpr int kAcceptPollMs = 500;
 
 std::uint64_t combine_all(std::uint64_t key,
                           std::initializer_list<std::uint64_t> values) {
@@ -60,9 +43,13 @@ std::uint64_t source_identity(const circuits::DesignSource& source) {
                              : std::bit_cast<std::uint64_t>(source.scale));
 }
 
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw std::runtime_error("polaris serve: " + what + ": " +
-                           std::strerror(errno));
+/// The coordinator for --workers, or null when audits stay local.
+std::unique_ptr<WorkerPool> make_pool(const ServerOptions& options) {
+  if (options.workers.empty()) return nullptr;
+  WorkerPoolOptions pool_options;
+  pool_options.workers = options.workers;
+  pool_options.max_frame = options.max_frame;
+  return std::make_unique<WorkerPool>(std::move(pool_options));
 }
 
 /// Per-request-type service-time histogram (request decode + compute +
@@ -99,7 +86,10 @@ obs::Histogram& request_histogram(RequestKind kind) {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
+      start_mono_ns_(obs::now_ns()),
+      polaris_(core::Polaris::load_bundle(options_.bundle_path, &info_)),
       scheduler_(options_.threads),
+      pool_(make_pool(options_)),
       cache_(options_.cache_capacity),
       recorder_(options_.flight_records,
                 static_cast<std::uint64_t>(options_.slow_request_ms) * 1000),
@@ -108,214 +98,41 @@ Server::Server(ServerOptions options)
                    options_.sample_interval_ms == 0
                        ? std::size_t{1000}
                        : options_.sample_interval_ms,
-                   /*capacity=*/128, options_.metrics_file}) {
-  start_mono_ns_ = obs::now_ns();
-  start_wall_ms_ = obs::wall_clock_ms();
-  polaris_ = core::Polaris::load_bundle(options_.bundle_path, &info_);
-  if (!options_.workers.empty()) {
-    WorkerPoolOptions pool_options;
-    pool_options.workers = options_.workers;
-    pool_options.max_frame = options_.max_frame;
-    pool_ = std::make_unique<WorkerPool>(std::move(pool_options));
-  }
-
-  // The endpoint layer handles both transports: UDS with the stale-socket
-  // replacement this daemon always had, TCP with SO_REUSEADDR before bind.
-  const net::Endpoint requested = net::parse_endpoint(options_.socket_path);
-  listen_fd_ = net::listen_endpoint(requested, options_.backlog);
-  endpoint_ = net::bound_endpoint(listen_fd_, requested);
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    net::unlink_if_uds(endpoint_);
-    throw_errno("pipe");
-  }
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-}
-
-Server::~Server() {
-  if (started_) {
-    request_stop();
-    wait();
-  } else if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    net::unlink_if_uds(endpoint_);
-  }
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
-}
+                   /*capacity=*/128, options_.metrics_file}),
+      listener_(options_.socket_path, options_.backlog, options_.max_frame,
+                "server",
+                [this](int fd, std::vector<std::uint8_t>& payload) {
+                  return handle_payload(fd, payload);
+                }) {}
 
 void Server::start() {
-  if (started_) throw std::logic_error("polaris serve: start() called twice");
-  started_ = true;
   if (options_.sample_interval_ms > 0) sampler_.start();
-  accept_thread_ = std::thread(&Server::accept_loop, this);
+  listener_.start();
 }
 
-void Server::request_stop() {
-  // One write to a pipe: async-signal-safe, so SIGINT/SIGTERM handlers can
-  // call this directly. The accept loop owns all the non-signal-safe work.
-  const std::uint8_t byte = 1;
-  (void)!::write(wake_write_fd_, &byte, 1);
-}
+void Server::request_stop() { listener_.request_stop(); }
 
 void Server::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-}
-
-ServerStats Server::stats() const {
-  ServerStats stats;
-  stats.requests_served = requests_served_.load();
-  stats.cache_hits = cache_.hits();
-  stats.cache_misses = cache_.misses();
-  stats.cache_entries = cache_.size();
-  stats.cache_bytes = cache_.bytes();
-  stats.connections = connections_accepted_.load();
-  return stats;
-}
-
-void Server::accept_loop() {
-  for (;;) {
-    reap_finished_connections();
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_read_fd_, POLLIN, 0}};
-    const int ready = ::poll(fds, 2, kAcceptPollMs);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;  // reap tick
-    if ((fds[1].revents & (POLLIN | POLLERR | POLLHUP)) != 0) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    // Timeouts make the frame I/O loops re-check the handler's cancel
-    // probe, so a peer stalling mid-frame cannot pin the handler.
-    timeval timeout{};
-    timeout.tv_usec = kHandlerPollMs * 1000;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-    net::set_nodelay(fd, endpoint_);
-    connections_accepted_.fetch_add(1);
-    {
-      static auto& opened =
-          obs::Registry::global().counter("server.connections_opened");
-      opened.add();
-    }
-    auto connection = std::make_unique<Connection>();
-    Connection* raw = connection.get();
-    {
-      const std::lock_guard<std::mutex> lock(connections_mutex_);
-      connections_.push_back(std::move(connection));
-    }
-    raw->thread = std::thread([this, fd, raw] {
-      handle_connection(fd);
-      raw->done.store(true);
-    });
-  }
-
-  // Graceful drain: stop accepting, let every handler finish its in-flight
-  // request (handlers notice stopping_ within kHandlerPollMs), then remove
-  // the socket file so "zero leaked sockets" is checkable from outside.
-  stopping_.store(true);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  net::unlink_if_uds(endpoint_);
-  const std::int64_t drain_start = obs::now_ns();
-  std::vector<std::unique_ptr<Connection>> remaining;
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    remaining.swap(connections_);
-  }
-  for (auto& connection : remaining) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-  static auto& drain_us = obs::Registry::global().histogram("server.drain_us");
-  drain_us.record(
-      static_cast<std::uint64_t>((obs::now_ns() - drain_start) / 1000));
+  listener_.wait();
   // Last: the sampler outlives the handlers so the final intervals (the
   // drain itself included) still land in the time-series and metrics file.
   sampler_.stop();
 }
 
-void Server::reap_finished_connections() {
-  std::vector<std::unique_ptr<Connection>> finished;
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    auto& live = connections_;
-    for (auto it = live.begin(); it != live.end();) {
-      if ((*it)->done.load()) {
-        finished.push_back(std::move(*it));
-        it = live.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  // Joining outside the lock: done was set by the handler's last action,
-  // so these joins return immediately.
-  for (auto& connection : finished) {
-    if (connection->thread.joinable()) connection->thread.join();
-  }
-}
-
-void Server::handle_connection(int fd) {
-  auto& registry = obs::Registry::global();
-  static auto& frames_in = registry.counter("server.frames_in");
-  static auto& frames_out = registry.counter("server.frames_out");
-  static auto& frame_errors = registry.counter("server.frame_errors");
-  static auto& closed = registry.counter("server.connections_closed");
-  // Consulted by the frame I/O loops on every socket timeout: a peer that
-  // stalls mid-frame cannot hold this handler across a shutdown drain.
-  const CancelProbe stop_probe = [this] { return stopping_.load(); };
-  std::vector<std::uint8_t> payload;
-  try {
-    for (;;) {
-      // Idle waiting happens INSIDE read_frame: the socket's SO_RCVTIMEO
-      // expires every kHandlerPollMs and the probe is re-checked, so both
-      // an idle connection and a mid-frame stall notice a drain through
-      // the same mechanism (the probe throws; the catch below closes).
-      const FrameResult result =
-          read_frame(fd, options_.max_frame, payload, stop_probe);
-      if (result == FrameResult::kClosed) break;
-      if (result != FrameResult::kFrame) {
-        // Header-level failure: answer with a structured error frame, then
-        // close - after a bad magic or an untrusted length field the byte
-        // stream has no trustworthy next frame boundary.
-        frame_errors.add();
-        const Status status = result == FrameResult::kBadMagic
-                                  ? Status::kBadMagic
-                                  : result == FrameResult::kBadVersion
-                                        ? Status::kBadVersion
-                                        : Status::kTooLarge;
-        write_frame(fd,
-                    encode_response(status, to_string(status),
-                                    /*cache_hit=*/false, {}),
-                    stop_probe);
-        frames_out.add();
-        requests_served_.fetch_add(1);
-        break;
-      }
-      frames_in.add();
-      if (!handle_payload(fd, payload)) break;
-    }
-  } catch (const std::exception&) {
-    // Torn frame or socket error: there is no answerable request and no
-    // usable stream; dropping this one connection is the contract.
-  }
-  ::close(fd);
-  closed.add();
+ServerStats Server::stats() const {
+  ServerStats stats;
+  stats.requests_served = listener_.requests_served();
+  stats.cache_hits = cache_.hits();
+  stats.cache_misses = cache_.misses();
+  stats.cache_entries = cache_.size();
+  stats.cache_bytes = cache_.bytes();
+  stats.connections = listener_.connections_accepted();
+  return stats;
 }
 
 bool Server::handle_payload(int fd, std::vector<std::uint8_t>& payload) {
-  auto& registry = obs::Registry::global();
-  static auto& frames_out = registry.counter("server.frames_out");
-  static auto& request_errors = registry.counter("server.request_errors");
+  static auto& request_errors =
+      obs::Registry::global().counter("server.request_errors");
   Status status = Status::kOk;
   std::string message;
   bool cache_hit = false;
@@ -348,7 +165,7 @@ bool Server::handle_payload(int fd, std::vector<std::uint8_t>& payload) {
       inflight_.emplace(token, Inflight{wire_kind, payload_bytes, t0});
       tracked = true;
     }
-    if (stopping_.load() && kind != RequestKind::kPing &&
+    if (listener_.stopping() && kind != RequestKind::kPing &&
         kind != RequestKind::kShutdown) {
       throw ServerError(Status::kShuttingDown, to_string(Status::kShuttingDown));
     }
@@ -406,9 +223,7 @@ bool Server::handle_payload(int fd, std::vector<std::uint8_t>& payload) {
       body ? std::span<const std::uint8_t>(*body)
            : std::span<const std::uint8_t>();
   write_frame(fd, encode_response(status, message, cache_hit, body_span),
-              [this] { return stopping_.load(); });
-  frames_out.add();
-  requests_served_.fetch_add(1);
+              [this] { return listener_.stopping(); });
   FlightRecorder::Record record;
   record.kind = wire_kind;
   record.status = static_cast<std::uint8_t>(status);
@@ -425,7 +240,7 @@ core::ResultCache::Body Server::serve_ping() {
   PingReply reply;
   reply.model_name = info_.model_name;
   reply.config_fingerprint = info_.config_fingerprint;
-  reply.requests_served = requests_served_.load();
+  reply.requests_served = listener_.requests_served();
   reply.cache_hits = cache_.hits();
   reply.cache_entries = cache_.size();
   reply.build_type = runtime.build_type;
@@ -443,8 +258,8 @@ core::ResultCache::Body Server::serve_stats() {
   reply.build_type = runtime.build_type;
   reply.simd = runtime.simd;
   reply.lane_words = runtime.lane_words;
-  reply.requests_served = requests_served_.load();
-  reply.connections = connections_accepted_.load();
+  reply.requests_served = listener_.requests_served();
+  reply.connections = listener_.connections_accepted();
   reply.snapshot = obs::Registry::global().snapshot();
   reply.uptime_ms = static_cast<std::uint64_t>(
       (obs::now_ns() - start_mono_ns_) / 1'000'000);
@@ -456,16 +271,9 @@ core::ResultCache::Body Server::serve_status() {
   const std::int64_t now = obs::now_ns();
   StatusReply reply;
   reply.model_name = info_.model_name;
-  reply.requests_served = requests_served_.load();
-  reply.connections_total = connections_accepted_.load();
-  {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    std::uint64_t active = 0;
-    for (const auto& connection : connections_) {
-      if (!connection->done.load()) ++active;
-    }
-    reply.connections_active = active;
-  }
+  reply.requests_served = listener_.requests_served();
+  reply.connections_total = listener_.connections_accepted();
+  reply.connections_active = listener_.connections_active();
   reply.uptime_ms =
       static_cast<std::uint64_t>((now - start_mono_ns_) / 1'000'000);
   reply.sample_interval_ms = options_.sample_interval_ms;
@@ -536,7 +344,7 @@ core::ResultCache::Body Server::serve_audit_stream(int fd,
           write_frame(fd,
                       encode_response(Status::kOk, "", /*cache_hit=*/false,
                                       encode_audit_partial(frame)),
-                      [this] { return stopping_.load(); });
+                      [this] { return listener_.stopping(); });
           partials_out.add();
         } catch (const std::exception&) {
           failed->store(true);

@@ -1,20 +1,24 @@
 // The POLARIS masking daemon: load a .plb bundle once, serve audit / mask /
-// score requests over a Unix-domain socket for the lifetime of the process.
+// score requests over a Unix-domain socket (or TCP) for the lifetime of the
+// process.
 //
 // polaris_cli pays a process launch, a bundle load, and cold caches on
-// every invocation; the daemon pays them once. Every connection gets its
-// own handler thread, but all TVLA work - distributed audits under
-// --workers included - funnels into ONE engine::Scheduler: concurrent
-// clients' campaigns share its queue, its lanes and its progress table
-// (the status reply). Each handler runs and waits on its own campaigns
-// only (drain(ids), handle get()), so a small audit never waits behind a
-// big one. Repeated requests for an unchanged design hit the
-// core::ResultCache and replay byte-identical reply bodies.
+// every invocation; the daemon pays them once. The transport - accept
+// loop, one handler thread per connection, frame loop, header-level frame
+// errors, graceful drain - is a server::Listener (listener.hpp) shared
+// with the shard worker; this class holds only the request semantics.
+// All TVLA work - distributed audits under --workers included - funnels
+// into ONE engine::Scheduler: concurrent clients' campaigns share its
+// queue, its lanes and its progress table (the status reply). Each handler
+// runs and waits on its own campaigns only (drain(ids), handle get()), so
+// a small audit never waits behind a big one. Repeated requests for an
+// unchanged design hit the core::ResultCache and replay byte-identical
+// reply bodies.
 //
 // Shutdown is graceful: request_stop() (async-signal-safe: one write to a
 // pipe) stops the accept loop; in-flight requests run to completion and
 // their responses are delivered before wait() returns and the socket file
-// is unlinked.
+// is unlinked. The metrics sampler stops after the drain.
 #pragma once
 
 #include <atomic>
@@ -23,7 +27,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +35,7 @@
 #include "engine/scheduler.hpp"
 #include "obs/timeseries.hpp"
 #include "server/flight_recorder.hpp"
+#include "server/listener.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
 #include "server/remote.hpp"
@@ -77,7 +81,7 @@ class Server {
   /// failure. No requests are served until start().
   explicit Server(ServerOptions options);
   /// Stops (as request_stop + wait) if still running, then closes fds.
-  ~Server();
+  ~Server() = default;
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
@@ -102,24 +106,14 @@ class Server {
   }
   /// The endpoint actually bound - an ephemeral TCP port 0 in the options
   /// resolves to the kernel-assigned port here (tests depend on this).
-  [[nodiscard]] const net::Endpoint& endpoint() const { return endpoint_; }
+  [[nodiscard]] const net::Endpoint& endpoint() const {
+    return listener_.endpoint();
+  }
 
  private:
-  /// One accepted connection: its handler thread plus a completion flag
-  /// the accept loop reaps on (a long-lived daemon must not accumulate a
-  /// dead thread per past connection).
-  struct Connection {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop();
-  /// Joins and discards connections whose handlers have finished. Only
-  /// ever called from the accept thread.
-  void reap_finished_connections();
-  void handle_connection(int fd);
-  /// Decodes and serves one request payload. Returns false when the
-  /// connection should close (a served shutdown request).
+  /// The listener's handler: decodes and serves one request payload and
+  /// writes its reply. Returns false when the connection should close (a
+  /// served shutdown request).
   bool handle_payload(int fd, std::vector<std::uint8_t>& payload);
 
   core::ResultCache::Body serve_ping();
@@ -160,9 +154,9 @@ class Server {
                                        bool& cache_hit, const Compute& compute);
 
   ServerOptions options_;
-  net::Endpoint endpoint_;
+  std::int64_t start_mono_ns_ = 0;  // obs::now_ns() at construction
+  core::BundleInfo info_;  // filled by the bundle load below
   core::Polaris polaris_;
-  core::BundleInfo info_;
   techlib::TechLibrary lib_ = techlib::TechLibrary::default_library();
   engine::Scheduler scheduler_;  // every campaign of every request
   /// Non-null when --workers was given: audits also lease to the workers.
@@ -170,8 +164,6 @@ class Server {
   core::ResultCache cache_;
   FlightRecorder recorder_;
   obs::Sampler sampler_;
-  std::int64_t start_mono_ns_ = 0;  // obs::now_ns() at construction
-  std::int64_t start_wall_ms_ = 0;  // wall clock at construction
 
   /// Requests currently being serviced (decoded, not yet answered), keyed
   /// by a per-request token so concurrent handlers never collide.
@@ -184,17 +176,9 @@ class Server {
   std::unordered_map<std::uint64_t, Inflight> inflight_;
   std::atomic<std::uint64_t> next_inflight_token_{0};
 
-  int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> requests_served_{0};
-  std::atomic<std::uint64_t> connections_accepted_{0};
-
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-  bool started_ = false;
+  /// Last: bound after the bundle loads, and destroyed first, so its drain
+  /// joins every handler before anything a handler touches goes away.
+  Listener listener_;
 };
 
 }  // namespace polaris::server

@@ -1,9 +1,10 @@
 // The POLARIS shard worker: a process that executes TVLA campaign shards
 // on behalf of a remote coordinator (server/remote.hpp).
 //
-// A worker is the serve daemon's little sibling: the same accept loop,
-// handler threads, frame codec, and graceful drain, but no bundle, no
-// result cache, and only four request kinds (ping / design / shard /
+// A worker is the serve daemon's little sibling: the same transport - one
+// server::Listener (listener.hpp) with its accept loop, handler threads,
+// frame loop and graceful drain, counted under `worker.*` - but no bundle,
+// no result cache, and only four request kinds (ping / design / shard /
 // shutdown). A coordinator first installs each design ONCE with kDesign
 // (netlist + input roles under the content fingerprint). The first shard
 // request compiles it once; the worker keeps that plan with the design
@@ -25,10 +26,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "server/listener.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
 #include "techlib/techlib.hpp"
@@ -50,40 +51,35 @@ class Worker {
   /// on bind failure. No requests are served until start().
   explicit Worker(WorkerOptions options);
   /// Stops (as request_stop + wait) if still running, then closes fds.
-  ~Worker();
+  ~Worker() = default;
 
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
   /// Spawns the accept loop. Call once.
-  void start();
+  void start() { listener_.start(); }
 
   /// Graceful stop, async-signal-safe (one pipe write). Idempotent.
-  void request_stop();
+  void request_stop() { listener_.request_stop(); }
 
   /// Blocks until the accept loop and every handler have exited.
-  void wait();
+  void wait() { listener_.wait(); }
 
   /// The endpoint actually bound - an ephemeral TCP port 0 in the options
   /// resolves to the kernel-assigned port here (tests depend on this).
-  [[nodiscard]] const net::Endpoint& endpoint() const { return endpoint_; }
+  [[nodiscard]] const net::Endpoint& endpoint() const {
+    return listener_.endpoint();
+  }
 
   [[nodiscard]] std::uint64_t shards_run() const { return shards_run_.load(); }
   [[nodiscard]] std::uint64_t requests_served() const {
-    return requests_served_.load();
+    return listener_.requests_served();
   }
 
  private:
-  struct Connection {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop();
-  void reap_finished_connections();
-  void handle_connection(int fd);
-  /// Decodes and serves one request payload. Returns false when the
-  /// connection should close (a served shutdown request).
+  /// The listener's handler: decodes and serves one request payload and
+  /// writes its reply. Returns false when the connection should close (a
+  /// served shutdown request).
   bool handle_payload(int fd, std::vector<std::uint8_t>& payload);
 
   std::vector<std::uint8_t> serve_ping();
@@ -94,7 +90,6 @@ class Worker {
   std::shared_ptr<tvla::ShardRunner> runner_for(const ShardRequest& request);
 
   WorkerOptions options_;
-  net::Endpoint endpoint_;
   techlib::TechLibrary lib_ = techlib::TechLibrary::default_library();
 
   /// An installed design, its plan (null until the first shard request)
@@ -111,17 +106,11 @@ class Worker {
   std::mutex designs_mutex_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Installed>> designs_;
 
-  int listen_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::uint64_t> shards_run_{0};
 
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-  bool started_ = false;
+  /// Last: destroyed first, so its drain joins every handler before the
+  /// designs and runners they use go away.
+  Listener listener_;
 };
 
 }  // namespace polaris::server

@@ -5,6 +5,8 @@
 // the daemon, and a stop request must drain in-flight work cleanly.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -14,6 +16,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cerrno>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
@@ -401,7 +404,53 @@ TEST_F(ServerTest, ConcurrentClientsGetCorrectAnswers) {
 
 // --- malformed frames -------------------------------------------------------
 
-TEST_F(ServerTest, EveryTruncatedFramePrefixLeavesTheServerServing) {
+/// What a frame-hardening test runs against: the daemon or a shard worker.
+/// One server::Listener reads the frames of both.
+enum class Target { kDaemon, kWorker };
+
+/// A started daemon or shard worker on a fresh socket path.
+struct Listening {
+  std::unique_ptr<server::Server> daemon;
+  std::unique_ptr<server::Worker> worker;
+  std::string path;
+
+  [[nodiscard]] const std::string& socket_path() const { return path; }
+  void request_stop() {
+    daemon ? daemon->request_stop() : worker->request_stop();
+  }
+  void wait() { daemon ? daemon->wait() : worker->wait(); }
+};
+
+class FrameHardeningTest : public ServerTest,
+                           public ::testing::WithParamInterface<Target> {
+ protected:
+  /// ServerTest::make_server, on the parameter's target.
+  static std::unique_ptr<Listening> make_server(
+      std::size_t threads, std::size_t max_frame = server::kDefaultMaxFrame) {
+    auto target = std::make_unique<Listening>();
+    if (GetParam() == Target::kDaemon) {
+      target->daemon = ServerTest::make_server(threads, max_frame);
+      target->path = target->daemon->socket_path();
+    } else {
+      server::WorkerOptions options;
+      options.listen = target->path = unique_socket_path();
+      options.threads = threads;
+      options.max_frame = max_frame;
+      target->worker = std::make_unique<server::Worker>(options);
+      target->worker->start();
+    }
+    return target;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Listeners, FrameHardeningTest,
+    ::testing::Values(Target::kDaemon, Target::kWorker),
+    [](const ::testing::TestParamInfo<Target>& info) {
+      return std::string(info.param == Target::kDaemon ? "Daemon" : "Worker");
+    });
+
+TEST_P(FrameHardeningTest, EveryTruncatedFramePrefixLeavesTheServerServing) {
   auto daemon = make_server(1);
   const auto frame = ping_frame_bytes();
   // The serialize truncation-sweep idiom, applied to the wire: a client
@@ -417,7 +466,7 @@ TEST_F(ServerTest, EveryTruncatedFramePrefixLeavesTheServerServing) {
   EXPECT_EQ(client.ping().protocol, server::kProtocolVersion);
 }
 
-TEST_F(ServerTest, WrongMagicGetsStructuredErrorFrame) {
+TEST_P(FrameHardeningTest, WrongMagicGetsStructuredErrorFrame) {
   auto daemon = make_server(1);
   auto frame = ping_frame_bytes();
   frame[0] = 'X';
@@ -428,7 +477,7 @@ TEST_F(ServerTest, WrongMagicGetsStructuredErrorFrame) {
   ::close(fd);
 }
 
-TEST_F(ServerTest, FutureProtocolVersionGetsStructuredErrorFrame) {
+TEST_P(FrameHardeningTest, FutureProtocolVersionGetsStructuredErrorFrame) {
   auto daemon = make_server(1);
   auto frame = ping_frame_bytes();
   frame[4] = static_cast<std::uint8_t>(server::kProtocolVersion + 1);
@@ -439,7 +488,7 @@ TEST_F(ServerTest, FutureProtocolVersionGetsStructuredErrorFrame) {
   ::close(fd);
 }
 
-TEST_F(ServerTest, OversizedFrameRejectedBeforeAllocation) {
+TEST_P(FrameHardeningTest, OversizedFrameRejectedBeforeAllocation) {
   // --max-frame 1024; the header claims 1 GiB. The structured rejection
   // must arrive BEFORE any payload is read or allocated.
   auto daemon = make_server(1, /*max_frame=*/1024);
@@ -456,7 +505,7 @@ TEST_F(ServerTest, OversizedFrameRejectedBeforeAllocation) {
   ::close(fd);
 }
 
-TEST_F(ServerTest, CorruptPayloadAnsweredAndConnectionStaysUsable) {
+TEST_P(FrameHardeningTest, CorruptPayloadAnsweredAndConnectionStaysUsable) {
   auto daemon = make_server(1);
   auto frame = ping_frame_bytes();
   frame[server::kFrameHeaderSize + 5] ^= 0x40;  // flip one payload byte
@@ -642,7 +691,7 @@ TEST_F(ServerTest, StopMidRequestDeliversTheInFlightResponse) {
   EXPECT_NE(::stat(socket_path.c_str(), &status_buffer), 0);
 }
 
-TEST_F(ServerTest, StalledMidFramePeerCannotBlockShutdown) {
+TEST_P(FrameHardeningTest, StalledMidFramePeerCannotBlockShutdown) {
   auto daemon = make_server(1);
   const int fd = raw_connect(daemon->socket_path());
   ASSERT_GE(fd, 0);
@@ -689,6 +738,58 @@ TEST_F(ServerTest, ClientShutdownVerbDrainsTheDaemon) {
   const auto stats = daemon->stats();
   EXPECT_GE(stats.requests_served, 1u);
   EXPECT_LT(raw_connect(socket_path), 0);  // nothing listens anymore
+}
+
+// --- resource exhaustion ----------------------------------------------------
+
+TEST_F(ServerTest, AcceptRidesOutDescriptorExhaustion) {
+  // With no descriptor free, accept() fails with EMFILE and the connection
+  // stays queued. The daemon must count the error, back off and accept it
+  // once descriptors return - not drain and unlink its socket.
+  auto daemon = make_server(1);
+  auto& accept_errors =
+      obs::Registry::global().counter("server.accept_errors");
+  const std::uint64_t errors_before = accept_errors.value();
+  rlimit original{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &original), 0);
+  int pending = -1;
+  {
+    // Closes the fillers and restores the limit however the block exits.
+    struct Exhaustion {
+      rlimit original;
+      std::vector<int> fillers;
+      ~Exhaustion() {
+        for (const int fd : fillers) ::close(fd);
+        (void)::setrlimit(RLIMIT_NOFILE, &original);
+      }
+    } exhaustion{original, {}};
+    rlimit lowered = original;
+    lowered.rlim_cur = std::min<rlim_t>(lowered.rlim_cur, 256);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+    for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) {
+      exhaustion.fillers.push_back(fd);
+    }
+    ASSERT_EQ(errno, EMFILE);
+    ASSERT_FALSE(exhaustion.fillers.empty());
+    // One descriptor back: the client's socket. The daemon has none left.
+    ::close(exhaustion.fillers.back());
+    exhaustion.fillers.pop_back();
+    pending = raw_connect(daemon->socket_path());
+    ASSERT_GE(pending, 0);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (accept_errors.value() == errors_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_GT(accept_errors.value(), errors_before);
+  }
+  // Within one accept tick the queued connection is accepted and served.
+  EXPECT_EQ(raw_roundtrip(pending, server::encode_ping_request()).status,
+            server::Status::kOk);
+  ::close(pending);
+  server::Client client(daemon->socket_path());
+  EXPECT_EQ(client.ping().protocol, server::kProtocolVersion);
 }
 
 // --- protocol codecs (no sockets) -------------------------------------------

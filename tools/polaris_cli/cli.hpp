@@ -4,6 +4,8 @@
 // Verilog path, and JSON helpers for machine-readable output.
 #pragma once
 
+#include <signal.h>
+
 #include <cstdint>
 #include <map>
 #include <span>
@@ -116,6 +118,25 @@ class TraceGuard {
     std::size_t selected, std::size_t masked_gate_count, double seconds,
     const std::string& out_path, const tvla::LeakageReport* before,
     const tvla::LeakageReport* after);
+
+/// Runs a long-lived `serve` or `worker` process body: start(), route
+/// SIGINT/SIGTERM to request_stop() (one write to a pipe, async-signal-
+/// safe), and block in wait() until the service has drained - in-flight
+/// requests answered, the socket file unlinked.
+template <class Service>
+void run_until_stopped(Service& service) {
+  static Service* running = nullptr;
+  running = &service;
+  struct sigaction action {};
+  action.sa_handler = [](int) {
+    if (running != nullptr) running->request_stop();
+  };
+  sigaction(SIGINT, &action, nullptr);
+  sigaction(SIGTERM, &action, nullptr);
+  service.start();
+  service.wait();
+  running = nullptr;
+}
 
 // Subcommand entry points (argv past the subcommand name).
 int cmd_train(std::span<const char* const> args);

@@ -4,27 +4,12 @@
 // the process launch, bundle load, and cold caches an offline invocation
 // pays. Concurrent clients' TVLA shards interleave in one scheduler queue;
 // repeated requests for unchanged designs answer from the result cache.
-#include <signal.h>
-
 #include <cstdio>
 
 #include "cli.hpp"
 #include "server/server.hpp"
 
 namespace polaris::cli {
-
-namespace {
-
-server::Server* g_server = nullptr;
-
-void handle_stop_signal(int) {
-  // request_stop is async-signal-safe (one write to a pipe). The daemon
-  // then drains: in-flight requests complete, responses are delivered, the
-  // socket file is unlinked, and wait() returns.
-  if (g_server != nullptr) g_server->request_stop();
-}
-
-}  // namespace
 
 int cmd_serve(std::span<const char* const> args) {
   const std::vector<FlagSpec> specs = {
@@ -85,15 +70,7 @@ int cmd_serve(std::span<const char* const> args) {
   }
   std::fflush(stdout);  // smoke scripts wait for this line through a pipe
 
-  g_server = &daemon;
-  struct sigaction action {};
-  action.sa_handler = handle_stop_signal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-
-  daemon.start();
-  daemon.wait();
-  g_server = nullptr;
+  run_until_stopped(daemon);
 
   const auto stats = daemon.stats();
   std::printf("polaris serve: drained after %llu requests over %llu "

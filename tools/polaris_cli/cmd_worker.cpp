@@ -5,26 +5,12 @@
 // plan, and ships unmerged per-shard moment blocks back. Stateless across
 // campaigns beyond those caches; safe to kill at any time - the
 // coordinator requeues unacknowledged shards onto its remaining lanes.
-#include <signal.h>
-
 #include <cstdio>
 
 #include "cli.hpp"
 #include "server/worker.hpp"
 
 namespace polaris::cli {
-
-namespace {
-
-server::Worker* g_worker = nullptr;
-
-void handle_worker_stop_signal(int) {
-  // request_stop is async-signal-safe (one write to a pipe); the worker
-  // drains in-flight shard requests before wait() returns.
-  if (g_worker != nullptr) g_worker->request_stop();
-}
-
-}  // namespace
 
 int cmd_worker(std::span<const char* const> args) {
   const std::vector<FlagSpec> specs = {
@@ -59,15 +45,7 @@ int cmd_worker(std::span<const char* const> args) {
               server::net::to_string(bound).c_str());
   std::fflush(stdout);
 
-  g_worker = &worker;
-  struct sigaction action {};
-  action.sa_handler = handle_worker_stop_signal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-
-  worker.start();
-  worker.wait();
-  g_worker = nullptr;
+  run_until_stopped(worker);
 
   std::printf("polaris worker: drained after %llu shards over %llu requests\n",
               static_cast<unsigned long long>(worker.shards_run()),
