@@ -140,95 +140,68 @@ void validate(const PolarisConfig& config) {
   }
 }
 
-void write_config(serialize::Writer& out, const PolarisConfig& config) {
-  // Version 1 is the pre-budget layout; a config with the early-stop
-  // budget DISABLED still writes version 1 byte-for-byte, so existing
-  // bundles, wire requests, and config fingerprints are unchanged unless
-  // the feature is actually used (fingerprint-affecting only when
-  // enabled). Budget-enabled configs append their fields as version 2.
-  const bool versioned = config.tvla.budget.enabled;
-  out.u32(versioned ? 2 : 1);  // config payload version
-  out.u64(config.mask_size);
-  out.u64(config.locality);
-  out.u64(config.iterations);
-  out.f64(config.theta_r);
-  out.u32(static_cast<std::uint32_t>(config.model));
-  out.f64(config.learning_rate);
-  out.u64(config.model_rounds);
-  out.boolean(config.handle_imbalance);
-  out.u64(config.tvla.traces);
-  out.u64(config.tvla.warmup_cycles);
-  out.u64(config.tvla.cycles_per_batch);
-  out.f64(config.tvla.threshold);
-  out.u64(config.tvla.seed);
-  out.u64(config.tvla.threads);
-  out.f64(config.tvla.noise_std_fj);
-  std::vector<std::uint8_t> classes;
-  classes.reserve(config.tvla.input_class.size());
-  for (const auto c : config.tvla.input_class) {
-    classes.push_back(static_cast<std::uint8_t>(c));
-  }
-  out.u8_vec(classes);
-  out.bool_vec(config.tvla.fixed_input);
-  out.bool_vec(config.tvla.fixed_input_b);
-  out.f64(config.min_leak_for_label);
-  out.u32(static_cast<std::uint32_t>(config.scheme));
-  out.f64(config.coherence_smoothing);
-  out.u64(config.seed);
-  out.u64(config.threads);
-  if (versioned) {
-    out.boolean(config.tvla.budget.enabled);
-    out.u64(config.tvla.budget.min_traces);
-    out.f64(config.tvla.budget.margin);
+namespace {
+
+/// The config payload, for both directions. Version 1 is the pre-budget
+/// layout; a config with the early-stop budget DISABLED still writes
+/// version 1 byte-for-byte, so existing bundles, wire requests, and config
+/// fingerprints are unchanged unless the feature is actually used.
+/// Budget-enabled configs append their fields as version 2; a version-1
+/// payload leaves them at their defaults (disabled).
+template <class Io, class Config>
+void config_fields(Io& io, Config& config) {
+  std::uint32_t version = config.tvla.budget.enabled ? 2 : 1;
+  io.u32(version);
+  io.u64(config.mask_size);
+  io.u64(config.locality);
+  io.u64(config.iterations);
+  io.f64(config.theta_r);
+  io.u32_enum(config.model, ModelKind::kDecisionTree, "model kind");
+  io.f64(config.learning_rate);
+  io.u64(config.model_rounds);
+  io.boolean(config.handle_imbalance);
+  io.u64(config.tvla.traces);
+  io.u64(config.tvla.warmup_cycles);
+  io.u64(config.tvla.cycles_per_batch);
+  io.f64(config.tvla.threshold);
+  io.u64(config.tvla.seed);
+  io.u64(config.tvla.threads);
+  io.f64(config.tvla.noise_std_fj);
+  io.seq(config.tvla.input_class, 1, [&](auto& input) {
+    io.u8_enum(input, tvla::InputClass::kRandomCommon, "input class");
+  });
+  io.bool_vec(config.tvla.fixed_input);
+  io.bool_vec(config.tvla.fixed_input_b);
+  io.f64(config.min_leak_for_label);
+  io.u32_enum(config.scheme, masking::Scheme::kDom, "masking scheme");
+  io.f64(config.coherence_smoothing);
+  io.u64(config.seed);
+  io.u64(config.threads);
+  if (version >= 2) {
+    io.boolean(config.tvla.budget.enabled);
+    io.u64(config.tvla.budget.min_traces);
+    io.f64(config.tvla.budget.margin);
   }
 }
 
+template <class Io, class Design>
+void design_fields(Io& io, Design& design) {
+  io.str(design.name);
+  io.seq(design.roles, 1, [&](auto& role) {
+    io.u8_enum(role, circuits::InputRole::kControl, "input role");
+  });
+  io.nested(design.netlist, netlist::write_netlist, netlist::read_netlist);
+}
+
+}  // namespace
+
+void write_config(serialize::Writer& out, const PolarisConfig& config) {
+  config_fields(out, config);
+}
+
 PolarisConfig read_config(serialize::Reader& in) {
-  // Appends-only policy: version 2 adds the early-stop budget fields at
-  // the end; a version-1 payload leaves them at their defaults (disabled).
-  const std::uint32_t version = in.u32();
   PolarisConfig config;
-  config.mask_size = in.u64();
-  config.locality = in.u64();
-  config.iterations = in.u64();
-  config.theta_r = in.f64();
-  const std::uint32_t model_raw = in.u32();
-  if (model_raw > static_cast<std::uint32_t>(ModelKind::kDecisionTree)) {
-    throw std::runtime_error("polaris archive: unknown model kind " +
-                             std::to_string(model_raw));
-  }
-  config.model = static_cast<ModelKind>(model_raw);
-  config.learning_rate = in.f64();
-  config.model_rounds = in.u64();
-  config.handle_imbalance = in.boolean();
-  config.tvla.traces = in.u64();
-  config.tvla.warmup_cycles = in.u64();
-  config.tvla.cycles_per_batch = in.u64();
-  config.tvla.threshold = in.f64();
-  config.tvla.seed = in.u64();
-  config.tvla.threads = in.u64();
-  config.tvla.noise_std_fj = in.f64();
-  config.tvla.input_class.clear();
-  for (const std::uint8_t c : in.u8_vec()) {
-    config.tvla.input_class.push_back(static_cast<tvla::InputClass>(c));
-  }
-  config.tvla.fixed_input = in.bool_vec();
-  config.tvla.fixed_input_b = in.bool_vec();
-  config.min_leak_for_label = in.f64();
-  const std::uint32_t scheme_raw = in.u32();
-  if (scheme_raw > static_cast<std::uint32_t>(masking::Scheme::kDom)) {
-    throw std::runtime_error("polaris archive: unknown masking scheme " +
-                             std::to_string(scheme_raw));
-  }
-  config.scheme = static_cast<masking::Scheme>(scheme_raw);
-  config.coherence_smoothing = in.f64();
-  config.seed = in.u64();
-  config.threads = in.u64();
-  if (version >= 2) {
-    config.tvla.budget.enabled = in.boolean();
-    config.tvla.budget.min_traces = in.u64();
-    config.tvla.budget.margin = in.f64();
-  }
+  config_fields(in, config);
   return config;
 }
 
@@ -243,14 +216,19 @@ std::uint64_t config_fingerprint(const PolarisConfig& config) {
   return fnv1a(writer.bytes());
 }
 
+void write_design(serialize::Writer& out, const circuits::Design& design) {
+  design_fields(out, design);
+}
+
+circuits::Design read_design(serialize::Reader& in) {
+  circuits::Design design;
+  design_fields(in, design);
+  return design;
+}
+
 std::uint64_t design_fingerprint(const circuits::Design& design) {
   serialize::Writer writer;
-  writer.str(design.name);
-  writer.u64(design.roles.size());
-  for (const auto role : design.roles) {
-    writer.u8(static_cast<std::uint8_t>(role));
-  }
-  netlist::write_netlist(writer, design.netlist);
+  write_design(writer, design);
   return fnv1a(writer.bytes());
 }
 

@@ -10,6 +10,7 @@
 #include "masking/masking.hpp"
 #include "ml/smote.hpp"
 #include "serialize/model_io.hpp"
+#include "util/fileio.hpp"
 #include "util/timer.hpp"
 
 namespace polaris::core {
@@ -17,41 +18,62 @@ namespace polaris::core {
 using netlist::GateId;
 
 namespace {
-// Bundle chunk tags (.plb layout; see DESIGN.md "Bundle persistence").
-constexpr std::string_view kHeadTag = "HEAD";
-constexpr std::string_view kConfTag = "CONF";
-constexpr std::string_view kModelTag = "MODL";
-constexpr std::string_view kRulesTag = "RULE";
-constexpr std::string_view kDataTag = "DATA";
+// The .plb layout (see DESIGN.md "Bundle persistence"): HEAD, CONF, MODL,
+// RULE, then DATA when the training data is embedded.
 constexpr std::uint32_t kBundleVersion = 1;
+constexpr std::string_view kProducer = "polaris-bundle";
 
-/// Parses the HEAD chunk (caller has entered it). The version gate runs
-/// before any later field is touched, so a future layout change cannot be
-/// misread - both load_bundle and read_bundle_info share this parse and
-/// therefore accept exactly the same files.
-BundleInfo parse_bundle_head(serialize::Reader& in) {
+/// The HEAD chunk, for both directions. The version gate runs before any
+/// later field is read, so a future layout change cannot be misread - both
+/// load_bundle and read_bundle_info read through read_head and therefore
+/// accept exactly the same files.
+template <class Io, class Info>
+void head_fields(Io& io, Info& info) {
+  io.chunk("HEAD", [&] {
+    io.u32(info.bundle_version);
+    if (info.bundle_version > kBundleVersion) {
+      throw std::runtime_error(
+          "polaris bundle: layout version " +
+          std::to_string(info.bundle_version) +
+          " is newer than this build supports (" +
+          std::to_string(kBundleVersion) + "); upgrade polaris");
+    }
+    std::string producer(kProducer);
+    io.str(producer);
+    if (producer != kProducer) {
+      throw std::runtime_error("polaris bundle: unexpected producer '" +
+                               producer + "'");
+    }
+    io.u64(info.config_fingerprint);
+    io.str(info.model_name);
+    io.u64(info.samples);
+    io.u64(info.positives);
+    io.u64(info.feature_dim);
+    io.u64(info.rule_count);
+    io.boolean(info.has_dataset);
+  });
+}
+
+/// The chunks after HEAD, for both directions.
+template <class Io, class Config, class Model, class Rules, class Data>
+void body_fields(Io& io, bool has_dataset, Config& config, Model& model,
+                 Rules& rules, Data& data) {
+  io.chunk("CONF", [&] { io.nested(config, write_config, read_config); });
+  io.chunk("MODL", [&] {
+    io.nested(model, ml::save_classifier, ml::load_classifier);
+  });
+  io.chunk("RULE", [&] {
+    io.nested(rules, serialize::write_ruleset, serialize::read_ruleset);
+  });
+  io.opt_chunk("DATA", has_dataset, [&] {
+    io.nested(data, serialize::write_dataset, serialize::read_dataset);
+  });
+}
+
+BundleInfo read_head(serialize::Reader& in) {
   BundleInfo info;
   info.format_version = in.version();
-  info.bundle_version = in.u32();
-  if (info.bundle_version > kBundleVersion) {
-    throw std::runtime_error(
-        "polaris bundle: layout version " +
-        std::to_string(info.bundle_version) +
-        " is newer than this build supports (" +
-        std::to_string(kBundleVersion) + "); upgrade polaris");
-  }
-  const std::string tool = in.str();
-  if (tool != "polaris-bundle") {
-    throw std::runtime_error("polaris bundle: unexpected producer '" + tool +
-                             "'");
-  }
-  info.config_fingerprint = in.u64();
-  info.model_name = in.str();
-  info.samples = in.u64();
-  info.positives = in.u64();
-  info.feature_dim = in.u64();
-  info.rule_count = in.u64();
-  info.has_dataset = in.boolean();
+  head_fields(in, info);
   return info;
 }
 
@@ -111,71 +133,45 @@ void Polaris::save_bundle(const std::string& path,
   if (!trained_) {
     throw std::logic_error("Polaris::save_bundle: model not trained");
   }
+  BundleInfo info;
+  info.bundle_version = kBundleVersion;
+  info.config_fingerprint = config_fingerprint(config_);
+  info.model_name = model_->name();
+  info.samples = data_.size();
+  info.positives = data_.positives();
+  info.feature_dim = data_.feature_count();
+  info.rule_count = rules_.rules().size();
+  info.has_dataset = include_training_data;
   serialize::Writer out;
-
-  out.begin_chunk(kHeadTag);
-  out.u32(kBundleVersion);
-  out.str("polaris-bundle");
-  out.u64(config_fingerprint(config_));
-  out.str(model_->name());
-  out.u64(data_.size());
-  out.u64(data_.positives());
-  out.u64(data_.feature_count());
-  out.u64(rules_.rules().size());
-  out.boolean(include_training_data);
-  out.end_chunk();
-
-  out.begin_chunk(kConfTag);
-  write_config(out, config_);
-  out.end_chunk();
-
-  out.begin_chunk(kModelTag);
-  ml::save_classifier(out, *model_);
-  out.end_chunk();
-
-  out.begin_chunk(kRulesTag);
-  serialize::write_ruleset(out, rules_);
-  out.end_chunk();
-
-  if (include_training_data) {
-    out.begin_chunk(kDataTag);
-    serialize::write_dataset(out, data_);
-    out.end_chunk();
-  }
-
-  serialize::write_file(path, out.finish());
+  head_fields(out, info);
+  body_fields(out, include_training_data, config_, *model_, rules_, data_);
+  // Temp file, fsync, rename: an interrupted save, or one that replaces a
+  // bundle a serve is about to load, never leaves a truncated file.
+  const auto bytes = out.finish();
+  util::write_file_atomic(
+      path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                             bytes.size()));
 }
 
 Polaris Polaris::load_bundle(const std::string& path, BundleInfo* info) {
   serialize::Reader in(serialize::read_file(path));
-
-  in.enter_chunk(kHeadTag);
-  const BundleInfo head = parse_bundle_head(in);
+  const BundleInfo head = read_head(in);
   if (info != nullptr) *info = head;
-  in.exit_chunk();
+  PolarisConfig config;
+  std::unique_ptr<ml::Classifier> model;
+  xai::RuleSet rules;
+  ml::Dataset data;
+  body_fields(in, head.has_dataset, config, model, rules, data);
 
-  in.enter_chunk(kConfTag);
-  Polaris loaded{read_config(in)};
-  in.exit_chunk();
-
-  in.enter_chunk(kModelTag);
-  loaded.model_ = ml::load_classifier(in);
-  in.exit_chunk();
-  if (loaded.model_->kind() != expected_classifier_kind(loaded.config_.model)) {
+  Polaris loaded{std::move(config)};
+  if (model->kind() != expected_classifier_kind(loaded.config_.model)) {
     throw std::runtime_error(
-        "polaris bundle: model chunk holds a " + loaded.model_->name() +
+        "polaris bundle: model chunk holds a " + model->name() +
         " but the config says " + to_string(loaded.config_.model));
   }
-
-  in.enter_chunk(kRulesTag);
-  loaded.rules_ = serialize::read_ruleset(in);
-  in.exit_chunk();
-
-  if (in.try_enter_chunk(kDataTag)) {
-    loaded.data_ = serialize::read_dataset(in);
-    in.exit_chunk();
-  }
-
+  loaded.model_ = std::move(model);
+  loaded.rules_ = std::move(rules);
+  loaded.data_ = std::move(data);
   check_feature_indices(loaded,
                         graph::FeatureSpec{loaded.config_.locality}.dim());
   loaded.trained_ = true;
@@ -184,10 +180,7 @@ Polaris Polaris::load_bundle(const std::string& path, BundleInfo* info) {
 
 BundleInfo read_bundle_info(const std::string& path) {
   serialize::Reader in(serialize::read_file(path));
-  in.enter_chunk(kHeadTag);
-  const BundleInfo info = parse_bundle_head(in);
-  in.exit_chunk();
-  return info;
+  return read_head(in);
 }
 
 TrainingSummary Polaris::train(

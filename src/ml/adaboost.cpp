@@ -76,26 +76,24 @@ double AdaBoost::predict_proba(std::span<const double> x) const {
   return ensemble_.probability(x);
 }
 
-void AdaBoost::save(serialize::Writer& out) const {
-  out.u32(1);  // class payload version
-  out.u64(config_.rounds);
-  out.u64(config_.max_depth);
-  out.f64(config_.learning_rate);
-  out.u64(config_.min_samples_leaf);
-  out.u64(config_.seed);
-  serialize::write_ensemble(out, ensemble_);
+template <class Io, class Self>
+void AdaBoost::fields(Io& io, Self& self) {
+  std::uint32_t version = 1;  // class payload version (appends-only policy)
+  io.u32(version);
+  io.u64(self.config_.rounds);
+  io.u64(self.config_.max_depth);
+  io.f64(self.config_.learning_rate);
+  io.u64(self.config_.min_samples_leaf);
+  io.u64(self.config_.seed);
+  io.nested(self.ensemble_, serialize::write_ensemble,
+            serialize::read_ensemble);
 }
 
+void AdaBoost::save(serialize::Writer& out) const { fields(out, *this); }
+
 AdaBoost AdaBoost::load(serialize::Reader& in) {
-  (void)in.u32();  // class payload version (appends-only policy)
-  AdaBoostConfig config;
-  config.rounds = in.u64();
-  config.max_depth = in.u64();
-  config.learning_rate = in.f64();
-  config.min_samples_leaf = in.u64();
-  config.seed = in.u64();
-  AdaBoost model(config);
-  model.ensemble_ = serialize::read_ensemble(in);
+  AdaBoost model;
+  fields(in, model);
   return model;
 }
 

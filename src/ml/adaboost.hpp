@@ -37,6 +37,10 @@ class AdaBoost final : public Classifier {
   [[nodiscard]] static AdaBoost load(serialize::Reader& in);
 
  private:
+  /// The class payload, for both directions (save and load).
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
+
   AdaBoostConfig config_;
   TreeEnsemble ensemble_;
 };

@@ -35,6 +35,10 @@ class DecisionTree final : public Classifier {
   [[nodiscard]] static DecisionTree load(serialize::Reader& in);
 
  private:
+  /// The class payload, for both directions (save and load).
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
+
   DecisionTreeConfig config_;
   TreeEnsemble ensemble_;
 };

@@ -40,26 +40,24 @@ double RandomForest::predict_proba(std::span<const double> x) const {
   return ensemble_.probability(x);
 }
 
-void RandomForest::save(serialize::Writer& out) const {
-  out.u32(1);  // class payload version
-  out.u64(config_.trees);
-  out.u64(config_.max_depth);
-  out.u64(config_.min_samples_leaf);
-  out.u64(config_.features_per_split);
-  out.u64(config_.seed);
-  serialize::write_ensemble(out, ensemble_);
+template <class Io, class Self>
+void RandomForest::fields(Io& io, Self& self) {
+  std::uint32_t version = 1;  // class payload version (appends-only policy)
+  io.u32(version);
+  io.u64(self.config_.trees);
+  io.u64(self.config_.max_depth);
+  io.u64(self.config_.min_samples_leaf);
+  io.u64(self.config_.features_per_split);
+  io.u64(self.config_.seed);
+  io.nested(self.ensemble_, serialize::write_ensemble,
+            serialize::read_ensemble);
 }
 
+void RandomForest::save(serialize::Writer& out) const { fields(out, *this); }
+
 RandomForest RandomForest::load(serialize::Reader& in) {
-  (void)in.u32();  // class payload version (appends-only policy)
-  ForestConfig config;
-  config.trees = in.u64();
-  config.max_depth = in.u64();
-  config.min_samples_leaf = in.u64();
-  config.features_per_split = in.u64();
-  config.seed = in.u64();
-  RandomForest model(config);
-  model.ensemble_ = serialize::read_ensemble(in);
+  RandomForest model;
+  fields(in, model);
   return model;
 }
 

@@ -36,6 +36,10 @@ class RandomForest final : public Classifier {
   [[nodiscard]] static RandomForest load(serialize::Reader& in);
 
  private:
+  /// The class payload, for both directions (save and load).
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
+
   ForestConfig config_;
   TreeEnsemble ensemble_;
 };

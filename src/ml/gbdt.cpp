@@ -55,30 +55,26 @@ double Gbdt::predict_proba(std::span<const double> x) const {
   return ensemble_.probability(x);
 }
 
-void Gbdt::save(serialize::Writer& out) const {
-  out.u32(1);  // class payload version
-  out.u64(config_.rounds);
-  out.u64(config_.max_depth);
-  out.f64(config_.learning_rate);
-  out.f64(config_.lambda);
-  out.f64(config_.gamma);
-  out.u64(config_.min_samples_leaf);
-  out.u64(config_.seed);
-  serialize::write_ensemble(out, ensemble_);
+template <class Io, class Self>
+void Gbdt::fields(Io& io, Self& self) {
+  std::uint32_t version = 1;  // class payload version (appends-only policy)
+  io.u32(version);
+  io.u64(self.config_.rounds);
+  io.u64(self.config_.max_depth);
+  io.f64(self.config_.learning_rate);
+  io.f64(self.config_.lambda);
+  io.f64(self.config_.gamma);
+  io.u64(self.config_.min_samples_leaf);
+  io.u64(self.config_.seed);
+  io.nested(self.ensemble_, serialize::write_ensemble,
+            serialize::read_ensemble);
 }
 
+void Gbdt::save(serialize::Writer& out) const { fields(out, *this); }
+
 Gbdt Gbdt::load(serialize::Reader& in) {
-  (void)in.u32();  // class payload version (appends-only policy)
-  GbdtConfig config;
-  config.rounds = in.u64();
-  config.max_depth = in.u64();
-  config.learning_rate = in.f64();
-  config.lambda = in.f64();
-  config.gamma = in.f64();
-  config.min_samples_leaf = in.u64();
-  config.seed = in.u64();
-  Gbdt model(config);
-  model.ensemble_ = serialize::read_ensemble(in);
+  Gbdt model;
+  fields(in, model);
   return model;
 }
 

@@ -42,6 +42,10 @@ class Gbdt final : public Classifier {
   [[nodiscard]] static Gbdt load(serialize::Reader& in);
 
  private:
+  /// The class payload, for both directions (save and load).
+  template <class Io, class Self>
+  static void fields(Io& io, Self& self);
+
   GbdtConfig config_;
   TreeEnsemble ensemble_;
 };

@@ -5,79 +5,62 @@
 
 namespace polaris::netlist {
 
+namespace {
+constexpr char kTag[] = "NETL";
+}  // namespace
+
+// A writer and a reader rather than one field list: the reader rebuilds
+// the netlist through its validating construction API. Minimum entry
+// sizes: a net is a length-prefixed name (8 bytes), a gate at least 17
+// bytes, a port id exactly 4.
+
 void write_netlist(serialize::Writer& out, const Netlist& netlist) {
-  out.begin_chunk("NETL");
+  out.begin_chunk(kTag);
   out.str(netlist.name());
-  out.u64(netlist.net_count());
-  for (const Net& net : netlist.nets()) out.str(net.name);
-  out.u64(netlist.gate_count());
-  for (const Gate& gate : netlist.gates()) {
+  out.seq(netlist.nets(), 8, [&](const Net& net) { out.str(net.name); });
+  out.seq(netlist.gates(), 17, [&](const Gate& gate) {
     out.u8(static_cast<std::uint8_t>(gate.type));
-    out.u64(gate.inputs.size());
-    for (const NetId input : gate.inputs) out.u32(input);
+    out.seq(gate.inputs, 4, [&](NetId input) { out.u32(input); });
     out.u32(gate.output);
     out.u32(gate.group);
-  }
-  out.u64(netlist.primary_inputs().size());
-  for (const NetId net : netlist.primary_inputs()) out.u32(net);
-  out.u64(netlist.primary_outputs().size());
-  for (const NetId net : netlist.primary_outputs()) out.u32(net);
+  });
+  out.seq(netlist.primary_inputs(), 4, [&](NetId net) { out.u32(net); });
+  out.seq(netlist.primary_outputs(), 4, [&](NetId net) { out.u32(net); });
   out.end_chunk();
 }
 
 Netlist read_netlist(serialize::Reader& in) {
-  in.enter_chunk("NETL");
+  in.enter_chunk(kTag);
   Netlist netlist(in.str());
-  // Check-before-allocate: a net is at least a length-prefixed name (8
-  // bytes), a gate at least 17 bytes, a port id exactly 4.
-  const std::uint64_t net_count = in.u64();
-  if (net_count > in.remaining() / 8) {
-    throw std::runtime_error("polaris netlist: net count exceeds payload");
-  }
-  for (std::uint64_t n = 0; n < net_count; ++n) (void)netlist.add_net(in.str());
-  const std::uint64_t gate_count = in.u64();
-  if (gate_count > in.remaining() / 17) {
-    throw std::runtime_error("polaris netlist: gate count exceeds payload");
-  }
+  in.seq(8, [&] { (void)netlist.add_net(in.str()); });
   std::vector<NetId> inputs;
-  for (std::uint64_t g = 0; g < gate_count; ++g) {
+  GateId next = 0;
+  in.seq(17, [&] {
     const std::uint8_t raw_type = in.u8();
     if (raw_type >= kCellTypeCount) {
       throw std::runtime_error("polaris netlist: unknown cell type " +
                                std::to_string(raw_type));
     }
-    const std::uint64_t fan_in = in.u64();
-    if (fan_in > in.remaining() / 4) {
-      throw std::runtime_error("polaris netlist: gate fan-in exceeds payload");
-    }
-    inputs.clear();
-    inputs.reserve(fan_in);
-    for (std::uint64_t i = 0; i < fan_in; ++i) inputs.push_back(in.u32());
+    in.seq(inputs, 4, [&](NetId& input) { in.u32(input); });
     const NetId output = in.u32();
     const GateId group = in.u32();
-    if (group != kNoGate && group >= gate_count) {
-      throw std::runtime_error("polaris netlist: gate group out of range");
-    }
     // add_cell_driving re-checks arity, net ranges, and single-driver-ship,
-    // and appends at exactly GateId g (the ascending-id invariant).
+    // and appends at exactly the next GateId (the ascending-id invariant).
     const GateId id = netlist.add_cell_driving(
         static_cast<CellType>(raw_type), inputs, output);
-    if (id != static_cast<GateId>(g)) {
+    if (id != next++) {
       throw std::runtime_error("polaris netlist: gate id drift on decode");
     }
     netlist.gate(id).group = group;
+  });
+  for (const Gate& gate : netlist.gates()) {
+    if (gate.group != kNoGate && gate.group >= netlist.gate_count()) {
+      throw std::runtime_error("polaris netlist: gate group out of range");
+    }
   }
-  const std::uint64_t n_inputs = in.u64();
-  if (n_inputs > in.remaining() / 4) {
-    throw std::runtime_error("polaris netlist: input count exceeds payload");
-  }
-  for (std::uint64_t i = 0; i < n_inputs; ++i) netlist.mark_input(in.u32());
-  const std::uint64_t n_outputs = in.u64();
-  if (n_outputs > in.remaining() / 4) {
-    throw std::runtime_error("polaris netlist: output count exceeds payload");
-  }
+  in.seq(4, [&] { netlist.mark_input(in.u32()); });
   // Empty rename: the serialized net names already carry the port names.
-  for (std::uint64_t i = 0; i < n_outputs; ++i) netlist.mark_output(in.u32());
+  in.seq(4, [&] { netlist.mark_output(in.u32()); });
   in.exit_chunk();
   netlist.validate();
   return netlist;

@@ -194,6 +194,26 @@ void Reader::require(std::size_t count, const char* what) const {
   }
 }
 
+void Reader::check_count(std::uint64_t count,
+                         std::size_t min_entry_bytes) const {
+  // A quotient, not a product: a hostile count can neither wrap around
+  // nor reach the allocator.
+  if (count > remaining() / min_entry_bytes) {
+    fail("count " + std::to_string(count) + " overruns its " +
+         (chunk_ends_.empty() ? "archive" : "chunk") + " (" +
+         std::to_string(remaining()) + " bytes left, at least " +
+         std::to_string(min_entry_bytes) + " per entry)");
+  }
+}
+
+std::uint64_t Reader::enum_value(std::uint64_t raw, std::uint64_t last,
+                                 const char* what) const {
+  if (raw > last) {
+    fail(std::string("unknown ") + what + " " + std::to_string(raw));
+  }
+  return raw;
+}
+
 void Reader::fail(const std::string& message) const {
   throw std::runtime_error("polaris archive: " + message);
 }
@@ -288,7 +308,7 @@ std::string Reader::str() {
 
 std::vector<double> Reader::f64_vec() {
   const std::uint64_t count = u64();
-  if (count > (scope_end() - pos_) / 8) fail("oversized f64 vector");
+  check_count(count, 8);
   std::vector<double> values(count);
   for (auto& v : values) v = f64();
   return values;
@@ -296,7 +316,7 @@ std::vector<double> Reader::f64_vec() {
 
 std::vector<int> Reader::i32_vec() {
   const std::uint64_t count = u64();
-  if (count > (scope_end() - pos_) / 4) fail("oversized i32 vector");
+  check_count(count, 4);
   std::vector<int> values(count);
   for (auto& v : values) v = i32();
   return values;
@@ -320,19 +340,6 @@ std::vector<bool> Reader::bool_vec() {
 }
 
 // --- file I/O ---------------------------------------------------------------
-
-void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw std::runtime_error("polaris archive: cannot open '" + path +
-                             "' for writing");
-  }
-  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const int close_result = std::fclose(file);  // unconditionally: no FD leak
-  if (written != bytes.size() || close_result != 0) {
-    throw std::runtime_error("polaris archive: short write to '" + path + "'");
-  }
-}
 
 std::vector<std::uint8_t> read_file(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");

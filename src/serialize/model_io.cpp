@@ -11,66 +11,77 @@
 
 namespace polaris::serialize {
 
-void write_tree(Writer& out, const ml::Tree& tree) {
-  out.u64(tree.nodes.size());
-  for (const ml::TreeNode& node : tree.nodes) {
-    out.i32(node.feature);
-    out.f64(node.threshold);
-    out.i32(node.left);
-    out.i32(node.right);
-    out.f64(node.value);
-    out.f64(node.cover);
-  }
+namespace {
+
+// Field lists, for both directions. Minimum entry sizes: a tree node is
+// exactly 36 bytes, a weighted tree at least its weight and node count, a
+// rule at least its literal count, action, support and precision, a
+// literal exactly 9 bytes.
+
+template <class Io, class Tree>
+void tree_fields(Io& io, Tree& tree) {
+  io.seq(tree.nodes, 36, [&](auto& node) {
+    io.i32(node.feature);
+    io.f64(node.threshold);
+    io.i32(node.left);
+    io.i32(node.right);
+    io.f64(node.value);
+    io.f64(node.cover);
+  });
 }
+
+template <class Io, class Ensemble>
+void ensemble_fields(Io& io, Ensemble& ensemble) {
+  io.u8_enum(ensemble.link, ml::TreeEnsemble::Link::kLogistic, "ensemble link");
+  io.f64(ensemble.base);
+  io.seq(ensemble.trees, 16, [&](auto& weighted) {
+    io.f64(weighted.weight);
+    io.nested(weighted.tree, write_tree, read_tree);
+  });
+}
+
+template <class Io, class Rules>
+void rule_fields(Io& io, Rules& rules) {
+  io.seq(rules, 28, [&](auto& rule) {
+    io.seq(rule.literals, 9, [&](auto& literal) {
+      io.u64(literal.feature);
+      io.boolean(literal.positive);
+    });
+    io.i32(rule.action);
+    io.u64(rule.support);
+    io.f64(rule.precision);
+  });
+}
+
+}  // namespace
+
+void write_tree(Writer& out, const ml::Tree& tree) { tree_fields(out, tree); }
 
 ml::Tree read_tree(Reader& in) {
   ml::Tree tree;
-  const std::uint64_t count = in.u64();
-  tree.nodes.reserve(count < 1u << 20 ? count : 0);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    ml::TreeNode node;
-    node.feature = in.i32();
-    node.threshold = in.f64();
-    node.left = in.i32();
-    node.right = in.i32();
-    node.value = in.f64();
-    node.cover = in.f64();
-    // Children must exist and come after their parent (creation order), so
-    // prediction walks terminate even on adversarial input.
-    if (!node.is_leaf()) {
-      const auto limit = static_cast<std::int64_t>(count);
-      if (node.left <= static_cast<std::int64_t>(i) || node.left >= limit ||
-          node.right <= static_cast<std::int64_t>(i) || node.right >= limit) {
-        throw std::runtime_error(
-            "polaris archive: tree node " + std::to_string(i) +
-            " has out-of-order children");
-      }
+  tree_fields(in, tree);
+  // Children must exist and come after their parent (creation order), so
+  // prediction walks terminate even on adversarial input.
+  const auto count = static_cast<std::int64_t>(tree.nodes.size());
+  for (std::int64_t i = 0; i < count; ++i) {
+    const ml::TreeNode& node = tree.nodes[static_cast<std::size_t>(i)];
+    if (!node.is_leaf() && (node.left <= i || node.left >= count ||
+                            node.right <= i || node.right >= count)) {
+      throw std::runtime_error("polaris archive: tree node " +
+                               std::to_string(i) +
+                               " has out-of-order children");
     }
-    tree.nodes.push_back(node);
   }
   return tree;
 }
 
 void write_ensemble(Writer& out, const ml::TreeEnsemble& ensemble) {
-  out.u8(ensemble.link == ml::TreeEnsemble::Link::kLogistic ? 1 : 0);
-  out.f64(ensemble.base);
-  out.u64(ensemble.trees.size());
-  for (const auto& wt : ensemble.trees) {
-    out.f64(wt.weight);
-    write_tree(out, wt.tree);
-  }
+  ensemble_fields(out, ensemble);
 }
 
 ml::TreeEnsemble read_ensemble(Reader& in) {
   ml::TreeEnsemble ensemble;
-  ensemble.link = in.u8() != 0 ? ml::TreeEnsemble::Link::kLogistic
-                               : ml::TreeEnsemble::Link::kIdentity;
-  ensemble.base = in.f64();
-  const std::uint64_t count = in.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const double weight = in.f64();
-    ensemble.trees.push_back({read_tree(in), weight});
-  }
+  ensemble_fields(in, ensemble);
   return ensemble;
 }
 
@@ -87,14 +98,10 @@ void write_dataset(Writer& out, const ml::Dataset& data) {
 ml::Dataset read_dataset(Reader& in) {
   const std::uint64_t rows = in.u64();
   const std::uint64_t width = in.u64();
-  // Check-before-allocate: a lying length field must raise the layer's
-  // clean error, not drive a giant allocation. (Legitimate data always
-  // satisfies these - the labels vector alone needs 4 bytes per row.)
-  if (width > in.remaining() / 8 ||
-      (width == 0 ? rows > in.remaining()
-                  : rows > in.remaining() / (8 * width))) {
-    throw std::runtime_error("polaris archive: oversized dataset");
-  }
+  // Check-before-allocate on both counts: a row is its width in doubles
+  // (legitimate data always fits - the labels alone need 4 bytes per row).
+  in.check_count(width, 8);
+  in.check_count(rows, width == 0 ? 1 : 8 * width);
   std::vector<std::vector<double>> features(rows);
   for (auto& row : features) {
     row.resize(width);
@@ -118,36 +125,12 @@ ml::Dataset read_dataset(Reader& in) {
 }
 
 void write_ruleset(Writer& out, const xai::RuleSet& rules) {
-  out.u64(rules.rules().size());
-  for (const xai::Rule& rule : rules.rules()) {
-    out.u64(rule.literals.size());
-    for (const xai::Literal& lit : rule.literals) {
-      out.u64(lit.feature);
-      out.boolean(lit.positive);
-    }
-    out.i32(rule.action);
-    out.u64(rule.support);
-    out.f64(rule.precision);
-  }
+  rule_fields(out, rules.rules());
 }
 
 xai::RuleSet read_ruleset(Reader& in) {
   std::vector<xai::Rule> rules;
-  const std::uint64_t count = in.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    xai::Rule rule;
-    const std::uint64_t literals = in.u64();
-    for (std::uint64_t l = 0; l < literals; ++l) {
-      xai::Literal lit;
-      lit.feature = in.u64();
-      lit.positive = in.boolean();
-      rule.literals.push_back(lit);
-    }
-    rule.action = in.i32();
-    rule.support = in.u64();
-    rule.precision = in.f64();
-    rules.push_back(std::move(rule));
-  }
+  rule_fields(in, rules);
   return xai::RuleSet(std::move(rules));
 }
 

@@ -220,11 +220,6 @@ struct FlightRecordEntry {
   std::uint64_t age_us = 0;      // time since completion
 };
 
-/// Live-operations snapshot: what the daemon is doing RIGHT NOW (in-flight
-/// requests, per-campaign shard progress) plus what it just finished (the
-/// flight-recorder ring, newest first). Point-in-time telemetry gathered
-/// under the scheduler/connection locks - never cached, never part of any
-/// fingerprint or result.
 /// Health of one remote worker as seen by the coordinator's worker pool.
 /// Pure telemetry, same caveats as the rest of the status snapshot.
 struct WorkerHealthEntry {
@@ -237,6 +232,11 @@ struct WorkerHealthEntry {
   std::uint64_t resends = 0;     // chunks requeued after loss/timeout
 };
 
+/// Live-operations snapshot: what the daemon is doing RIGHT NOW (in-flight
+/// requests, per-campaign shard progress) plus what it just finished (the
+/// flight-recorder ring, newest first). Point-in-time telemetry gathered
+/// under the scheduler/connection locks - never cached, never part of any
+/// fingerprint or result.
 struct StatusReply {
   std::uint32_t protocol = kProtocolVersion;
   std::string model_name;
@@ -310,6 +310,9 @@ struct ShardReply {
 };
 
 // --- payload codecs ---------------------------------------------------------
+//
+// Each payload layout is stated once, as a field list in protocol.cpp that
+// the encoder and the decoder both run (DESIGN.md "Serve wire protocol").
 
 /// Request payload archives. decode_request_kind reads the "POLQ" chunk;
 /// the kind-specific decoder must then be called on the same reader.

@@ -143,7 +143,7 @@ bool Server::handle_payload(int fd, std::vector<std::uint8_t>& payload) {
   obs::Histogram* service_us = nullptr;
   const std::uint64_t payload_bytes = payload.size();
   // 0xFF marks "payload never yielded a kind" in the flight recorder; it
-  // can never collide with a real RequestKind (decode rejects > kStatus).
+  // can never collide with a real RequestKind (decode rejects > kShard).
   std::uint8_t wire_kind = 0xFF;
   const char* kind_name = "?";
   const std::uint64_t token = next_inflight_token_.fetch_add(1);

@@ -52,14 +52,8 @@ CampaignMoments read_moments(serialize::Reader& in) {
   // Check-before-allocate: a single group is at least two 1-byte varints,
   // a multi group exactly four 8-byte doubles - hostile counts are
   // rejected before the block is sized.
-  if (groups > in.remaining() / 2) {
-    throw std::runtime_error("polaris tvla: moments group count exceeds "
-                             "payload size");
-  }
-  if (multis > (in.remaining() - 2 * groups) / 32) {
-    throw std::runtime_error("polaris tvla: moments multi-group count "
-                             "exceeds payload size");
-  }
+  in.check_count(groups, 2);
+  in.check_count(multis, 32);
   CampaignMoments moments(static_cast<std::size_t>(groups),
                           static_cast<std::size_t>(multis));
   moments.add_lane_counts(n_fixed, n_random);

@@ -4,18 +4,37 @@
 // must fail with clean errors.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string_view>
 
 #include "circuits/aes_sbox.hpp"
 #include "circuits/arith.hpp"
 #include "circuits/suite.hpp"
 #include "core/polaris.hpp"
 #include "serialize/archive.hpp"
+#include "util/fileio.hpp"
 
 namespace {
 
 using namespace polaris;
+
+/// A per-process temp path, so test_bundle runs side by side (a Release
+/// and a sanitizer build) never touch each other's files.
+std::string bundle_path(const std::string& stem) {
+  return ::testing::TempDir() + stem + "_" + std::to_string(::getpid()) +
+         ".plb";
+}
+
+void write_image(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  util::write_file_atomic(
+      path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                             bytes.size()));
+}
 
 const techlib::TechLibrary& lib() {
   static const auto instance = techlib::TechLibrary::default_library();
@@ -59,7 +78,7 @@ class BundleRoundTrip : public ::testing::Test {
       training.push_back(std::move(d));
     }
     (void)polaris_->train(training, lib());
-    path_ = new std::string(::testing::TempDir() + "polaris_test_bundle.plb");
+    path_ = new std::string(bundle_path("polaris_test_bundle"));
     polaris_->save_bundle(*path_);
   }
   static void TearDownTestSuite() {
@@ -124,7 +143,7 @@ TEST_F(BundleRoundTrip, MetadataMatchesTrainedState) {
 }
 
 TEST_F(BundleRoundTrip, DatasetFreeBundleStillServes) {
-  const std::string slim = ::testing::TempDir() + "polaris_slim_bundle.plb";
+  const std::string slim = bundle_path("polaris_slim_bundle");
   polaris_->save_bundle(slim, /*include_training_data=*/false);
   const auto info = core::read_bundle_info(slim);
   EXPECT_FALSE(info.has_dataset);
@@ -143,8 +162,8 @@ TEST_F(BundleRoundTrip, FlippedByteFailsCleanly) {
   auto bytes = serialize::read_file(*path_);
   ASSERT_GT(bytes.size(), 100u);
   bytes[bytes.size() / 2] ^= 0x01;
-  const std::string corrupt = ::testing::TempDir() + "polaris_corrupt.plb";
-  serialize::write_file(corrupt, bytes);
+  const std::string corrupt = bundle_path("polaris_corrupt");
+  write_image(corrupt, bytes);
   EXPECT_THROW((void)core::Polaris::load_bundle(corrupt), std::runtime_error);
   std::remove(corrupt.c_str());
 }
@@ -152,8 +171,8 @@ TEST_F(BundleRoundTrip, FlippedByteFailsCleanly) {
 TEST_F(BundleRoundTrip, TruncationFailsCleanly) {
   auto bytes = serialize::read_file(*path_);
   bytes.resize(bytes.size() / 3);
-  const std::string cut = ::testing::TempDir() + "polaris_truncated.plb";
-  serialize::write_file(cut, bytes);
+  const std::string cut = bundle_path("polaris_truncated");
+  write_image(cut, bytes);
   EXPECT_THROW((void)core::Polaris::load_bundle(cut), std::runtime_error);
   std::remove(cut.c_str());
 }
@@ -167,8 +186,8 @@ TEST_F(BundleRoundTrip, FutureFormatVersionFailsCleanly) {
     bytes[bytes.size() - 4 + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(crc >> (8 * i));
   }
-  const std::string future = ::testing::TempDir() + "polaris_future.plb";
-  serialize::write_file(future, bytes);
+  const std::string future = bundle_path("polaris_future");
+  write_image(future, bytes);
   try {
     (void)core::Polaris::load_bundle(future);
     FAIL() << "future-version bundle accepted";
@@ -178,9 +197,35 @@ TEST_F(BundleRoundTrip, FutureFormatVersionFailsCleanly) {
   std::remove(future.c_str());
 }
 
+TEST_F(BundleRoundTrip, ResaveReplacesTheFileInsteadOfRewritingIt) {
+  // A bundle is replaced through a temp file and a rename, never rewritten
+  // in place: a reader that already opened the old file (a serve about to
+  // load it) keeps reading the old bytes in full, and an interrupted save
+  // cannot leave a truncated bundle behind.
+  const std::string path = bundle_path("polaris_held_bundle");
+  polaris_->save_bundle(path);
+  const auto old_bytes = serialize::read_file(path);
+  const int held = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(held, 0);
+  polaris_->save_bundle(path, /*include_training_data=*/false);
+
+  std::vector<std::uint8_t> seen;
+  std::uint8_t block[4096];
+  ssize_t got = 0;
+  while ((got = ::read(held, block, sizeof(block))) > 0) {
+    seen.insert(seen.end(), block, block + got);
+  }
+  ::close(held);
+  EXPECT_EQ(seen, old_bytes);
+  const auto new_bytes = serialize::read_file(path);
+  EXPECT_LT(new_bytes.size(), old_bytes.size());
+  EXPECT_FALSE(core::read_bundle_info(path).has_dataset);
+  std::remove(path.c_str());
+}
+
 TEST(Bundle, UntrainedSaveThrows) {
   const core::Polaris untrained(test_config());
-  EXPECT_THROW(untrained.save_bundle(::testing::TempDir() + "nope.plb"),
+  EXPECT_THROW(untrained.save_bundle(bundle_path("nope")),
                std::logic_error);
 }
 

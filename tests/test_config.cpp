@@ -215,6 +215,29 @@ TEST(ConfigIo, DisabledBudgetKeepsTheVersion1ByteLayout) {
   in.exit_chunk();
 }
 
+TEST(ConfigIo, UnknownInputClassByteIsRefused) {
+  // InputClass has three values. Any other byte, from a bundle's CONF or
+  // an AUDQ/SHRQ request, would reach tvla::run as an input that no target
+  // rule covers: held at 0 in every target vector while its base vector
+  // stays random - a silently different protocol.
+  const auto decode_with_class = [](std::uint8_t byte) {
+    core::PolarisConfig config;
+    config.tvla.input_class = {tvla::InputClass::kSensitive,
+                               static_cast<tvla::InputClass>(byte)};
+    serialize::Writer out;
+    out.begin_chunk("CONF");
+    core::write_config(out, config);
+    out.end_chunk();
+    serialize::Reader in(out.finish());
+    in.enter_chunk("CONF");
+    return core::read_config(in);
+  };
+  EXPECT_EQ(decode_with_class(2).tvla.input_class.at(1),
+            tvla::InputClass::kRandomCommon);
+  EXPECT_THROW((void)decode_with_class(3), std::runtime_error);
+  EXPECT_THROW((void)decode_with_class(255), std::runtime_error);
+}
+
 TEST(ConfigValidate, BudgetKnobsAreChecked) {
   core::PolarisConfig config;
   config.tvla.budget.enabled = true;

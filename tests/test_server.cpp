@@ -176,7 +176,8 @@ class ServerTest : public ::testing::Test {
       training.push_back(std::move(d));
     }
     (void)polaris->train(training, lib());
-    bundle_path_ = new std::string(::testing::TempDir() + "serve_test.plb");
+    bundle_path_ = new std::string(::testing::TempDir() + "serve_test_" +
+                                   std::to_string(::getpid()) + ".plb");
     polaris->save_bundle(*bundle_path_);
     polaris_ = polaris;
   }

@@ -3,6 +3,8 @@
 // file), and the PR contract that sampling never perturbs results.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -103,7 +105,8 @@ TEST(TimeSeriesSampler, CollectsSamplesAndAppendsJsonDeltaLines) {
   obs::Registry registry;
   registry.counter("work.items").add(3);
   const std::string path =
-      ::testing::TempDir() + "polaris_metrics_test.jsonl";
+      ::testing::TempDir() + "polaris_metrics_test_" +
+      std::to_string(::getpid()) + ".jsonl";
   std::remove(path.c_str());
   {
     obs::Sampler::Options options;

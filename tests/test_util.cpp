@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <set>
@@ -139,7 +141,8 @@ TEST(Csv, EscapesSpecialCharacters) {
 TEST(Csv, WriteFileRoundTrip) {
   CsvWriter csv({"h"});
   csv.add_row({"v"});
-  const std::string path = testing::TempDir() + "/polaris_csv_test.csv";
+  const std::string path = testing::TempDir() + "/polaris_csv_test_" +
+                           std::to_string(::getpid()) + ".csv";
   csv.write_file(path);
   FILE* f = fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
@@ -160,7 +163,8 @@ std::string slurp(const std::string& path) {
 }
 
 TEST(Fileio, WriteFileAtomicWritesAndOverwrites) {
-  const std::string path = testing::TempDir() + "/polaris_atomic_test.txt";
+  const std::string path = testing::TempDir() + "/polaris_atomic_test_" +
+                           std::to_string(::getpid()) + ".txt";
   write_file_atomic(path, "first contents\n");
   EXPECT_EQ(slurp(path), "first contents\n");
   // Overwrite: the target is replaced whole, never appended or truncated.
@@ -176,7 +180,8 @@ TEST(Fileio, WriteFileAtomicFailsCleanlyOnBadDirectory) {
 
 TEST(Fileio, WriteFileAtomicLeavesNoTempFilesBehind) {
   namespace fs = std::filesystem;
-  const std::string dir = testing::TempDir() + "/polaris_atomic_dir";
+  const std::string dir = testing::TempDir() + "/polaris_atomic_dir_" +
+                          std::to_string(::getpid());
   fs::create_directories(dir);
   write_file_atomic(dir + "/out.txt", "payload");
   std::size_t entries = 0;

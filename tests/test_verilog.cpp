@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <string>
+
 #include "circuits/arith.hpp"
 #include "circuits/random_logic.hpp"
 #include "netlist/dot.hpp"
@@ -120,7 +124,8 @@ TEST(Verilog, RoundTripRandomLogic) {
 
 TEST(Verilog, FileRoundTrip) {
   const Netlist nl = polaris::circuits::make_adder(4);
-  const std::string path = testing::TempDir() + "/polaris_adder4.v";
+  const std::string path = testing::TempDir() + "/polaris_adder4_" +
+                           std::to_string(::getpid()) + ".v";
   write_verilog_file(nl, path);
   const Netlist back = read_verilog_file(path);
   EXPECT_EQ(back.primary_outputs().size(), nl.primary_outputs().size());
