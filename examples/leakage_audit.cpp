@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     for (const auto nb : graph::bfs_neighborhood(graph, g, 4)) {
       hood += std::string(netlist::to_string(design.gate(nb).type)) + " ";
     }
-    top.add_row({"g" + std::to_string(g),
+    top.add_row({util::numbered("g", g),
                  std::string(netlist::to_string(gate.type)),
                  util::format_double(std::fabs(last.t_value(g)), 2),
                  std::to_string(gate.inputs.size()),

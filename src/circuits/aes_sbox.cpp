@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "circuits/word.hpp"
+#include "util/strings.hpp"
 
 namespace polaris::circuits {
 
@@ -98,7 +99,7 @@ Netlist make_aes_sbox_layer(std::size_t boxes) {
       }
       out.bits.push_back(wb.reduce(CellType::kOr, std::move(terms)));
     }
-    wb.output(out, "s" + std::to_string(lane));
+    wb.output(out, util::numbered("s", lane));
   }
   nl.validate();
   return nl;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "circuits/word.hpp"
+#include "util/strings.hpp"
 
 namespace polaris::circuits {
 
@@ -110,7 +111,7 @@ Netlist make_md5(std::size_t steps) {
 
   std::array<Word, 16> m;
   for (std::size_t w = 0; w < 16; ++w) {
-    m[w] = wb.input("m" + std::to_string(w), 32);
+    m[w] = wb.input(util::numbered("m", w), 32);
   }
 
   const auto rotate_left = [&](const Word& word, int s) {

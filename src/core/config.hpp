@@ -70,8 +70,9 @@ struct PolarisConfig {
 
   /// Worker threads for the whole flow: Algorithm 1 runs its labelling
   /// campaigns concurrently, every TVLA campaign shards its trace budget,
-  /// and the model fit scans a tree node's candidate features on this many
-  /// lanes (make_model passes it, resolved, as the model config's `lanes`).
+  /// the model fit scans a tree node's candidate features on this many
+  /// lanes (make_model passes it, resolved, as the model config's `lanes`),
+  /// and score_gates extracts and scores gates on this many lanes.
   /// When nonzero this overrides `tvla.threads` via tvla_config_for; 0
   /// (auto) leaves an explicit `tvla.threads` alone. 0 = all hardware
   /// threads, 1 = fully serial. Results are independent of it.

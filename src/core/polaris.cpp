@@ -1,6 +1,7 @@
 #include "core/polaris.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 #include <stdexcept>
 
@@ -8,6 +9,7 @@
 #include "engine/thread_pool.hpp"
 #include "graph/features.hpp"
 #include "masking/masking.hpp"
+#include "ml/split_table.hpp"
 #include "ml/smote.hpp"
 #include "serialize/model_io.hpp"
 #include "util/fileio.hpp"
@@ -257,24 +259,57 @@ TrainingSummary Polaris::train(
 std::vector<double> Polaris::score_gates(const circuits::Design& design,
                                          InferenceMode mode) const {
   if (!trained_) throw std::logic_error("Polaris: model not trained");
-  graph::FeatureExtractor extractor(design.netlist,
-                                    graph::FeatureSpec{config_.locality});
-  std::vector<double> scores(design.netlist.gate_count(), 0.0);
-  for (GateId g = 0; g < design.netlist.gate_count(); ++g) {
-    if (!netlist::is_maskable(design.netlist.gate(g).type)) continue;
-    const auto features = extractor.extract(g);
-    switch (mode) {
-      case InferenceMode::kModel:
-        scores[g] = model_->predict_proba(features);
-        break;
-      case InferenceMode::kRules:
-        scores[g] = rules_.score(features);
-        break;
-      case InferenceMode::kModelPlusRules:
-        scores[g] = rules_.combined_score(*model_, features);
-        break;
+  const auto& nl = design.netlist;
+  const graph::FeatureExtractor extractor(nl,
+                                          graph::FeatureSpec{config_.locality});
+  // Equal outcome keys give equal model scores bit for bit, so the model
+  // walks once per distinct key when keying a row is the cheaper of the
+  // two (ml/split_table.hpp). Rules read x[f] >= 0.5 literals, not keys,
+  // and stay per row.
+  const ml::SplitTable splits(model_->ensemble());
+  const bool memoize =
+      mode != InferenceMode::kRules && splits.cheaper_than_walk();
+  std::vector<double> scores(nl.gate_count(), 0.0);
+
+  // Lanes claim fixed blocks of gate ids; each keeps its own scratch, row
+  // and memo. A gate's score depends only on its row, so which lane scored
+  // it does not matter.
+  constexpr std::size_t kBlock = 256;
+  const std::size_t blocks = (nl.gate_count() + kBlock - 1) / kBlock;
+  std::atomic<std::size_t> next{0};
+  const auto lane = [&](std::size_t) {
+    graph::FeatureExtractor::Scratch scratch;
+    std::vector<double> row(extractor.spec().dim());
+    std::vector<std::uint64_t> key(splits.key_words());
+    ml::KeyMemo<double> memo;
+    const auto model_score = [&] {
+      if (!memoize) return model_->predict_proba(row);
+      splits.key(row, key);
+      return memo.get(key, [&] { return model_->predict_proba(row); });
+    };
+    for (std::size_t b = next++; b < blocks; b = next++) {
+      const GateId end = static_cast<GateId>(
+          std::min(nl.gate_count(), (b + 1) * kBlock));
+      for (auto g = static_cast<GateId>(b * kBlock); g < end; ++g) {
+        if (!netlist::is_maskable(nl.gate(g).type)) continue;
+        extractor.extract(g, row, scratch);
+        switch (mode) {
+          case InferenceMode::kModel:
+            scores[g] = model_score();
+            break;
+          case InferenceMode::kRules:
+            scores[g] = rules_.score(row);
+            break;
+          case InferenceMode::kModelPlusRules:
+            scores[g] = rules_.combined_score(model_score(), row);
+            break;
+        }
+      }
     }
-  }
+  };
+  const std::size_t lanes = std::min(
+      engine::ThreadPool::resolve_threads(config_.threads), blocks);
+  engine::ThreadPool::shared().parallel_for(lanes, lanes, lane);
 
   // Coherence smoothing (see PolarisConfig): pull each maskable gate's
   // score toward its maskable neighbors' mean so contiguous regions rise
@@ -283,12 +318,12 @@ std::vector<double> Polaris::score_gates(const circuits::Design& design,
   if (alpha > 0.0) {
     const auto& graph = extractor.graph();
     std::vector<double> smoothed = scores;
-    for (GateId g = 0; g < design.netlist.gate_count(); ++g) {
-      if (!netlist::is_maskable(design.netlist.gate(g).type)) continue;
+    for (GateId g = 0; g < nl.gate_count(); ++g) {
+      if (!netlist::is_maskable(nl.gate(g).type)) continue;
       double sum = 0.0;
       std::size_t count = 0;
       for (const GateId nb : graph.neighbors(g)) {
-        if (netlist::is_maskable(design.netlist.gate(nb).type)) {
+        if (netlist::is_maskable(nl.gate(nb).type)) {
           sum += scores[nb];
           ++count;
         }

@@ -87,7 +87,9 @@ class Polaris {
       bool verify = false) const;
 
   /// Gate scores (probability of "good mask") for a whole design, indexed
-  /// by gate id (non-maskable gates score 0).
+  /// by gate id (non-maskable gates score 0). Runs on config().threads
+  /// lanes; the scores are bit-identical at every lane count (DESIGN.md
+  /// "Inference, explanation and Verilog emission").
   [[nodiscard]] std::vector<double> score_gates(const circuits::Design& design,
                                                 InferenceMode mode) const;
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/strings.hpp"
+
 namespace polaris::graph {
 
 using netlist::CellType;
@@ -12,13 +14,14 @@ std::vector<std::string> FeatureSpec::feature_names() const {
   names.reserve(dim());
   for (std::size_t slot = 0; slot < node_slots(); ++slot) {
     for (std::size_t t = 0; t < netlist::kCellTypeCount; ++t) {
-      names.push_back("G" + std::to_string(slot) + "=" +
+      names.push_back(util::numbered("G", slot) + "=" +
                       std::string(netlist::to_string(static_cast<CellType>(t))));
     }
   }
   for (std::size_t a = 0; a < node_slots(); ++a) {
     for (std::size_t b = a + 1; b < node_slots(); ++b) {
-      names.push_back("adj(G" + std::to_string(a) + ",G" + std::to_string(b) + ")");
+      names.push_back(util::numbered("adj(G", a) + util::numbered(",G", b) +
+                      ")");
     }
   }
   names.emplace_back("fanin");
@@ -37,19 +40,25 @@ FeatureExtractor::FeatureExtractor(const netlist::Netlist& netlist,
 }
 
 std::vector<double> FeatureExtractor::extract(GateId gate) {
-  std::vector<double> features(spec_.dim(), 0.0);
+  std::vector<double> features(spec_.dim());
+  extract(gate, features, scratch_);
+  return features;
+}
+
+void FeatureExtractor::extract(GateId gate, std::span<double> row,
+                               Scratch& scratch) const {
+  std::fill(row.begin(), row.end(), 0.0);
 
   // Node list [G0 = gate, G1..GL] in deterministic BFS order.
-  std::vector<GateId> nodes;
-  nodes.reserve(spec_.node_slots());
-  nodes.push_back(gate);
-  const auto hood = bfs_neighborhood(graph_, gate, spec_.locality, scratch_);
+  auto& nodes = scratch.nodes;
+  nodes.assign(1, gate);
+  const auto hood = bfs_neighborhood(graph_, gate, spec_.locality, scratch.bfs);
   nodes.insert(nodes.end(), hood.begin(), hood.end());
 
   // One-hot cell types. Slots beyond the actual neighborhood stay zero.
   for (std::size_t slot = 0; slot < nodes.size(); ++slot) {
     const auto type = netlist_.gate(nodes[slot]).type;
-    features[slot * netlist::kCellTypeCount + static_cast<std::size_t>(type)] = 1.0;
+    row[slot * netlist::kCellTypeCount + static_cast<std::size_t>(type)] = 1.0;
   }
 
   // Upper-triangular adjacency of the induced sub-graph.
@@ -58,18 +67,17 @@ std::vector<double> FeatureExtractor::extract(GateId gate) {
     for (std::size_t b = a + 1; b < spec_.node_slots(); ++b, ++offset) {
       if (a < nodes.size() && b < nodes.size() &&
           graph_.adjacent(nodes[a], nodes[b])) {
-        features[offset] = 1.0;
+        row[offset] = 1.0;
       }
     }
   }
 
   // Normalized scalars.
   const auto& g = netlist_.gate(gate);
-  features[offset++] = std::min(1.0, static_cast<double>(g.inputs.size()) / 8.0);
-  features[offset++] = std::min(
+  row[offset++] = std::min(1.0, static_cast<double>(g.inputs.size()) / 8.0);
+  row[offset++] = std::min(
       1.0, static_cast<double>(netlist_.net(g.output).fanouts.size()) / 16.0);
-  features[offset++] = static_cast<double>(levels_[gate]) / depth_norm_;
-  return features;
+  row[offset++] = static_cast<double>(levels_[gate]) / depth_norm_;
 }
 
 std::vector<std::vector<double>> FeatureExtractor::extract_all(

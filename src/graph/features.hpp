@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,10 +46,19 @@ struct FeatureSpec {
 };
 
 /// Extractor bound to one design; precomputes the graph view and levels so
-/// per-gate extraction is allocation-light. Thread-compatible (not
-/// thread-safe: internal BFS scratch).
+/// per-gate extraction is allocation-light. `extract(gate)` uses the
+/// extractor's own scratch, so it is not thread-safe. `extract(gate, row,
+/// scratch)` is const and uses the caller's scratch: many threads may call
+/// it on one extractor at once (they share its read-only graph view and
+/// level table), each with its own Scratch and row.
 class FeatureExtractor {
  public:
+  /// Per-thread working memory of the const extract.
+  struct Scratch {
+    BfsScratch bfs;
+    std::vector<netlist::GateId> nodes;  // [G0 = gate, G1..GL]
+  };
+
   FeatureExtractor(const netlist::Netlist& netlist, FeatureSpec spec);
 
   [[nodiscard]] const FeatureSpec& spec() const { return spec_; }
@@ -56,6 +66,9 @@ class FeatureExtractor {
 
   /// Feature vector of `gate` (size spec().dim()).
   [[nodiscard]] std::vector<double> extract(netlist::GateId gate);
+  /// The same vector, written into `row` (spec().dim() values).
+  void extract(netlist::GateId gate, std::span<double> row,
+               Scratch& scratch) const;
 
   /// Stacked features for a set of gates (row-major, one row per gate).
   [[nodiscard]] std::vector<std::vector<double>> extract_all(
@@ -65,7 +78,7 @@ class FeatureExtractor {
   const netlist::Netlist& netlist_;
   FeatureSpec spec_;
   GraphView graph_;
-  BfsScratch scratch_;
+  Scratch scratch_;
   std::vector<std::uint32_t> levels_;
   double depth_norm_ = 1.0;
 };

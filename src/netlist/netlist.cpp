@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/strings.hpp"
+
 namespace polaris::netlist {
 namespace {
 
@@ -20,7 +22,7 @@ void check_arity(CellType type, std::size_t fan_in) {
 NetId Netlist::add_net(std::string name) {
   const NetId id = static_cast<NetId>(nets_.size());
   Net net;
-  net.name = name.empty() ? "n" + std::to_string(id) : std::move(name);
+  net.name = name.empty() ? util::numbered("n", id) : std::move(name);
   nets_.push_back(std::move(net));
   return id;
 }

@@ -2,9 +2,11 @@
 
 #include <array>
 #include <cctype>
+#include <charconv>
 #include <map>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 #include "util/fileio.hpp"
 #include "util/strings.hpp"
@@ -27,13 +29,26 @@ std::string sanitize(std::string_view name) {
 }  // namespace
 
 std::string to_verilog(const Netlist& netlist) {
-  // Unique, sanitized name per net.
+  // Unique, sanitized name per net. The first net to want a name gets it;
+  // a later one takes the first `name_k` not yet taken by any net, with k
+  // counting up from 1 per base name. `taken` maps each name in use to the
+  // next suffix to try for it.
   std::vector<std::string> net_name(netlist.net_count());
-  std::map<std::string, int> used;
+  std::unordered_map<std::string, std::size_t> taken;
+  taken.reserve(netlist.net_count());
+  std::size_t name_bytes = 0;  // sizes the output buffer
   for (NetId n = 0; n < netlist.net_count(); ++n) {
-    std::string base = sanitize(netlist.net(n).name);
-    const int count = used[base]++;
-    net_name[n] = (count == 0) ? base : base + "_" + std::to_string(count);
+    std::string name = sanitize(netlist.net(n).name);
+    const auto [it, fresh] = taken.try_emplace(name, 1);
+    if (!fresh) {
+      std::size_t& suffix = it->second;  // stays valid across rehashes
+      const std::string base = std::move(name);
+      do {
+        name = base + "_" + std::to_string(suffix++);
+      } while (!taken.try_emplace(name, 1).second);
+    }
+    name_bytes += name.size() * (2 + netlist.net(n).fanouts.size());
+    net_name[n] = std::move(name);
   }
 
   std::vector<bool> is_output(netlist.net_count(), false);
@@ -41,40 +56,55 @@ std::string to_verilog(const Netlist& netlist) {
   std::vector<bool> is_input(netlist.net_count(), false);
   for (const NetId n : netlist.primary_inputs()) is_input[n] = true;
 
-  std::ostringstream out;
-  out << "// generated by polaris::netlist::to_verilog\n";
-  out << "module " << sanitize(netlist.name()) << " (";
+  std::string out;
+  out.reserve(name_bytes + 16 * netlist.net_count() +
+              32 * netlist.gate_count() + 256);
+  out += "// generated by polaris::netlist::to_verilog\n";
+  out += "module ";
+  out += sanitize(netlist.name());
+  out += " (";
   bool first = true;
-  for (const NetId n : netlist.primary_inputs()) {
-    out << (first ? "" : ", ") << net_name[n];
-    first = false;
+  for (const auto* ports :
+       {&netlist.primary_inputs(), &netlist.primary_outputs()}) {
+    for (const NetId n : *ports) {
+      if (!first) out += ", ";
+      out += net_name[n];
+      first = false;
+    }
   }
-  for (const NetId n : netlist.primary_outputs()) {
-    out << (first ? "" : ", ") << net_name[n];
-    first = false;
-  }
-  out << ");\n";
+  out += ");\n";
 
-  for (const NetId n : netlist.primary_inputs()) {
-    out << "  input " << net_name[n] << ";\n";
-  }
-  for (const NetId n : netlist.primary_outputs()) {
-    out << "  output " << net_name[n] << ";\n";
-  }
+  const auto declare = [&](std::string_view kind, NetId n) {
+    out += "  ";
+    out += kind;
+    out += ' ';
+    out += net_name[n];
+    out += ";\n";
+  };
+  for (const NetId n : netlist.primary_inputs()) declare("input", n);
+  for (const NetId n : netlist.primary_outputs()) declare("output", n);
   for (NetId n = 0; n < netlist.net_count(); ++n) {
-    if (!is_input[n] && !is_output[n]) out << "  wire " << net_name[n] << ";\n";
+    if (!is_input[n] && !is_output[n]) declare("wire", n);
   }
 
   for (GateId g = 0; g < netlist.gate_count(); ++g) {
     const Gate& gate = netlist.gate(g);
     if (gate.type == CellType::kInput) continue;  // ports, not instances
-    out << "  " << to_string(gate.type) << " g" << g << " ("
-        << net_name[gate.output];
-    for (const NetId in : gate.inputs) out << ", " << net_name[in];
-    out << ");\n";
+    out += "  ";
+    out += to_string(gate.type);
+    out += " g";
+    char digits[24];
+    out.append(digits, std::to_chars(digits, digits + sizeof digits, g).ptr);
+    out += " (";
+    out += net_name[gate.output];
+    for (const NetId in : gate.inputs) {
+      out += ", ";
+      out += net_name[in];
+    }
+    out += ");\n";
   }
-  out << "endmodule\n";
-  return out.str();
+  out += "endmodule\n";
+  return out;
 }
 
 namespace {

@@ -370,7 +370,7 @@ std::string wall_clock_iso8601() {
   const std::time_t seconds = static_cast<std::time_t>(ms / 1000);
   std::tm utc{};
   gmtime_r(&seconds, &utc);
-  char buffer[32];
+  char buffer[96];  // room for any int in every field, so never truncated
   std::snprintf(buffer, sizeof(buffer),
                 "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", utc.tm_year + 1900,
                 utc.tm_mon + 1, utc.tm_mday, utc.tm_hour, utc.tm_min,

@@ -1,5 +1,6 @@
 #include "serialize/archive.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
@@ -57,10 +58,9 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
 
 // --- Writer -----------------------------------------------------------------
 
-Writer::Writer() {
-  buffer_.insert(buffer_.end(), kMagic.begin(), kMagic.end());
-  buffer_.resize(buffer_.size() + 4);
-  put_u32(buffer_, buffer_.size() - 4, kFormatVersion);
+Writer::Writer() : buffer_(kHeaderSize) {
+  std::copy(kMagic.begin(), kMagic.end(), buffer_.begin());
+  put_u32(buffer_, kMagic.size(), kFormatVersion);
 }
 
 void Writer::begin_chunk(std::string_view tag) {

@@ -272,10 +272,11 @@ void fields(Io& io, R& r) {
 
 template <class Io, Msg<ShardReply> R>
 void fields(Io& io, R& r) {
-  // A shard entry is at least its 8-byte index plus a moments chunk
-  // header and counters.
+  // A shard entry is at least 52 bytes: its u64 index, the moments
+  // block's 12-byte MOMC chunk header (tag and u64 length) and its four
+  // u64 counts.
   io.chunk("SHRS", [&] {
-    io.seq(r.shards, 16, [&](auto& result) {
+    io.seq(r.shards, 52, [&](auto& result) {
       io.u64(result.shard);
       io.nested(result.moments, tvla::write_moments, tvla::read_moments);
     });

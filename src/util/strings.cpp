@@ -47,4 +47,10 @@ std::string format_double(double value, int decimals) {
   return buffer;
 }
 
+std::string numbered(std::string_view prefix, std::size_t n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
+
 }  // namespace polaris::util

@@ -23,4 +23,10 @@ namespace polaris::util {
 /// printf-style double formatting with fixed decimals (for report tables).
 [[nodiscard]] std::string format_double(double value, int decimals);
 
+/// `prefix` followed by the decimal digits of `n` ("g", 12 -> "g12"): net,
+/// port and feature names. Built by appending, which GCC 12 does not
+/// misread as an overlapping copy the way it does `"g" + std::to_string(n)`
+/// (-Wrestrict).
+[[nodiscard]] std::string numbered(std::string_view prefix, std::size_t n);
+
 }  // namespace polaris::util

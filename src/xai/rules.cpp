@@ -6,6 +6,8 @@
 #include <numeric>
 #include <sstream>
 
+#include "ml/split_table.hpp"
+#include "util/strings.hpp"
 #include "xai/treeshap.hpp"
 
 namespace polaris::xai {
@@ -18,7 +20,7 @@ std::string Rule::to_string(std::span<const std::string> feature_names) const {
     first = false;
     const std::string name = lit.feature < feature_names.size()
                                  ? feature_names[lit.feature]
-                                 : "f" + std::to_string(lit.feature);
+                                 : util::numbered("f", lit.feature);
     if (!lit.positive) out << "!";
     out << name;
   }
@@ -44,7 +46,11 @@ double RuleSet::score(std::span<const double> x, double fallback) const {
 
 double RuleSet::combined_score(const ml::Classifier& model,
                                std::span<const double> x, double alpha) const {
-  const double model_score = model.predict_proba(x);
+  return combined_score(model.predict_proba(x), x, alpha);
+}
+
+double RuleSet::combined_score(double model_score, std::span<const double> x,
+                               double alpha) const {
   if (rules_.empty()) return model_score;
   return alpha * model_score + (1.0 - alpha) * score(x, model_score);
 }
@@ -60,6 +66,14 @@ RuleSet extract_rules(const ml::Classifier& model, const ml::Dataset& data,
   };
   std::map<Key, Stats> candidates;
 
+  // A row's TreeSHAP values, and with them the features its rule keeps,
+  // depend on the row only through its outcome key (ml/split_table.hpp),
+  // so each distinct key is explained once. Computing a key costs less
+  // than one TreeSHAP pass, which visits every node.
+  const ml::SplitTable splits(model.ensemble());
+  ml::KeyMemo<std::vector<std::size_t>> kept_features;
+  std::vector<std::uint64_t> row_key(splits.key_words());
+
   for (std::size_t i = 0; i < data.size(); ++i) {
     const auto x = data.row(i);
     const double p = model.predict_proba(x);
@@ -68,26 +82,33 @@ RuleSet extract_rules(const ml::Classifier& model, const ml::Dataset& data,
     else if (p <= config.confidence_lo) action = 0;
     else continue;
 
-    const auto phi = tree_shap(model.ensemble(), x);
-    // Rank features whose attribution pushes toward the predicted class.
-    std::vector<std::size_t> order(phi.size());
-    std::iota(order.begin(), order.end(), 0);
-    const double sign = action == 1 ? 1.0 : -1.0;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return sign * phi[a] > sign * phi[b];
-    });
-
-    Key key;
-    for (const std::size_t f : order) {
-      if (key.size() == config.literals_per_rule) break;
-      if (sign * phi[f] <= 0.0) break;  // ran out of supporting features
-      if (!config.allowed_features.empty() &&
-          (f >= config.allowed_features.size() || !config.allowed_features[f])) {
-        continue;
+    // Equal keys give equal p, so `action` is a function of the key too.
+    splits.key(x, row_key);
+    const auto& features = kept_features.get(row_key, [&] {
+      const auto phi = tree_shap(model.ensemble(), x);
+      // Rank features whose attribution pushes toward the predicted class.
+      std::vector<std::size_t> order(phi.size());
+      std::iota(order.begin(), order.end(), 0);
+      const double sign = action == 1 ? 1.0 : -1.0;
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        return sign * phi[a] > sign * phi[b];
+      });
+      std::vector<std::size_t> kept;
+      for (const std::size_t f : order) {
+        if (kept.size() == config.literals_per_rule) break;
+        if (sign * phi[f] <= 0.0) break;  // ran out of supporting features
+        if (!config.allowed_features.empty() &&
+            (f >= config.allowed_features.size() ||
+             !config.allowed_features[f])) {
+          continue;
+        }
+        kept.push_back(f);
       }
-      key.emplace_back(f, x[f] >= 0.5);
-    }
-    if (key.size() < 2) continue;
+      return kept;
+    });
+    if (features.size() < 2) continue;
+    Key key;
+    for (const std::size_t f : features) key.emplace_back(f, x[f] >= 0.5);
     std::sort(key.begin(), key.end());
     auto& stats = candidates[key];
     stats.support += 1;

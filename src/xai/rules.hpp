@@ -82,6 +82,10 @@ class RuleSet {
   [[nodiscard]] double combined_score(const ml::Classifier& model,
                                       std::span<const double> x,
                                       double alpha = 0.7) const;
+  /// The same blend for a model score the caller already has.
+  [[nodiscard]] double combined_score(double model_score,
+                                      std::span<const double> x,
+                                      double alpha = 0.7) const;
 
  private:
   std::vector<Rule> rules_;

@@ -29,7 +29,7 @@ Waterfall make_waterfall(const ml::Classifier& model, std::span<const double> x,
     if (rank < max_bars) {
       WaterfallBar bar;
       bar.feature = f < feature_names.size() ? feature_names[f]
-                                             : "f" + std::to_string(f);
+                                             : util::numbered("f", f);
       bar.feature_value = x[f];
       bar.phi = phi[f];
       wf.bars.push_back(std::move(bar));

@@ -344,6 +344,27 @@ TEST(DistributedCodec, ShardReplyCarriesMergeableMoments) {
                                finalizer.finalize(direct));
 }
 
+TEST(DistributedCodec, ShardReplyCountBoundedByRealEntrySize) {
+  // An entry is at least 52 bytes (u64 index, 12-byte MOMC chunk header,
+  // four u64 counts). 64 entries announced over 64 * 16 bytes would pass a
+  // 16-byte bound and reserve 64 full ShardResults before the first entry
+  // failed; the 52-byte bound refuses the count itself.
+  constexpr std::uint64_t kCount = 64;
+  serialize::Writer out;
+  out.begin_chunk("SHRS");
+  out.u64(kCount);
+  for (std::uint64_t i = 0; i < kCount * 16; ++i) out.u8(0);
+  out.end_chunk();
+  try {
+    (void)server::decode_shard_reply(out.finish());
+    FAIL() << "a shard reply whose count overruns its chunk was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("count 64 overruns its chunk"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 // --- worker process behavior -------------------------------------------------
 
 TEST(DistributedWorker, PingIdentifiesAShardWorker) {

@@ -1,5 +1,6 @@
-// Golden-value regression tests: fixed-seed TVLA t-statistics and
-// score_gates outputs checked against CSVs committed under tests/golden/.
+// Golden-value regression tests: fixed-seed TVLA t-statistics,
+// score_gates outputs and the extracted RuleSet's bytes checked against
+// CSVs committed under tests/golden/.
 // Their job is to make numeric drift LOUD: an engine/scheduler/model
 // refactor that changes any double - even in the last bit - fails here,
 // instead of silently shifting every paper table.
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <span>
 #include <sstream>
 #include <string>
@@ -27,6 +29,8 @@
 #include "circuits/suite.hpp"
 #include "core/polaris.hpp"
 #include "masking/masking.hpp"
+#include "serialize/archive.hpp"
+#include "serialize/model_io.hpp"
 #include "techlib/techlib.hpp"
 #include "tvla/tvla.hpp"
 #include "util/rng.hpp"
@@ -230,6 +234,56 @@ TEST(Golden, ScoreGatesVoterModelPlusRules) {
                golden_polaris().score_gates(
                    design, core::InferenceMode::kModelPlusRules),
                /*max_ulps=*/64);
+}
+
+// --- RuleSet bytes -----------------------------------------------------------
+
+/// The `ruleset/golden_model` row of emit_bits.csv (test_inference owns its
+/// Verilog rows): `<length>,<hex>` of golden_polaris()'s RuleSet as
+/// write_ruleset writes it. Bit-exact, since a rule either matches or not:
+/// a libm whose exp/log moves a training score by an ulp can flip a
+/// near-tie in the TreeSHAP ranking and change a literal, which is why the
+/// pin lives here with the other train-in-the-loop goldens and not in
+/// test_inference's unit gate.
+TEST(Golden, RuleSetBytes) {
+  serialize::Writer out;
+  serialize::write_ruleset(out, golden_polaris().rules());
+  const auto bytes = out.finish();
+  std::string value = std::to_string(bytes.size()) + ",";
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (const std::uint8_t b : bytes) {
+    value += kDigits[b >> 4];
+    value += kDigits[b & 15];
+  }
+
+  const std::string path = golden_path("emit_bits.csv");
+  const std::string name = "ruleset/golden_model";
+  std::map<std::string, std::string> rows;  // name -> "<length>,<value>"
+  {
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << "missing golden file " << path;
+    std::string line;
+    std::getline(in, line);  // header
+    while (std::getline(in, line)) {
+      const auto comma = line.find(',');
+      if (comma != std::string::npos) {
+        rows[line.substr(0, comma)] = line.substr(comma + 1);
+      }
+    }
+  }
+  if (update_mode()) {
+    rows[name] = value;
+    std::ofstream out_csv(path);
+    ASSERT_TRUE(out_csv) << "cannot write " << path;
+    out_csv << "name,length,value\n";
+    for (const auto& [row_name, row] : rows) {
+      out_csv << row_name << "," << row << "\n";
+    }
+    return;
+  }
+  const auto it = rows.find(name);
+  ASSERT_NE(it, rows.end()) << name << " missing from " << path;
+  EXPECT_EQ(it->second, value) << name << ": RuleSet bytes drifted";
 }
 
 }  // namespace

@@ -122,6 +122,30 @@ TEST(Verilog, RoundTripRandomLogic) {
   }
 }
 
+TEST(Verilog, DedupSuffixSkipsNamesAlreadyTaken) {
+  // Nets named a, a_1, a: the second `a` must not take the suffixed name
+  // the real net a_1 already holds, or the mux would read the wrong net
+  // and the text would not parse.
+  Netlist nl("dup");
+  const NetId a = nl.add_input("a");
+  const NetId a1 = nl.add_input("a_1");
+  const NetId a2 = nl.add_input("a");
+  nl.mark_output(nl.add_cell(CellType::kMux, {a, a1, a2}, "y"));
+  const Netlist back = from_verilog(to_verilog(nl));
+  ASSERT_EQ(back.gate_count(), nl.gate_count());
+  ASSERT_EQ(back.primary_inputs().size(), nl.primary_inputs().size());
+  for (GateId g = 0; g < nl.gate_count(); ++g) {
+    const Gate& want = nl.gate(g);
+    const Gate& got = back.gate(g);
+    ASSERT_EQ(got.type, want.type) << "gate " << g;
+    ASSERT_EQ(got.inputs.size(), want.inputs.size()) << "gate " << g;
+    for (std::size_t i = 0; i < want.inputs.size(); ++i) {
+      EXPECT_EQ(back.net(got.inputs[i]).driver, nl.net(want.inputs[i]).driver)
+          << "gate " << g << " input " << i << " reads the wrong net";
+    }
+  }
+}
+
 TEST(Verilog, FileRoundTrip) {
   const Netlist nl = polaris::circuits::make_adder(4);
   const std::string path = testing::TempDir() + "/polaris_adder4_" +
