@@ -219,10 +219,4 @@ Word WordBuilder::shift_right(const Word& a, std::size_t amount,
   return out;
 }
 
-Word WordBuilder::concat(const Word& low, const Word& high) const {
-  Word out = low;
-  out.bits.insert(out.bits.end(), high.bits.begin(), high.bits.end());
-  return out;
-}
-
 }  // namespace polaris::circuits

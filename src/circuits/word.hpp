@@ -55,9 +55,6 @@ class WordBuilder {
   [[nodiscard]] netlist::NetId reduce(netlist::CellType type,
                                       std::vector<netlist::NetId> bits,
                                       std::size_t max_fan_in = 8);
-  [[nodiscard]] netlist::NetId reduce_or(const Word& a) {
-    return reduce(netlist::CellType::kOr, a.bits);
-  }
   [[nodiscard]] netlist::NetId reduce_and(const Word& a) {
     return reduce(netlist::CellType::kAnd, a.bits);
   }
@@ -89,7 +86,6 @@ class WordBuilder {
   /// Logical / arithmetic shift right by a constant.
   [[nodiscard]] Word shift_right(const Word& a, std::size_t amount,
                                  bool arithmetic = false);
-  [[nodiscard]] Word concat(const Word& low, const Word& high) const;
 
  private:
   netlist::Netlist& nl_;

@@ -111,14 +111,4 @@ CognitionStats CognitionPlan::finalize(ml::Dataset& dataset) {
   return stats;
 }
 
-CognitionStats generate_cognition_data(const circuits::Design& design,
-                                       const techlib::TechLibrary& lib,
-                                       const PolarisConfig& config,
-                                       ml::Dataset& dataset) {
-  engine::Scheduler scheduler(config.threads);
-  CognitionPlan plan(design, lib, config, scheduler);
-  scheduler.drain();
-  return plan.finalize(dataset);
-}
-
 }  // namespace polaris::core

@@ -73,12 +73,4 @@ class CognitionPlan {
   util::Timer timer_;
 };
 
-/// Runs Algorithm 1 on one design and appends the labelled samples to
-/// `dataset`. Deterministic for a fixed config: a convenience wrapper that
-/// drains a private scheduler around one CognitionPlan.
-CognitionStats generate_cognition_data(const circuits::Design& design,
-                                       const techlib::TechLibrary& lib,
-                                       const PolarisConfig& config,
-                                       ml::Dataset& dataset);
-
 }  // namespace polaris::core

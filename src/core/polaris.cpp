@@ -231,7 +231,7 @@ TrainingSummary Polaris::train(
   timer.reset();
   if (config_.handle_imbalance) {
     if (config_.model == ModelKind::kRandomForest) {
-      data_ = ml::smote_oversample(data_, ml::SmoteConfig{.seed = config_.seed});
+      data_ = ml::smote_oversample(data_, config_.seed);
     } else {
       data_.apply_class_balance_weights();
     }

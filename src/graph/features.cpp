@@ -80,12 +80,4 @@ void FeatureExtractor::extract(GateId gate, std::span<double> row,
   row[offset++] = static_cast<double>(levels_[gate]) / depth_norm_;
 }
 
-std::vector<std::vector<double>> FeatureExtractor::extract_all(
-    const std::vector<GateId>& gates) {
-  std::vector<std::vector<double>> rows;
-  rows.reserve(gates.size());
-  for (const GateId gate : gates) rows.push_back(extract(gate));
-  return rows;
-}
-
 }  // namespace polaris::graph

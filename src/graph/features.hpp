@@ -70,10 +70,6 @@ class FeatureExtractor {
   void extract(netlist::GateId gate, std::span<double> row,
                Scratch& scratch) const;
 
-  /// Stacked features for a set of gates (row-major, one row per gate).
-  [[nodiscard]] std::vector<std::vector<double>> extract_all(
-      const std::vector<netlist::GateId>& gates);
-
  private:
   const netlist::Netlist& netlist_;
   FeatureSpec spec_;

@@ -6,19 +6,24 @@
 
 namespace polaris::ml {
 
-Dataset smote_oversample(const Dataset& data, const SmoteConfig& config) {
+namespace {
+
+constexpr std::size_t kNeighbors = 5;
+/// Neighbor search examines at most this many random minority candidates
+/// per sample (exact k-NN above this size would be quadratic).
+constexpr std::size_t kNeighborPool = 256;
+
+}  // namespace
+
+Dataset smote_oversample(const Dataset& data, std::uint64_t seed) {
   const std::size_t positives = data.positives();
   const std::size_t negatives = data.size() - positives;
   if (positives == 0 || negatives == 0) return data;
   const int minority_label = positives <= negatives ? 1 : 0;
   const std::size_t minority = std::min(positives, negatives);
   const std::size_t majority = std::max(positives, negatives);
-  if (minority < 2) return data;
-
-  const auto target = static_cast<std::size_t>(
-      config.target_ratio * static_cast<double>(majority));
-  if (target <= minority) return data;
-  const std::size_t to_create = target - minority;
+  if (minority < 2 || minority == majority) return data;
+  const std::size_t to_create = majority - minority;
 
   std::vector<std::size_t> minority_rows;
   minority_rows.reserve(minority);
@@ -26,7 +31,7 @@ Dataset smote_oversample(const Dataset& data, const SmoteConfig& config) {
     if (data.label(i) == minority_label) minority_rows.push_back(i);
   }
 
-  util::Xoshiro256 rng(config.seed);
+  util::Xoshiro256 rng(seed);
   const std::size_t dims = data.feature_count();
 
   const auto squared_distance = [&](std::size_t a, std::size_t b) {
@@ -46,8 +51,7 @@ Dataset smote_oversample(const Dataset& data, const SmoteConfig& config) {
         minority_rows[rng.bounded(minority_rows.size())];
 
     // k nearest among a bounded random candidate pool.
-    const std::size_t pool =
-        std::min(config.neighbor_pool, minority_rows.size());
+    const std::size_t pool = std::min(kNeighborPool, minority_rows.size());
     std::vector<std::pair<double, std::size_t>> candidates;
     candidates.reserve(pool);
     for (std::size_t c = 0; c < pool; ++c) {
@@ -56,7 +60,7 @@ Dataset smote_oversample(const Dataset& data, const SmoteConfig& config) {
       candidates.emplace_back(squared_distance(anchor, row), row);
     }
     if (candidates.empty()) continue;
-    const std::size_t k = std::min(config.k_neighbors, candidates.size());
+    const std::size_t k = std::min(kNeighbors, candidates.size());
     std::partial_sort(candidates.begin(),
                       candidates.begin() + static_cast<std::ptrdiff_t>(k),
                       candidates.end());

@@ -9,21 +9,10 @@
 
 namespace polaris::ml {
 
-struct SmoteConfig {
-  std::size_t k_neighbors = 5;
-  /// Target minority/majority ratio after oversampling (1.0 = balanced).
-  double target_ratio = 1.0;
-  /// Neighbor search examines at most this many random minority candidates
-  /// per sample (exact k-NN above this size would be quadratic).
-  std::size_t neighbor_pool = 256;
-  std::uint64_t seed = 1;
-};
-
 /// Returns a new dataset containing all original samples plus synthetic
-/// minority samples interpolated between minority points and their
-/// neighbors. A dataset with fewer than 2 minority samples (or a single
-/// class) is returned unchanged.
-[[nodiscard]] Dataset smote_oversample(const Dataset& data,
-                                       const SmoteConfig& config = {});
+/// minority samples, interpolated between minority points and their
+/// neighbors, until both classes have the majority's count. A dataset with
+/// fewer than 2 minority samples (or a single class) is returned unchanged.
+[[nodiscard]] Dataset smote_oversample(const Dataset& data, std::uint64_t seed);
 
 }  // namespace polaris::ml

@@ -619,10 +619,11 @@ Tree TreeFitter::classification_tree(std::span<const std::size_t> indices,
     if (wr > 0.0) s += (ar * ar + br * br) / wr;
     return s;
   };
+  // Minimum gain 0 allows zero-gain splits on impure nodes, which XOR-style
+  // interactions need: their gain only appears one level down.
   Builder builder(*state_, config.max_depth, config.min_samples_leaf,
-                  config.min_impurity_decrease, config.features_per_split,
-                  config.seed, /*pure_is_leaf=*/true, payload, leaf_value,
-                  score);
+                  /*min_gain=*/0.0, config.features_per_split, config.seed,
+                  /*pure_is_leaf=*/true, payload, leaf_value, score);
   return builder.build(indices);
 }
 
@@ -632,7 +633,7 @@ Tree TreeFitter::boost_tree(std::span<const double> gradients,
   const Dataset& data = state_->data;
   if (data.empty()) throw std::invalid_argument("fit tree: empty dataset");
   if (gradients.size() != data.size() || hessians.size() != data.size()) {
-    throw std::invalid_argument("fit_boost_tree: gradient size mismatch");
+    throw std::invalid_argument("fit tree: gradient size mismatch");
   }
   const double lambda = config.lambda;
   const auto payload = [&](std::size_t row) {
@@ -658,18 +659,6 @@ Tree TreeFitter::boost_tree(std::span<const double> gradients,
                   config.gamma, 0, /*seed=*/1, /*pure_is_leaf=*/false, payload,
                   leaf_value, score);
   return builder.build(indices);
-}
-
-Tree fit_classification_tree(const Dataset& data,
-                             std::span<const std::size_t> indices,
-                             const TreeConfig& config) {
-  return TreeFitter(data).classification_tree(indices, config);
-}
-
-Tree fit_boost_tree(const Dataset& data, std::span<const double> gradients,
-                    std::span<const double> hessians,
-                    const BoostTreeConfig& config) {
-  return TreeFitter(data).boost_tree(gradients, hessians, config);
 }
 
 }  // namespace polaris::ml

@@ -58,9 +58,6 @@ struct TreeEnsemble {
 struct TreeConfig {
   std::size_t max_depth = 6;
   std::size_t min_samples_leaf = 2;
-  /// Zero allows zero-gain splits on impure nodes (required for XOR-style
-  /// interactions whose gain only appears one level down).
-  double min_impurity_decrease = 0.0;
   /// 0 = consider all features at each split; otherwise sample this many.
   std::size_t features_per_split = 0;
   std::uint64_t seed = 1;
@@ -105,14 +102,5 @@ class TreeFitter {
   class Builder;
   std::unique_ptr<State> state_;
 };
-
-/// One-tree forms of TreeFitter (one lane).
-[[nodiscard]] Tree fit_classification_tree(const Dataset& data,
-                                           std::span<const std::size_t> indices,
-                                           const TreeConfig& config);
-[[nodiscard]] Tree fit_boost_tree(const Dataset& data,
-                                  std::span<const double> gradients,
-                                  std::span<const double> hessians,
-                                  const BoostTreeConfig& config);
 
 }  // namespace polaris::ml

@@ -23,9 +23,6 @@ class PowerModel {
   [[nodiscard]] double gate_energy(netlist::GateId gate) const {
     return energies_[gate];
   }
-  [[nodiscard]] const std::vector<double>& gate_energies() const {
-    return energies_;
-  }
 
   /// Gates with nonzero switching energy, ascending id - the set whose
   /// toggles contribute to power traces. Campaign shard loops iterate this

@@ -73,8 +73,7 @@ struct TileClass {
   std::uint64_t count;
 
   /// Pushes the lane-major samples of `lane` into every group of the tile:
-  /// the Pebay update of tvla::MomentAccumulator::add, restricted to mean
-  /// and S2 (which never read the higher sums).
+  /// tvla::MomentAccumulator::add's mean and S2 update, step for step.
   void push(double* values, std::size_t lane) {
     const Tile n1 = Tile::broadcast(static_cast<double>(count));
     ++count;

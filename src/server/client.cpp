@@ -1,7 +1,6 @@
 #include "server/client.hpp"
 
 #include <errno.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -12,11 +11,6 @@
 namespace polaris::server {
 
 namespace {
-
-/// Socket poll tick while a deadline is armed: every SO_*TIMEO expiry
-/// re-checks the deadline probe, so the timeout resolution is ~100 ms
-/// regardless of how long the configured deadline is.
-constexpr int kClientPollMs = 100;
 
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -29,16 +23,9 @@ std::int64_t steady_now_ns() {
 Client::Client(const std::string& endpoint, std::size_t timeout_ms)
     : timeout_ms_(timeout_ms) {
   fd_ = net::connect_endpoint(net::parse_endpoint(endpoint));
-  if (timeout_ms_ > 0) {
-    // The timeouts make the blocking frame I/O surface EAGAIN every tick,
-    // at which point it consults the deadline probe from arm_deadline().
-    timeval timeout{};
-    timeout.tv_usec = kClientPollMs * 1000;
-    (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                       sizeof(timeout));
-    (void)::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &timeout,
-                       sizeof(timeout));
-  }
+  // The tick makes the blocking frame I/O consult the deadline probe from
+  // arm_deadline(), so a deadline is noticed within one tick.
+  if (timeout_ms_ > 0) net::set_io_tick(fd_);
 }
 
 Client::~Client() {

@@ -15,8 +15,8 @@ class Client {
   /// Connects to a serving daemon or shard worker. `endpoint` is an
   /// endpoint spec (a UDS path or "tcp:host:port"; see server/net.hpp).
   /// `timeout_ms` > 0 arms a per-call deadline: a call that cannot finish
-  /// its frame I/O within it throws TimeoutError (SO_RCVTIMEO/SO_SNDTIMEO
-  /// make the blocking I/O re-check the deadline every poll tick). 0 means
+  /// its frame I/O within it throws TimeoutError (the socket I/O tick,
+  /// net::set_io_tick, makes the blocking I/O re-check it). 0 means
   /// block indefinitely, the original behavior. Throws std::runtime_error
   /// when nothing listens on the endpoint.
   explicit Client(const std::string& endpoint, std::size_t timeout_ms = 0);

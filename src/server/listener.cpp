@@ -15,13 +15,6 @@ namespace polaris::server {
 
 namespace {
 
-/// Poll interval for connection handlers: the latency bound on noticing a
-/// stop request while a client holds an idle connection open. The same
-/// interval is set as SO_RCVTIMEO/SO_SNDTIMEO on every accepted socket, so
-/// a peer that stalls MID-frame also cannot pin a handler across a drain
-/// (the frame I/O layer re-checks its cancel probe on every timeout).
-constexpr int kHandlerPollMs = 100;
-
 /// Accept-loop poll interval: bounds how long a finished connection's
 /// thread lingers before being reaped, and how long the loop backs off
 /// after running out of descriptors or memory.
@@ -145,12 +138,10 @@ void Listener::accept_loop() {
       if (::poll(&wake, 1, kAcceptPollMs) > 0) break;
       continue;
     }
-    // Timeouts make the frame I/O loops re-check the handler's cancel
-    // probe, so a peer stalling mid-frame cannot pin the handler.
-    timeval timeout{};
-    timeout.tv_usec = kHandlerPollMs * 1000;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+    // The I/O tick bounds how long a handler takes to notice a stop
+    // request, whether its client is idle or stalls mid-frame: the frame
+    // I/O loops re-check the handler's cancel probe at every tick.
+    net::set_io_tick(fd);
     net::set_nodelay(fd, endpoint_);
     connections_accepted_.fetch_add(1);
     connections_opened_.add();
@@ -167,7 +158,7 @@ void Listener::accept_loop() {
   }
 
   // Graceful drain: stop accepting, let every handler finish its in-flight
-  // request (handlers notice stopping_ within kHandlerPollMs), then remove
+  // request (handlers notice stopping_ within net::kIoTickMs), then remove
   // the socket file so "zero leaked sockets" is checkable from outside.
   stopping_.store(true);
   ::close(listen_fd_);
@@ -213,7 +204,7 @@ void Listener::handle_connection(int fd) {
   try {
     for (;;) {
       // Idle waiting happens INSIDE read_frame: the socket's SO_RCVTIMEO
-      // expires every kHandlerPollMs and the probe is re-checked, so both
+      // expires every net::kIoTickMs and the probe is re-checked, so both
       // an idle connection and a mid-frame stall notice a drain through
       // the same mechanism (the probe throws; the catch below closes).
       const FrameResult result =

@@ -246,6 +246,13 @@ void set_nodelay(int fd, const Endpoint& endpoint) {
   (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+void set_io_tick(int fd) {
+  timeval tick{};
+  tick.tv_usec = kIoTickMs * 1000;
+  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tick, sizeof(tick));
+  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tick, sizeof(tick));
+}
+
 void unlink_if_uds(const Endpoint& endpoint) {
   if (!endpoint.tcp) ::unlink(endpoint.path.c_str());
 }

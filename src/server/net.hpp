@@ -55,6 +55,14 @@ struct Endpoint {
 /// every TCP connection (connect_endpoint and the accept loops).
 void set_nodelay(int fd, const Endpoint& endpoint);
 
+/// The socket I/O tick: how long a blocking read or write on a connection
+/// waits before frame I/O re-checks its cancel probe (protocol.hpp). It
+/// bounds how late a deadline or a drain is noticed.
+inline constexpr int kIoTickMs = 100;
+
+/// Sets kIoTickMs as the fd's SO_RCVTIMEO and SO_SNDTIMEO.
+void set_io_tick(int fd);
+
 /// Removes a UDS endpoint's socket file; no-op for TCP.
 void unlink_if_uds(const Endpoint& endpoint);
 

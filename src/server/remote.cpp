@@ -1,6 +1,5 @@
 #include "server/remote.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -16,9 +15,14 @@ namespace polaris::server {
 
 namespace {
 
-/// Client-side socket poll cadence: SO_*TIMEO expiry re-checks the cancel
-/// probe, which enforces the per-roundtrip deadline.
-constexpr int kFeederPollMs = 100;
+/// Outstanding chunks per worker connection.
+constexpr std::size_t kPipelineDepth = 2;
+/// Admission control: a feeder stops sending while the request bytes of
+/// its outstanding chunks exceed this (bounds worker-side queue memory).
+constexpr std::size_t kMaxInflightBytes = std::size_t{4} << 20;
+/// Per-roundtrip deadline: a worker that exceeds it is treated as dead and
+/// its chunks are requeued.
+constexpr std::chrono::seconds kRoundtripTimeout{30};
 
 obs::Counter& shards_out_counter() {
   static auto& counter = obs::Registry::global().counter("net.shards_out");
@@ -162,31 +166,27 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
   };
 
   // The deadline is per roundtrip: armed when a reply wait starts,
-  // checked by the probe on every socket-timeout tick.
-  const bool has_deadline = options_.timeout_ms != 0;
+  // checked by the probe at every socket I/O tick.
   std::chrono::steady_clock::time_point deadline;
   const CancelProbe probe = [&] {
-    return has_deadline && std::chrono::steady_clock::now() > deadline;
+    return std::chrono::steady_clock::now() > deadline;
   };
 
   try {
     fd = net::connect_endpoint(slot.endpoint);
-    timeval timeout{};
-    timeout.tv_usec = kFeederPollMs * 1000;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+    net::set_io_tick(fd);
 
     std::vector<std::uint8_t> payload;
     for (;;) {
-      // Admission control: pipeline up to `pipeline_depth` chunks, but
-      // never more than `max_inflight_bytes` of unanswered request
-      // payload - a slow worker's queue stays bounded.
+      // Admission control: pipeline up to kPipelineDepth chunks, but
+      // never more than kMaxInflightBytes of unanswered request payload -
+      // a slow worker's queue stays bounded.
       std::size_t chunks_out = 0;
       for (const auto& pending : outstanding) {
         if (pending.lease) ++chunks_out;
       }
-      while (chunks_out < options_.pipeline_depth &&
-             inflight_bytes < options_.max_inflight_bytes) {
+      while (chunks_out < kPipelineDepth &&
+             inflight_bytes < kMaxInflightBytes) {
         // Block for work only with nothing outstanding here: a feeder
         // with replies to read must stay free to read them. A waiting
         // lease returns empty once this audit's campaigns are finalized.
@@ -194,8 +194,7 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
                                            /*wait=*/outstanding.empty());
         if (!lease) break;
         const std::size_t design = batch.design_of(lease->campaign);
-        deadline = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(options_.timeout_ms);
+        deadline = std::chrono::steady_clock::now() + kRoundtripTimeout;
         // Until the Pending lands in `outstanding`, the outer handler
         // cannot see this lease: give it back on any send failure (torn
         // connection, deadline probe firing mid-EAGAIN) before withdrawing.
@@ -239,8 +238,7 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
 
       // One reply, FIFO: the worker serves a connection's frames in
       // order, so the front pending is always the one being answered.
-      deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(options_.timeout_ms);
+      deadline = std::chrono::steady_clock::now() + kRoundtripTimeout;
       const FrameResult result =
           read_frame(fd, options_.max_frame, payload, probe);
       if (result != FrameResult::kFrame) {

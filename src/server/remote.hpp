@@ -62,14 +62,6 @@ inline constexpr std::size_t kShardsPerChunk = 4;
 struct WorkerPoolOptions {
   std::string workers;             // comma-separated endpoint specs
   std::size_t local_threads = 0;   // lanes of audit()'s private scheduler
-  std::size_t pipeline_depth = 2;  // outstanding chunks per worker
-  /// Admission control: a feeder stops sending when the request bytes of
-  /// its outstanding chunks exceed this (bounds worker-side queue memory).
-  std::size_t max_inflight_bytes = std::size_t{4} << 20;
-  /// Per-roundtrip deadline. A worker that exceeds it is treated as dead
-  /// and its chunks are requeued; 0 disables the deadline (a hung worker
-  /// would then pin its chunks forever, so keep it on in production).
-  std::size_t timeout_ms = 30000;
   std::size_t max_frame = kDefaultMaxFrame;
 };
 

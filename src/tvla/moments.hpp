@@ -1,19 +1,20 @@
-// One-pass raw/central moment computation.
+// One-pass mean and variance computation.
 //
 // Paper Sec. II-A: "TVLA trace collection is slow due to repeated mean and
 // variance calculations. To accelerate it, [Schneider-Moradi 2015] proposed
 // an efficient one-pass method for raw and central moments computation
 // during trace acquisition", Eq. 3:  M1' = M1 + delta/n, and Eq. 4:
-// mu = M1, s^2 = CM2 = M2 - M1^2, extensible to d > 1.
+// mu = M1, s^2 = CM2 = M2 - M1^2.
 //
-// We implement the numerically stable incremental update of the centered
-// power sums Sd = sum (x - mean)^d for d = 2..4 (Pebay's formulas, which are
-// the same family the Schneider-Moradi paper derives), plus a pairwise
-// merge() so accumulators can be combined across batches. The naive two-pass
-// reference (Eq. 2) lives in welch.hpp for tests and the ablation bench.
-// Campaigns keep only the mean and S2 steps of the same recurrence
-// (CampaignMoments below, updated by power::SamplePlan's readout), since
-// Welch's t reads nothing else.
+// We implement the numerically stable incremental update of the mean and
+// the centred sum of squares S2 = sum (x - mean)^2 (the d = 2 case of the
+// Pebay formulas, the family the Schneider-Moradi paper derives), plus a
+// pairwise merge so state can be combined across batches. First-order
+// TVLA's Welch's t reads only each class's count, mean and S2, so no
+// higher centred sum is kept. The naive two-pass reference (Eq. 2) lives
+// in welch.hpp for tests and the ablation bench. Campaigns keep the same
+// state per group and class (CampaignMoments below, updated by
+// power::SamplePlan's readout).
 #pragma once
 
 #include <cstddef>
@@ -22,40 +23,40 @@
 
 namespace polaris::tvla {
 
+/// Chan's pairwise merge step: folds the mean and S2 of `b` samples into
+/// those of `a` samples (both nonzero). Every merge of mean/S2 state takes
+/// this step, so merged state does not depend on which container held it.
+inline void chan_merge(double& mean, double& s2, double a, double mean_b,
+                       double s2_b, double b) noexcept {
+  const double n = a + b;
+  const double delta = mean_b - mean;
+  s2 = s2 + s2_b + delta * delta * a * b / n;
+  mean += delta * b / n;
+}
+
 class MomentAccumulator {
  public:
   void add(double x) noexcept;
 
-  /// Combine with another accumulator (Chan/Pebay pairwise update).
+  /// Combine with another accumulator (Chan's pairwise update).
   void merge(const MomentAccumulator& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return mean_; }
 
-  /// Central moment CM_d = S_d / n (population form, as in Eq. 4).
-  [[nodiscard]] double central_moment(int d) const noexcept;
-
-  /// Population variance CM2 (paper Eq. 4) and unbiased sample variance.
+  /// Population variance CM2 = S2 / n (paper Eq. 4) and unbiased sample
+  /// variance S2 / (n - 1).
   [[nodiscard]] double variance_population() const noexcept;
   [[nodiscard]] double variance_sample() const noexcept;
 
-  /// Standardized moments: skewness (d=3), kurtosis (d=4). Zero variance
-  /// yields 0.
-  [[nodiscard]] double skewness() const noexcept;
-  [[nodiscard]] double kurtosis() const noexcept;
-
-  /// Raw centered power sums S_d = sum (x-mean)^d, d = 2..4 - the exact
-  /// internal state.
+  /// The centred sum of squares S2 = sum (x-mean)^2 - the exact internal
+  /// state.
   [[nodiscard]] double sum2() const noexcept { return s2_; }
-  [[nodiscard]] double sum3() const noexcept { return s3_; }
-  [[nodiscard]] double sum4() const noexcept { return s4_; }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double s2_ = 0.0;  // sum (x-mean)^2
-  double s3_ = 0.0;
-  double s4_ = 0.0;
 };
 
 /// One class's running mean and centred sum of squares
@@ -77,9 +78,7 @@ struct MeanS2 {
 ///    one MeanS2 per class in structure-of-arrays form, which the sampling
 ///    readout (power::SamplePlan::sample) updates in place tile by tile.
 /// Every group takes one sample per lane, so each class's count is the
-/// class's lane total, stored once (n_fixed()/n_random()). The third and
-/// fourth centred sums of MomentAccumulator are not kept: no report reads
-/// them, and mean and S2 never depend on them.
+/// class's lane total, stored once (n_fixed()/n_random()).
 class CampaignMoments {
  public:
   CampaignMoments() = default;
@@ -102,8 +101,8 @@ class CampaignMoments {
   }
 
   /// Combines another shard's statistics. Integer counters merge exactly;
-  /// each class's multi state uses the pairwise Chan merge with the two
-  /// class counts, so calling merge() in a fixed shard order gives
+  /// each class's multi state takes chan_merge() with the two class
+  /// counts, so calling merge() in a fixed shard order gives
   /// bit-reproducible results.
   void merge(const CampaignMoments& other);
 

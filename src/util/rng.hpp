@@ -1,9 +1,9 @@
 // Deterministic, fast pseudo-random number generation.
 //
 // All stochastic components of the framework (stimulus generation, random
-// mask insertion in Algorithm 1, bagging/boosting subsampling, SMOTE,
-// KernelSHAP coalition sampling) draw from this generator so that every
-// experiment is reproducible from a single seed.
+// mask insertion in Algorithm 1, bagging/boosting subsampling, SMOTE)
+// draw from this generator so that every experiment is reproducible from
+// a single seed.
 #pragma once
 
 #include <array>

@@ -12,6 +12,22 @@
 
 namespace polaris::xai {
 
+namespace {
+
+/// Literals per rule (Table V rules conjoin ~4-5 conditions).
+constexpr std::size_t kLiteralsPerRule = 4;
+/// Only samples with predicted probability >= kConfidenceHi (mask rules) or
+/// <= kConfidenceLo (do-not-mask rules) seed rules.
+constexpr double kConfidenceHi = 0.65;
+constexpr double kConfidenceLo = 0.35;
+/// A rule is kept with at least this many supporting samples and this
+/// precision; the kMaxRules strongest by support * precision survive.
+constexpr std::size_t kMinSupport = 3;
+constexpr double kMinPrecision = 0.6;
+constexpr std::size_t kMaxRules = 16;
+
+}  // namespace
+
 std::string Rule::to_string(std::span<const std::string> feature_names) const {
   std::ostringstream out;
   bool first = true;
@@ -78,8 +94,8 @@ RuleSet extract_rules(const ml::Classifier& model, const ml::Dataset& data,
     const auto x = data.row(i);
     const double p = model.predict_proba(x);
     int action;
-    if (p >= config.confidence_hi) action = 1;
-    else if (p <= config.confidence_lo) action = 0;
+    if (p >= kConfidenceHi) action = 1;
+    else if (p <= kConfidenceLo) action = 0;
     else continue;
 
     // Equal keys give equal p, so `action` is a function of the key too.
@@ -95,7 +111,7 @@ RuleSet extract_rules(const ml::Classifier& model, const ml::Dataset& data,
       });
       std::vector<std::size_t> kept;
       for (const std::size_t f : order) {
-        if (kept.size() == config.literals_per_rule) break;
+        if (kept.size() == kLiteralsPerRule) break;
         if (sign * phi[f] <= 0.0) break;  // ran out of supporting features
         if (!config.allowed_features.empty() &&
             (f >= config.allowed_features.size() ||
@@ -118,10 +134,10 @@ RuleSet extract_rules(const ml::Classifier& model, const ml::Dataset& data,
 
   std::vector<Rule> rules;
   for (const auto& [key, stats] : candidates) {
-    if (stats.support < config.min_support) continue;
+    if (stats.support < kMinSupport) continue;
     const double precision = static_cast<double>(stats.agree) /
                              static_cast<double>(stats.support);
-    if (precision < config.min_precision) continue;
+    if (precision < kMinPrecision) continue;
     Rule rule;
     for (const auto& [feature, positive] : key) {
       rule.literals.push_back({feature, positive});
@@ -135,7 +151,7 @@ RuleSet extract_rules(const ml::Classifier& model, const ml::Dataset& data,
     return static_cast<double>(a.support) * a.precision >
            static_cast<double>(b.support) * b.precision;
   });
-  if (rules.size() > config.max_rules) rules.resize(config.max_rules);
+  if (rules.size() > kMaxRules) rules.resize(kMaxRules);
   return RuleSet(std::move(rules));
 }
 

@@ -47,16 +47,6 @@ struct Rule {
 };
 
 struct RuleExtractionConfig {
-  /// Literals per rule (Table V rules conjoin ~4-5 conditions).
-  std::size_t literals_per_rule = 4;
-  /// Only samples with predicted probability >= hi (mask rules) or <= lo
-  /// (do-not-mask rules) seed rules.
-  double confidence_hi = 0.65;
-  double confidence_lo = 0.35;
-  /// Keep rules with at least this many supporting samples and precision.
-  std::size_t min_support = 3;
-  double min_precision = 0.6;
-  std::size_t max_rules = 16;
   /// Features usable as literals (empty = all). POLARIS passes the binary
   /// structural features only (type one-hots + adjacency), matching the
   /// paper's rule vocabulary.

@@ -1,6 +1,6 @@
 #include "xai/treeshap.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
 namespace polaris::xai {
 
@@ -19,7 +19,7 @@ struct PathElement {
 };
 
 /// Grows the weight polynomial by one path element.
-void extend_path(std::vector<PathElement>& path, std::size_t unique_depth,
+void extend_path(PathElement* path, std::size_t unique_depth,
                  double zero_fraction, double one_fraction, int feature) {
   path[unique_depth] = {feature, zero_fraction, one_fraction,
                         unique_depth == 0 ? 1.0 : 0.0};
@@ -33,7 +33,7 @@ void extend_path(std::vector<PathElement>& path, std::size_t unique_depth,
 }
 
 /// Removes element `index`, restoring the polynomial to its pre-extend state.
-void unwind_path(std::vector<PathElement>& path, std::size_t unique_depth,
+void unwind_path(PathElement* path, std::size_t unique_depth,
                  std::size_t index) {
   const double one_fraction = path[index].one_fraction;
   const double zero_fraction = path[index].zero_fraction;
@@ -60,7 +60,7 @@ void unwind_path(std::vector<PathElement>& path, std::size_t unique_depth,
 
 /// Total permutation weight if element `index` were unwound (without
 /// mutating the path).
-double unwound_path_sum(const std::vector<PathElement>& path,
+double unwound_path_sum(const PathElement* path,
                         std::size_t unique_depth, std::size_t index) {
   const double one_fraction = path[index].one_fraction;
   const double zero_fraction = path[index].zero_fraction;
@@ -85,19 +85,24 @@ double unwound_path_sum(const std::vector<PathElement>& path,
 
 class TreeShap {
  public:
+  // A node at depth d holds at most d + 1 path elements, and no node is
+  // deeper than tree.depth(), since children come after their parents (the
+  // fitter builds them so and model_io's reader refuses anything else). So
+  // one segment per depth, of tree.depth() + 2 elements, holds every path.
   TreeShap(const Tree& tree, std::span<const double> x, std::vector<double>& phi)
-      : tree_(tree), x_(x), phi_(phi) {}
+      : tree_(tree),
+        x_(x),
+        phi_(phi),
+        stride_(tree.depth() + 2),
+        paths_(stride_ * stride_) {}
 
-  void run() {
-    std::vector<PathElement> path;
-    recurse(0, path, 0, 1.0, 1.0, -1);
-  }
+  void run() { recurse(0, paths_.data(), 0, 1.0, 1.0, -1); }
 
  private:
-  void recurse(std::size_t node_id, std::vector<PathElement> path,
-               std::size_t unique_depth, double parent_zero_fraction,
-               double parent_one_fraction, int parent_feature) {
-    path.resize(unique_depth + 1);
+  /// `path` is this node's segment of paths_; its children use the next.
+  void recurse(std::size_t node_id, PathElement* path, std::size_t unique_depth,
+               double parent_zero_fraction, double parent_one_fraction,
+               int parent_feature) {
     extend_path(path, unique_depth, parent_zero_fraction, parent_one_fraction,
                 parent_feature);
     const TreeNode& node = tree_.nodes[node_id];
@@ -138,15 +143,21 @@ class TreeShap {
       --unique_depth;
     }
 
-    recurse(hot, path, unique_depth + 1, hot_zero * incoming_zero, incoming_one,
-            node.feature);
-    recurse(cold, path, unique_depth + 1, cold_zero * incoming_zero, 0.0,
+    // Each child extends its own copy of this node's path.
+    PathElement* child = path + stride_;
+    std::copy_n(path, unique_depth + 1, child);
+    recurse(hot, child, unique_depth + 1, hot_zero * incoming_zero,
+            incoming_one, node.feature);
+    std::copy_n(path, unique_depth + 1, child);
+    recurse(cold, child, unique_depth + 1, cold_zero * incoming_zero, 0.0,
             node.feature);
   }
 
   const Tree& tree_;
   std::span<const double> x_;
   std::vector<double>& phi_;
+  std::size_t stride_;
+  std::vector<PathElement> paths_;  // one segment of stride_ per depth
 };
 
 double tree_expected_value(const Tree& tree) {

@@ -104,16 +104,17 @@ TEST(FeatureExtractor, ScalarsNormalized) {
   }
 }
 
-TEST(FeatureExtractor, DeterministicAndBatchedAgree) {
+TEST(FeatureExtractor, OwnAndCallerScratchAgree) {
   circuits::RandomLogicConfig config;
   config.gates = 150;
   config.seed = 29;
   const auto nl = circuits::make_random_logic(config);
   graph::FeatureExtractor fx(nl, graph::FeatureSpec{5});
-  std::vector<netlist::GateId> gates{3, 40, 80, 120};
-  const auto rows = fx.extract_all(gates);
-  for (std::size_t i = 0; i < gates.size(); ++i) {
-    EXPECT_EQ(rows[i], fx.extract(gates[i]));
+  graph::FeatureExtractor::Scratch scratch;
+  std::vector<double> row(fx.spec().dim());
+  for (const netlist::GateId gate : {3u, 40u, 80u, 120u}) {
+    fx.extract(gate, row, scratch);
+    EXPECT_EQ(row, fx.extract(gate)) << "gate " << gate;
   }
 }
 

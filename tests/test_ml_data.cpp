@@ -104,7 +104,7 @@ TEST(Smote, BalancesMinorityClass) {
   for (int i = 0; i < 20; ++i) {
     data.add({rng.uniform(0.8, 1.0), rng.uniform(0.8, 1.0)}, 1);
   }
-  const Dataset balanced = smote_oversample(data, {.seed = 1});
+  const Dataset balanced = smote_oversample(data, 1);
   EXPECT_NEAR(static_cast<double>(balanced.positives()),
               static_cast<double>(balanced.negatives()), 2.0);
   EXPECT_GT(balanced.size(), data.size());
@@ -115,7 +115,7 @@ TEST(Smote, SyntheticSamplesStayInMinorityRegion) {
   Dataset data;
   for (int i = 0; i < 100; ++i) data.add({rng.uniform(0.0, 0.2)}, 0);
   for (int i = 0; i < 10; ++i) data.add({rng.uniform(0.8, 1.0)}, 1);
-  const Dataset balanced = smote_oversample(data, {.seed = 2});
+  const Dataset balanced = smote_oversample(data, 2);
   for (std::size_t i = data.size(); i < balanced.size(); ++i) {
     EXPECT_EQ(balanced.label(i), 1);
     // Interpolations between minority points stay within their hull.
@@ -128,16 +128,16 @@ TEST(Smote, DegenerateInputsUnchanged) {
   Dataset single;
   single.add({0.0}, 1);
   single.add({1.0}, 0);  // minority has 1 sample: cannot interpolate
-  EXPECT_EQ(smote_oversample(single).size(), 2u);
+  EXPECT_EQ(smote_oversample(single, 1).size(), 2u);
 
   Dataset one_class;
   one_class.add({0.0}, 1);
   one_class.add({1.0}, 1);
-  EXPECT_EQ(smote_oversample(one_class).size(), 2u);
+  EXPECT_EQ(smote_oversample(one_class, 1).size(), 2u);
 
   Dataset balanced_already;
   for (int i = 0; i < 10; ++i) balanced_already.add({0.1 * i}, i % 2);
-  EXPECT_EQ(smote_oversample(balanced_already).size(), 10u);
+  EXPECT_EQ(smote_oversample(balanced_already, 1).size(), 10u);
 }
 
 TEST(Metrics, PerfectAndWorstAuc) {

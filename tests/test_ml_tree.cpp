@@ -37,7 +37,8 @@ TEST(ClassificationTree, LearnsXorExactly) {
   const Dataset data = xor_dataset(8);
   TreeConfig config;
   config.max_depth = 3;
-  const Tree tree = fit_classification_tree(data, all_indices(data), config);
+  const Tree tree =
+      TreeFitter(data).classification_tree(all_indices(data), config);
   for (std::size_t i = 0; i < data.size(); ++i) {
     const double p = tree.predict(data.row(i));
     EXPECT_EQ(p >= 0.5 ? 1 : 0, data.label(i)) << "row " << i;
@@ -52,7 +53,8 @@ TEST(ClassificationTree, DepthZeroIsPrior) {
   data.add({2.0}, 0);
   TreeConfig config;
   config.max_depth = 0;
-  const Tree tree = fit_classification_tree(data, all_indices(data), config);
+  const Tree tree =
+      TreeFitter(data).classification_tree(all_indices(data), config);
   EXPECT_EQ(tree.nodes.size(), 1u);
   EXPECT_NEAR(tree.nodes[0].value, 2.0 / 3.0, 1e-12);
   EXPECT_EQ(tree.leaf_count(), 1u);
@@ -64,7 +66,8 @@ TEST(ClassificationTree, RespectsMinSamplesLeaf) {
   TreeConfig config;
   config.max_depth = 10;
   config.min_samples_leaf = 8;
-  const Tree tree = fit_classification_tree(data, all_indices(data), config);
+  const Tree tree =
+      TreeFitter(data).classification_tree(all_indices(data), config);
   // Any split must leave >= 8 samples per side: at most one split here.
   EXPECT_LE(tree.leaf_count(), 2u);
 }
@@ -78,14 +81,16 @@ TEST(ClassificationTree, WeightsShiftTheDecision) {
   data.add({0.0}, 1, 10.0);
   TreeConfig config;
   config.max_depth = 0;
-  const Tree tree = fit_classification_tree(data, all_indices(data), config);
+  const Tree tree =
+      TreeFitter(data).classification_tree(all_indices(data), config);
   EXPECT_NEAR(tree.nodes[0].value, 10.0 / 12.0, 1e-12);
 }
 
 TEST(ClassificationTree, CoverTracksWeights) {
   Dataset data = xor_dataset(4);
   TreeConfig config;
-  const Tree tree = fit_classification_tree(data, all_indices(data), config);
+  const Tree tree =
+      TreeFitter(data).classification_tree(all_indices(data), config);
   EXPECT_DOUBLE_EQ(tree.nodes[0].cover, 16.0);
   // Children covers sum to the parent cover.
   for (const auto& node : tree.nodes) {
@@ -107,7 +112,8 @@ TEST(ClassificationTree, HandlesContinuousFeatures) {
   }
   TreeConfig config;
   config.max_depth = 1;
-  const Tree tree = fit_classification_tree(data, all_indices(data), config);
+  const Tree tree =
+      TreeFitter(data).classification_tree(all_indices(data), config);
   ASSERT_FALSE(tree.nodes[0].is_leaf());
   EXPECT_NEAR(tree.nodes[0].threshold, 0.37, 0.05);
 }
@@ -118,7 +124,7 @@ TEST(ClassificationTree, BootstrappedIndicesWithMultiplicity) {
   std::vector<std::size_t> indices = {1, 1, 1, 1, 1, 1, 0};
   TreeConfig config;
   config.max_depth = 0;
-  const Tree tree = fit_classification_tree(data, indices, config);
+  const Tree tree = TreeFitter(data).classification_tree(indices, config);
   EXPECT_NEAR(tree.nodes[0].value, 6.0 / 7.0, 1e-12);
 }
 
@@ -132,7 +138,7 @@ TEST(BoostTree, NewtonLeafValue) {
   BoostTreeConfig config;
   config.max_depth = 0;
   config.lambda = 1.0;
-  const Tree tree = fit_boost_tree(data, g, h, config);
+  const Tree tree = TreeFitter(data).boost_tree(g, h, config);
   EXPECT_NEAR(tree.nodes[0].value, 0.0, 1e-12);  // gradients cancel
 }
 
@@ -147,7 +153,7 @@ TEST(BoostTree, SplitsOnInformativeFeature) {
   }
   BoostTreeConfig config;
   config.max_depth = 2;
-  const Tree tree = fit_boost_tree(data, g, h, config);
+  const Tree tree = TreeFitter(data).boost_tree(g, h, config);
   ASSERT_FALSE(tree.nodes[0].is_leaf());
   EXPECT_EQ(tree.nodes[0].feature, 0);
   // Left leaf (x=0) pushes negative class: value = -25/(12.5+1) < 0 ...
@@ -169,7 +175,7 @@ TEST(BoostTree, GammaPrunesWeakSplits) {
   BoostTreeConfig strict;
   strict.max_depth = 3;
   strict.gamma = 10.0;
-  const Tree tree = fit_boost_tree(data, g, h, strict);
+  const Tree tree = TreeFitter(data).boost_tree(g, h, strict);
   EXPECT_EQ(tree.leaf_count(), 1u);
 }
 
@@ -290,7 +296,7 @@ TEST(TreeGolden, SplitFinderIsBitExact) {
   TreeConfig full;
   full.max_depth = 6;
   append_tree(lines, "classification",
-              fit_classification_tree(data, all_indices(data), full));
+              TreeFitter(data).classification_tree(all_indices(data), full));
 
   polaris::util::Xoshiro256 rng(77);
   std::vector<std::size_t> bootstrap(data.size());
@@ -300,7 +306,7 @@ TEST(TreeGolden, SplitFinderIsBitExact) {
   subset.features_per_split = 4;
   subset.seed = 12345;
   append_tree(lines, "bootstrap_subset",
-              fit_classification_tree(data, bootstrap, subset));
+              TreeFitter(data).classification_tree(bootstrap, subset));
 
   std::vector<double> gradients(data.size()), hessians(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -309,7 +315,8 @@ TEST(TreeGolden, SplitFinderIsBitExact) {
   }
   BoostTreeConfig boost;
   boost.max_depth = 5;
-  append_tree(lines, "boost", fit_boost_tree(data, gradients, hessians, boost));
+  append_tree(lines, "boost",
+              TreeFitter(data).boost_tree(gradients, hessians, boost));
 
   const std::string path = std::string(POLARIS_GOLDEN_DIR) + "/tree_fit.csv";
   const char* update = std::getenv("POLARIS_UPDATE_GOLDEN");
@@ -333,10 +340,11 @@ TEST(TreeGolden, SplitFinderIsBitExact) {
 TEST(TreeErrors, EmptyDatasetThrows) {
   Dataset empty;
   TreeConfig config;
-  EXPECT_THROW((void)fit_classification_tree(empty, {}, config),
+  EXPECT_THROW((void)TreeFitter(empty).classification_tree({}, config),
                std::invalid_argument);
   const std::vector<double> g;
-  EXPECT_THROW((void)fit_boost_tree(empty, g, g, {}), std::invalid_argument);
+  EXPECT_THROW((void)TreeFitter(empty).boost_tree(g, g, {}),
+               std::invalid_argument);
 }
 
 }  // namespace

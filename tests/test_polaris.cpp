@@ -48,11 +48,20 @@ std::vector<circuits::Design> tiny_training_suite() {
   return designs;
 }
 
+/// Algorithm 1 on one design: a CognitionPlan drained on its own scheduler.
+core::CognitionStats run_cognition(const circuits::Design& design,
+                                   const core::PolarisConfig& config,
+                                   ml::Dataset& dataset) {
+  engine::Scheduler scheduler(config.threads);
+  core::CognitionPlan plan(design, lib(), config, scheduler);
+  scheduler.drain();
+  return plan.finalize(dataset);
+}
+
 TEST(Cognition, GeneratesLabelledSamples) {
   const auto designs = tiny_training_suite();
   ml::Dataset data;
-  const auto stats =
-      core::generate_cognition_data(designs[0], lib(), test_config(), data);
+  const auto stats = run_cognition(designs[0], test_config(), data);
   EXPECT_GT(stats.iterations, 0u);
   EXPECT_EQ(stats.samples, data.size());
   EXPECT_GT(data.size(), 50u);
@@ -66,8 +75,8 @@ TEST(Cognition, GeneratesLabelledSamples) {
 TEST(Cognition, DeterministicForSeed) {
   const auto designs = tiny_training_suite();
   ml::Dataset a, b;
-  (void)core::generate_cognition_data(designs[1], lib(), test_config(), a);
-  (void)core::generate_cognition_data(designs[1], lib(), test_config(), b);
+  (void)run_cognition(designs[1], test_config(), a);
+  (void)run_cognition(designs[1], test_config(), b);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.label(i), b.label(i));
@@ -82,8 +91,8 @@ TEST(Cognition, ThetaRControlsPositiveRate) {
   auto lenient = test_config();
   lenient.theta_r = 0.20;
   ml::Dataset strict_data, lenient_data;
-  (void)core::generate_cognition_data(designs[0], lib(), strict, strict_data);
-  (void)core::generate_cognition_data(designs[0], lib(), lenient, lenient_data);
+  (void)run_cognition(designs[0], strict, strict_data);
+  (void)run_cognition(designs[0], lenient, lenient_data);
   // Looser threshold -> more "good masking" labels (paper Sec. V-A: high
   // theta_r causes data imbalance).
   EXPECT_GE(lenient_data.positives(), strict_data.positives());

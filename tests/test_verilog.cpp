@@ -6,7 +6,6 @@
 
 #include "circuits/arith.hpp"
 #include "circuits/random_logic.hpp"
-#include "netlist/dot.hpp"
 #include "netlist/verilog.hpp"
 #include "sim/simulator.hpp"
 
@@ -154,15 +153,6 @@ TEST(Verilog, FileRoundTrip) {
   const Netlist back = read_verilog_file(path);
   EXPECT_EQ(back.primary_outputs().size(), nl.primary_outputs().size());
   EXPECT_THROW((void)read_verilog_file("/no/such/file.v"), std::runtime_error);
-}
-
-TEST(Dot, EmitsGraph) {
-  Netlist nl;
-  const NetId a = nl.add_input("a");
-  nl.mark_output(nl.add_cell(CellType::kNot, {a}));
-  const std::string dot = to_dot(nl);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
 }  // namespace

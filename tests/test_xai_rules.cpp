@@ -107,14 +107,28 @@ TEST(Rules, ToStringUsesFeatureNames) {
   EXPECT_NE(rule.to_string(names).find("Do not Mask"), std::string::npos);
 }
 
-TEST(Rules, ConfigLimitsRuleCount) {
-  const auto data = planted_rule_data(800, 6);
-  ml::AdaBoost model({.rounds = 40, .max_depth = 2});
+TEST(Rules, KeepsTheSixteenStrongestRules) {
+  // "At least 3 of f0..f4" over 8 binary features mines 28 rules, more
+  // than the cap: extraction keeps the 16 with the largest
+  // support * precision.
+  util::Xoshiro256 rng(6);
+  ml::Dataset data;
+  for (int i = 0; i < 2000; ++i) {
+    std::vector<double> x(8);
+    for (auto& v : x) v = rng.chance(0.5) ? 1.0 : 0.0;
+    const double votes = x[0] + x[1] + x[2] + x[3] + x[4];
+    data.add(std::move(x), votes >= 3.0 ? 1 : 0);
+  }
+  ml::AdaBoost model({.rounds = 60, .max_depth = 2});
   model.fit(data);
-  xai::RuleExtractionConfig config;
-  config.max_rules = 2;
-  const auto rules = xai::extract_rules(model, data, config);
-  EXPECT_LE(rules.rules().size(), 2u);
+  const auto rules = xai::extract_rules(model, data).rules();
+  ASSERT_EQ(rules.size(), 16u);
+  const auto strength = [](const xai::Rule& rule) {
+    return static_cast<double>(rule.support) * rule.precision;
+  };
+  for (std::size_t i = 1; i < rules.size(); ++i) {
+    EXPECT_GE(strength(rules[i - 1]), strength(rules[i])) << "rule " << i;
+  }
 }
 
 TEST(Waterfall, DecomposesPrediction) {
