@@ -9,8 +9,10 @@
 // of the serialized model, which must not depend on the lane count. The
 // last line is the host fingerprint.
 //
-// Uses only public API, so the same file builds against older sources for a
-// same-host before/after comparison. Not gated: absolute times vary by host.
+// The hash covers the bytes a bundle's MODL chunk holds. Older sources
+// wrote them through another function name, so compare against the
+// parent's own copy of this file, built there. Not gated: absolute times
+// vary by host.
 #include <algorithm>
 #include <string>
 #include <thread>
@@ -54,12 +56,12 @@ int main() {
         model->fit(data);
         ms.push_back(timer.seconds() * 1e3);
         serialize::Writer out;
-        ml::save_classifier(out, *model);
+        model->save(out);
         hash = bench::fnv1a_hex(out.bytes().data(), out.bytes().size());
       }
       std::sort(ms.begin(), ms.end());
       bench::JsonLine("fit")
-          .field("model", core::to_string(kind))
+          .field("model", ml::to_string(kind))
           .field("lanes", lanes)
           .field("rows", data.size())
           .field("features", data.feature_count())

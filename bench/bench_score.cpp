@@ -7,8 +7,10 @@
 // prints one JSON line per measurement:
 //   * "score": score_gates over the 11-design evaluation suite, per
 //     InferenceMode, with an FNV-1a hash of every score's bits;
-//   * "rules": TrainingSummary::rules_seconds (TreeSHAP + rule mining),
-//     with a hash of the RuleSet's write_ruleset bytes;
+//   * "rules": extract_rules (TreeSHAP + rule mining) on the trained model
+//     and data with Polaris::train's rule config, min and median of kReps
+//     runs, with a hash of the trained RuleSet's write_ruleset bytes; the
+//     bench fails if a re-mined set hashes differently;
 //   * "verilog": to_verilog over the suite as mask_design (Msize 200,
 //     model scores) masks it, with a hash of the text;
 //   * "lane_probe": a spin job on the shared pool with as many lanes,
@@ -35,9 +37,11 @@
 
 #include "bench_common.hpp"
 #include "engine/thread_pool.hpp"
+#include "graph/features.hpp"
 #include "netlist/verilog.hpp"
 #include "serialize/archive.hpp"
 #include "serialize/model_io.hpp"
+#include "xai/rules.hpp"
 
 using namespace polaris;
 
@@ -105,7 +109,7 @@ void score_line(const core::Polaris& polaris,
     }
   });
   bench::JsonLine("score")
-      .field("model", core::to_string(polaris.config().model))
+      .field("model", polaris.model().name())
       .field("lanes", polaris.config().threads)
       .field("mode", mode_name(mode))
       .field("gates", maskable)
@@ -114,6 +118,45 @@ void score_line(const core::Polaris& polaris,
       .field("median_ms", timing.median_ms, 1)
       .field("scores_fnv1a", hex(hash))
       .print();
+}
+
+std::string ruleset_hash(const xai::RuleSet& rules) {
+  serialize::Writer out;
+  serialize::write_ruleset(out, rules);
+  return hex(fnv1a(kFnvOffset, out.bytes().data(), out.bytes().size()));
+}
+
+/// Times extract_rules as Polaris::train calls it (literals over the binary
+/// structural features only) and prints one "rules" line. False when a
+/// re-mined set differs from the trained one.
+bool rules_line(const core::Polaris& polaris, std::size_t rows) {
+  const graph::FeatureSpec spec{polaris.config().locality};
+  xai::RuleExtractionConfig rule_config;
+  rule_config.allowed_features.assign(spec.dim(), true);
+  for (std::size_t f = spec.dim() - spec.scalar_dims(); f < spec.dim(); ++f) {
+    rule_config.allowed_features[f] = false;
+  }
+  xai::RuleSet mined;
+  const Timing timing = time_reps([&] {
+    mined = xai::extract_rules(polaris.model(), polaris.training_data(),
+                               rule_config);
+  });
+  const std::string trained = ruleset_hash(polaris.rules());
+  const bool same = ruleset_hash(mined) == trained;
+  bench::JsonLine("rules")
+      .field("lanes", polaris.config().threads)
+      .field("rows", rows)
+      .field("rules", polaris.rules().rules().size())
+      .field("reps", kReps)
+      .field("min_ms", timing.min_ms, 1)
+      .field("median_ms", timing.median_ms, 1)
+      .field("rules_fnv1a", trained)
+      .print();
+  if (!same) {
+    std::fprintf(stderr, "bench_score: re-mined rules differ from the "
+                         "trained RuleSet\n");
+  }
+  return same;
 }
 
 /// Spins `lanes` pool lanes at once and counts the distinct threads and
@@ -146,6 +189,7 @@ void lane_probe(std::size_t lanes) {
 }  // namespace
 
 int main() {
+  bool ok = true;
   const auto setup = bench::BenchSetup::from_env();
   const auto training = circuits::training_suite();
   const auto suite = circuits::evaluation_suite(setup.scale);
@@ -168,17 +212,7 @@ int main() {
       score_line(polaris, suite, maskable, mode);
     }
 
-    serialize::Writer rules_out;
-    serialize::write_ruleset(rules_out, polaris.rules());
-    bench::JsonLine("rules")
-        .field("lanes", lanes)
-        .field("rows", summary.samples)
-        .field("rules", polaris.rules().rules().size())
-        .field("rules_ms", summary.rules_seconds * 1e3, 1)
-        .field("rules_fnv1a",
-               hex(fnv1a(kFnvOffset, rules_out.bytes().data(),
-                         rules_out.bytes().size())))
-        .print();
+    ok = rules_line(polaris, summary.samples) && ok;
 
     std::vector<netlist::Netlist> masked;
     for (const auto& design : suite) {
@@ -227,5 +261,5 @@ int main() {
       .field("simd", runtime.simd)
       .field("lane_words", runtime.lane_words)
       .print();
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -28,7 +28,7 @@ int main() {
     util::Timer timer;
     const auto summary = tool->train(training, setup.lib);
     std::printf("%-12s trained: %5zu samples, %4zu positive, %.1fs\n",
-                core::to_string(kind).c_str(), summary.samples,
+                ml::to_string(kind).c_str(), summary.samples,
                 summary.positives, timer.seconds());
     tools.push_back(std::move(tool));
   }

@@ -44,7 +44,8 @@ int main() {
       ++rules_total;
       rules_hits += ((rule_score >= 0.5 ? 1 : 0) == data.label(i)) ? 1 : 0;
     }
-    const double combo = rules.combined_score(polaris.model(), data.row(i));
+    const double combo = rules.combined_score(
+        polaris.model().predict_proba(data.row(i)), data.row(i));
     combo_hits += ((combo >= 0.5 ? 1 : 0) == data.label(i)) ? 1 : 0;
   }
   const auto metrics = ml::evaluate(polaris.model(), data);

@@ -1,17 +1,12 @@
 #include "core/config.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 
 #include "engine/thread_pool.hpp"
-#include "ml/adaboost.hpp"
-#include "ml/decision_tree.hpp"
-#include "ml/forest.hpp"
-#include "ml/gbdt.hpp"
 #include "netlist/netlist_io.hpp"
 
 namespace polaris::core {
@@ -27,37 +22,6 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
 }
 
 }  // namespace
-
-std::string to_string(ModelKind kind) {
-  switch (kind) {
-    case ModelKind::kRandomForest: return "RandomForest";
-    case ModelKind::kXgboost: return "XGBoost";
-    case ModelKind::kAdaBoost: return "AdaBoost";
-    case ModelKind::kDecisionTree: return "DecisionTree";
-  }
-  return "?";
-}
-
-ModelKind model_kind_from_string(const std::string& name) {
-  std::string key;
-  for (const char c : name) {
-    if (c != '-' && c != '_') key.push_back(static_cast<char>(std::tolower(
-        static_cast<unsigned char>(c))));
-  }
-  if (key == "adaboost" || key == "ada") return ModelKind::kAdaBoost;
-  if (key == "randomforest" || key == "forest" || key == "rf") {
-    return ModelKind::kRandomForest;
-  }
-  if (key == "xgboost" || key == "gbdt" || key == "xgb") {
-    return ModelKind::kXgboost;
-  }
-  if (key == "decisiontree" || key == "tree" || key == "dt") {
-    return ModelKind::kDecisionTree;
-  }
-  throw std::invalid_argument(
-      "unknown model '" + name +
-      "'; expected adaboost, forest (rf), xgboost (gbdt), or tree (dt)");
-}
 
 void validate(const PolarisConfig& config) {
   std::vector<std::string> problems;
@@ -232,48 +196,37 @@ std::uint64_t design_fingerprint(const circuits::Design& design) {
   return fnv1a(writer.bytes());
 }
 
-std::unique_ptr<ml::Classifier> make_model(const PolarisConfig& config) {
-  // The fit's lane count is an execution knob like `threads` itself: the
-  // model configs never serialize it, so bundles do not depend on it.
-  const std::size_t lanes = engine::ThreadPool::resolve_threads(config.threads);
+std::unique_ptr<ml::Model> make_model(const PolarisConfig& config) {
+  ml::ModelConfig model;
   switch (config.model) {
-    case ModelKind::kRandomForest: {
-      ml::ForestConfig forest;
-      forest.trees = config.model_rounds / 4 + 20;
-      forest.max_depth = 8;
-      forest.seed = config.seed;
-      forest.lanes = lanes;
-      return std::make_unique<ml::RandomForest>(forest);
-    }
-    case ModelKind::kXgboost: {
-      ml::GbdtConfig gbdt;
-      gbdt.rounds = config.model_rounds;
-      gbdt.max_depth = 4;
-      gbdt.learning_rate = config.learning_rate;
-      gbdt.seed = config.seed;
-      gbdt.lanes = lanes;
-      return std::make_unique<ml::Gbdt>(gbdt);
-    }
-    case ModelKind::kAdaBoost: {
-      ml::AdaBoostConfig ada;
-      ada.rounds = config.model_rounds;
-      ada.max_depth = 2;
+    case ModelKind::kRandomForest:
+      model = ml::ForestConfig{.trees = config.model_rounds / 4 + 20,
+                               .max_depth = 8,
+                               .seed = config.seed};
+      break;
+    case ModelKind::kXgboost:
+      model = ml::GbdtConfig{.rounds = config.model_rounds,
+                             .max_depth = 4,
+                             .learning_rate = config.learning_rate,
+                             .seed = config.seed};
+      break;
+    case ModelKind::kAdaBoost:
       // The SAMME stage weights tolerate a larger step than GBDT shrinkage;
       // the paper's 0.01 is honoured via `learning_rate` scaling.
-      ada.learning_rate = std::max(config.learning_rate, 0.01) * 50.0;
-      ada.seed = config.seed;
-      ada.lanes = lanes;
-      return std::make_unique<ml::AdaBoost>(ada);
-    }
-    case ModelKind::kDecisionTree: {
-      ml::DecisionTreeConfig tree;
-      tree.max_depth = 8;
-      tree.seed = config.seed;
-      tree.lanes = lanes;
-      return std::make_unique<ml::DecisionTree>(tree);
-    }
+      model = ml::AdaBoostConfig{
+          .rounds = config.model_rounds,
+          .max_depth = 2,
+          .learning_rate = std::max(config.learning_rate, 0.01) * 50.0,
+          .seed = config.seed};
+      break;
+    case ModelKind::kDecisionTree:
+      model = ml::DecisionTreeConfig{.max_depth = 8, .seed = config.seed};
+      break;
   }
-  return nullptr;
+  // The fit's lane count is an execution knob like `threads` itself: a
+  // model never serializes it, so bundles do not depend on it.
+  return std::make_unique<ml::Model>(
+      model, engine::ThreadPool::resolve_threads(config.threads));
 }
 
 std::vector<tvla::InputClass> input_classes_for(const circuits::Design& design) {

@@ -17,18 +17,7 @@
 
 namespace polaris::core {
 
-enum class ModelKind {
-  kRandomForest,
-  kXgboost,
-  kAdaBoost,      // the paper's pick (Table III)
-  kDecisionTree,  // single-CART baseline (cheapest model to serve)
-};
-
-[[nodiscard]] std::string to_string(ModelKind kind);
-/// Parses user-facing model names ("adaboost", "forest"/"rf", "xgboost",
-/// "tree"/"dt"; case-insensitive). Throws std::invalid_argument listing the
-/// accepted spellings on anything else.
-[[nodiscard]] ModelKind model_kind_from_string(const std::string& name);
+using ml::ModelKind;
 
 struct PolarisConfig {
   // --- Algorithm 1 (Cognition Generation) ---------------------------------
@@ -71,7 +60,7 @@ struct PolarisConfig {
   /// Worker threads for the whole flow: Algorithm 1 runs its labelling
   /// campaigns concurrently, every TVLA campaign shards its trace budget,
   /// the model fit scans a tree node's candidate features on this many
-  /// lanes (make_model passes it, resolved, as the model config's `lanes`),
+  /// lanes (make_model passes it, resolved, as the model's `lanes`),
   /// and score_gates extracts and scores gates on this many lanes.
   /// When nonzero this overrides `tvla.threads` via tvla_config_for; 0
   /// (auto) leaves an explicit `tvla.threads` alone. 0 = all hardware
@@ -107,8 +96,10 @@ void write_design(serialize::Writer& out, const circuits::Design& design);
 /// is never persisted, so a change to the netlist codec may change it.
 [[nodiscard]] std::uint64_t design_fingerprint(const circuits::Design& design);
 
-/// Instantiates the configured classifier.
-[[nodiscard]] std::unique_ptr<ml::Classifier> make_model(const PolarisConfig& config);
+/// The configured model: `config.model`'s hyper-parameters set from the
+/// flow's knobs, fitting on `config.threads` lanes (resolved).
+[[nodiscard]] std::unique_ptr<ml::Model> make_model(
+    const PolarisConfig& config);
 
 /// Maps the suite's input roles onto the TVLA protocol classes.
 [[nodiscard]] std::vector<tvla::InputClass> input_classes_for(

@@ -62,7 +62,10 @@ void body_fields(Io& io, bool has_dataset, Config& config, Model& model,
                  Rules& rules, Data& data) {
   io.chunk("CONF", [&] { io.nested(config, write_config, read_config); });
   io.chunk("MODL", [&] {
-    io.nested(model, ml::save_classifier, ml::load_classifier);
+    io.nested(
+        model,
+        [](serialize::Writer& out, const ml::Model& m) { m.save(out); },
+        ml::Model::load);
   });
   io.chunk("RULE", [&] {
     io.nested(rules, serialize::write_ruleset, serialize::read_ruleset);
@@ -77,16 +80,6 @@ BundleInfo read_head(serialize::Reader& in) {
   info.format_version = in.version();
   head_fields(in, info);
   return info;
-}
-
-ml::ClassifierKind expected_classifier_kind(ModelKind kind) {
-  switch (kind) {
-    case ModelKind::kRandomForest: return ml::ClassifierKind::kRandomForest;
-    case ModelKind::kXgboost: return ml::ClassifierKind::kGbdt;
-    case ModelKind::kAdaBoost: return ml::ClassifierKind::kAdaBoost;
-    case ModelKind::kDecisionTree: return ml::ClassifierKind::kDecisionTree;
-  }
-  throw std::runtime_error("polaris bundle: unmapped model kind");
 }
 
 /// The "never UB" backstop for feature indices: CRC catches accidents, but
@@ -127,7 +120,7 @@ void check_feature_indices(const Polaris& loaded, std::size_t dim) {
 
 Polaris::Polaris(PolarisConfig config) : config_(std::move(config)) {
   validate(config_);
-  model_ = make_model(config_);
+  model_ = std::move(*make_model(config_));
 }
 
 void Polaris::save_bundle(const std::string& path,
@@ -138,7 +131,7 @@ void Polaris::save_bundle(const std::string& path,
   BundleInfo info;
   info.bundle_version = kBundleVersion;
   info.config_fingerprint = config_fingerprint(config_);
-  info.model_name = model_->name();
+  info.model_name = model_.name();
   info.samples = data_.size();
   info.positives = data_.positives();
   info.feature_dim = data_.feature_count();
@@ -146,7 +139,7 @@ void Polaris::save_bundle(const std::string& path,
   info.has_dataset = include_training_data;
   serialize::Writer out;
   head_fields(out, info);
-  body_fields(out, include_training_data, config_, *model_, rules_, data_);
+  body_fields(out, include_training_data, config_, model_, rules_, data_);
   // Temp file, fsync, rename: an interrupted save, or one that replaces a
   // bundle a serve is about to load, never leaves a truncated file.
   const auto bytes = out.finish();
@@ -160,16 +153,16 @@ Polaris Polaris::load_bundle(const std::string& path, BundleInfo* info) {
   const BundleInfo head = read_head(in);
   if (info != nullptr) *info = head;
   PolarisConfig config;
-  std::unique_ptr<ml::Classifier> model;
+  ml::Model model;
   xai::RuleSet rules;
   ml::Dataset data;
   body_fields(in, head.has_dataset, config, model, rules, data);
 
   Polaris loaded{std::move(config)};
-  if (model->kind() != expected_classifier_kind(loaded.config_.model)) {
+  if (model.kind() != loaded.config_.model) {
     throw std::runtime_error(
-        "polaris bundle: model chunk holds a " + model->name() +
-        " but the config says " + to_string(loaded.config_.model));
+        "polaris bundle: model chunk holds a " + model.name() +
+        " but the config says " + ml::to_string(loaded.config_.model));
   }
   loaded.model_ = std::move(model);
   loaded.rules_ = std::move(rules);
@@ -236,7 +229,7 @@ TrainingSummary Polaris::train(
       data_.apply_class_balance_weights();
     }
   }
-  model_->fit(data_);
+  model_.fit(data_);
   summary.training_seconds = timer.seconds();
 
   timer.reset();
@@ -249,7 +242,7 @@ TrainingSummary Polaris::train(
   for (std::size_t f = spec.dim() - spec.scalar_dims(); f < spec.dim(); ++f) {
     rule_config.allowed_features[f] = false;
   }
-  rules_ = xai::extract_rules(*model_, data_, rule_config);
+  rules_ = xai::extract_rules(model_, data_, rule_config);
   summary.rules_seconds = timer.seconds();
 
   trained_ = true;
@@ -266,7 +259,7 @@ std::vector<double> Polaris::score_gates(const circuits::Design& design,
   // walks once per distinct key when keying a row is the cheaper of the
   // two (ml/split_table.hpp). Rules read x[f] >= 0.5 literals, not keys,
   // and stay per row.
-  const ml::SplitTable splits(model_->ensemble());
+  const ml::SplitTable splits(model_.ensemble());
   const bool memoize =
       mode != InferenceMode::kRules && splits.cheaper_than_walk();
   std::vector<double> scores(nl.gate_count(), 0.0);
@@ -283,9 +276,9 @@ std::vector<double> Polaris::score_gates(const circuits::Design& design,
     std::vector<std::uint64_t> key(splits.key_words());
     ml::KeyMemo<double> memo;
     const auto model_score = [&] {
-      if (!memoize) return model_->predict_proba(row);
+      if (!memoize) return model_.predict_proba(row);
       splits.key(row, key);
-      return memo.get(key, [&] { return model_->predict_proba(row); });
+      return memo.get(key, [&] { return model_.predict_proba(row); });
     };
     for (std::size_t b = next++; b < blocks; b = next++) {
       const GateId end = static_cast<GateId>(

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <future>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -93,7 +92,7 @@ class Polaris {
   [[nodiscard]] std::vector<double> score_gates(const circuits::Design& design,
                                                 InferenceMode mode) const;
 
-  [[nodiscard]] const ml::Classifier& model() const { return *model_; }
+  [[nodiscard]] const ml::Model& model() const { return model_; }
   [[nodiscard]] const xai::RuleSet& rules() const { return rules_; }
   [[nodiscard]] const ml::Dataset& training_data() const { return data_; }
   [[nodiscard]] const PolarisConfig& config() const { return config_; }
@@ -101,7 +100,7 @@ class Polaris {
 
  private:
   PolarisConfig config_;
-  std::unique_ptr<ml::Classifier> model_;
+  ml::Model model_;
   xai::RuleSet rules_;
   ml::Dataset data_;
   bool trained_ = false;

@@ -37,7 +37,7 @@ double roc_auc(std::span<const double> scores, std::span<const int> labels) {
   return u / (static_cast<double>(positives) * static_cast<double>(negatives));
 }
 
-Metrics evaluate(const Classifier& model, const Dataset& data) {
+Metrics evaluate(const Model& model, const Dataset& data) {
   Metrics metrics;
   if (data.empty()) return metrics;
   std::size_t tp = 0, fp = 0, tn = 0, fn = 0;

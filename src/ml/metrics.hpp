@@ -16,7 +16,7 @@ struct Metrics {
   double auc = 0.5;  // ROC AUC over predicted probabilities
 };
 
-[[nodiscard]] Metrics evaluate(const Classifier& model, const Dataset& data);
+[[nodiscard]] Metrics evaluate(const Model& model, const Dataset& data);
 
 /// AUC from raw (score, label) pairs; ties share rank (trapezoid-exact).
 [[nodiscard]] double roc_auc(std::span<const double> scores,

@@ -1,6 +1,5 @@
 #include "obs/timeseries.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -8,55 +7,44 @@
 
 namespace polaris::obs {
 
-TimeSeries::TimeSeries(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_);
-}
+namespace {
 
-void TimeSeries::push(TimePoint point) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(point));
-  } else {
-    ring_[next_] = std::move(point);
+/// One periodic sample: a full registry snapshot plus when it was taken
+/// (wall clock for correlation, steady clock for exact interval widths).
+struct TimePoint {
+  std::int64_t wall_ms = 0;  // system clock, ms since epoch
+  std::int64_t mono_ns = 0;  // obs::now_ns() timebase
+  Snapshot snapshot;
+};
+
+/// Appends one `{"wall_ms":...,"interval_ms":...,"counters":{...},...}`
+/// line to `path`: the interval DELTA, so a scraper reads rates without
+/// keeping state. `previous` is null for the first sample.
+void append_metrics_line(const std::string& path, std::size_t interval_ms,
+                         const TimePoint& current, const TimePoint* previous) {
+  if (path.empty()) return;
+  Snapshot delta = current.snapshot;
+  auto interval = static_cast<std::int64_t>(interval_ms);
+  if (previous != nullptr) {
+    delta.subtract(previous->snapshot);
+    interval = (current.mono_ns - previous->mono_ns) / 1000000;
   }
-  next_ = (next_ + 1) % capacity_;
-  ++pushed_;
-}
-
-std::vector<TimePoint> TimeSeries::recent(std::size_t n) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.empty()) return {};
-  const std::size_t count = std::min(n, ring_.size());
-  std::vector<TimePoint> out;
-  out.reserve(count);
-  // Oldest-first: walk backwards from the newest slot, then reverse. When
-  // the ring is not yet full the newest is at next_ - 1 == size() - 1 too.
-  const std::size_t newest =
-      (next_ + ring_.size() - 1) % ring_.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(ring_[(newest + ring_.size() - i) % ring_.size()]);
+  std::FILE* file = std::fopen(path.c_str(), "a");
+  if (file == nullptr) {
+    static auto& errors = Registry::global().counter("obs.metrics_file_errors");
+    errors.add();
+    return;
   }
-  std::reverse(out.begin(), out.end());
-  return out;
+  const std::string fragment = delta.json_fragment();
+  std::fprintf(file, "{\"wall_ms\":%" PRId64 ",\"interval_ms\":%" PRId64 ",%s}\n",
+               current.wall_ms, interval, fragment.c_str());
+  std::fclose(file);
 }
 
-std::size_t TimeSeries::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
-}
-
-std::uint64_t TimeSeries::total_pushed() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return pushed_;
-}
-
-// --- Sampler ---------------------------------------------------------------
+}  // namespace
 
 Sampler::Sampler(Registry& registry, Options options)
-    : registry_(registry),
-      options_(std::move(options)),
-      series_(options_.capacity) {
+    : registry_(registry), options_(std::move(options)) {
   if (options_.interval_ms == 0) options_.interval_ms = 1000;
 }
 
@@ -98,33 +86,13 @@ void Sampler::run() {
     point.wall_ms = wall_clock_ms();
     point.mono_ns = now_ns();
     point.snapshot = registry_.snapshot();
-    append_metrics_line(point, have_previous ? &previous : nullptr);
-    series_.push(point);
+    append_metrics_line(options_.metrics_file, options_.interval_ms, point,
+                        have_previous ? &previous : nullptr);
+    ++samples_;
     samples.add();
     previous = std::move(point);
     have_previous = true;
   }
-}
-
-void Sampler::append_metrics_line(const TimePoint& current,
-                                  const TimePoint* previous) {
-  if (options_.metrics_file.empty()) return;
-  Snapshot delta = current.snapshot;
-  std::int64_t interval_ms = static_cast<std::int64_t>(options_.interval_ms);
-  if (previous != nullptr) {
-    delta.subtract(previous->snapshot);
-    interval_ms = (current.mono_ns - previous->mono_ns) / 1000000;
-  }
-  std::FILE* file = std::fopen(options_.metrics_file.c_str(), "a");
-  if (file == nullptr) {
-    static auto& errors = Registry::global().counter("obs.metrics_file_errors");
-    errors.add();
-    return;
-  }
-  const std::string fragment = delta.json_fragment();
-  std::fprintf(file, "{\"wall_ms\":%" PRId64 ",\"interval_ms\":%" PRId64 ",%s}\n",
-               current.wall_ms, interval_ms, fragment.c_str());
-  std::fclose(file);
 }
 
 }  // namespace polaris::obs

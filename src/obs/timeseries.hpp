@@ -1,73 +1,36 @@
-// polaris::obs metrics time-series: a fixed-capacity ring of periodic
-// registry snapshots, filled by a background sampler thread, so a live
-// daemon can answer "what happened in the last interval" - not just "what
-// happened since process start". Interval rates (requests/s, traces/s,
-// cache hit ratio, interval p50/p95) fall out of Snapshot::subtract
-// between consecutive samples, exactly - no separate rate estimator.
+// polaris::obs metrics sampler: a background thread that snapshots a
+// registry periodically, so a live daemon can answer "what happened in the
+// last interval" - not just "what happened since process start". Interval
+// rates (requests/s, traces/s, cache hit ratio, interval p50/p95) fall out
+// of Snapshot::subtract between consecutive samples, exactly - no separate
+// rate estimator.
 //
 // The obs contract holds: nothing here is serialized into bundles or
 // fingerprints, and sampling on/off leaves every audit/mask output
 // byte-identical (the sampler only ever *reads* the registry).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "obs/obs.hpp"
 
 namespace polaris::obs {
 
-/// One periodic sample: a full registry snapshot plus when it was taken
-/// (wall clock for correlation, steady clock for exact interval widths).
-struct TimePoint {
-  std::int64_t wall_ms = 0;  // system clock, ms since epoch
-  std::int64_t mono_ns = 0;  // obs::now_ns() timebase
-  Snapshot snapshot;
-};
-
-/// Fixed-capacity ring of TimePoints, oldest evicted first. Internally
-/// mutexed: the sampler thread pushes while status requests read.
-class TimeSeries {
- public:
-  explicit TimeSeries(std::size_t capacity);
-
-  void push(TimePoint point);
-
-  /// The most recent `n` samples (all, when fewer exist), oldest first -
-  /// so recent(2) is exactly the (earlier, later) pair Snapshot::subtract
-  /// wants.
-  [[nodiscard]] std::vector<TimePoint> recent(std::size_t n) const;
-
-  /// Samples currently resident (<= capacity).
-  [[nodiscard]] std::size_t size() const;
-  /// Samples pushed over the lifetime (monotonic; > size() once the ring
-  /// has wrapped).
-  [[nodiscard]] std::uint64_t total_pushed() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<TimePoint> ring_;
-  std::size_t next_ = 0;  // slot the next push writes (ring_ full => oldest)
-  std::uint64_t pushed_ = 0;
-  std::size_t capacity_;
-};
-
-/// Background sampler: snapshots a Registry every `interval_ms` into a
-/// TimeSeries, optionally appending one JSON line per interval (the delta
-/// against the previous sample) to `metrics_file` for offline trajectory
-/// scraping. start()/stop() are idempotent; stop() joins promptly (the
-/// sleep is a condvar wait, not a blind sleep).
+/// Background sampler: snapshots a Registry every `interval_ms`, optionally
+/// appending one JSON line per interval (the delta against the previous
+/// sample) to `metrics_file` for offline trajectory scraping. start()/stop()
+/// are idempotent; stop() joins promptly (the sleep is a condvar wait, not a
+/// blind sleep).
 class Sampler {
  public:
   struct Options {
     std::size_t interval_ms = 1000;
-    std::size_t capacity = 128;      // ring depth: ~2 min at the default
-    std::string metrics_file;       // empty = no file output
+    std::string metrics_file;  // empty = no file output
   };
 
   Sampler(Registry& registry, Options options);
@@ -79,18 +42,16 @@ class Sampler {
   void start();
   void stop();
 
-  [[nodiscard]] const TimeSeries& series() const { return series_; }
+  /// Snapshots taken over the lifetime (monotonic).
+  [[nodiscard]] std::uint64_t samples() const { return samples_.load(); }
   [[nodiscard]] std::size_t interval_ms() const { return options_.interval_ms; }
 
  private:
   void run();
-  /// One `{"wall_ms":...,"interval_ms":...,"counters":{...},...}` line:
-  /// the interval DELTA, so a scraper reads rates without keeping state.
-  void append_metrics_line(const TimePoint& current, const TimePoint* previous);
 
   Registry& registry_;
   Options options_;
-  TimeSeries series_;
+  std::atomic<std::uint64_t> samples_{0};
   std::thread thread_;
   std::mutex mutex_;
   std::condition_variable wake_;

@@ -3,12 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ml/adaboost.hpp"
-#include "ml/decision_tree.hpp"
-#include "ml/forest.hpp"
-#include "ml/gbdt.hpp"
-#include "ml/model.hpp"
-
 namespace polaris::serialize {
 
 namespace {
@@ -135,28 +129,3 @@ xai::RuleSet read_ruleset(Reader& in) {
 }
 
 }  // namespace polaris::serialize
-
-namespace polaris::ml {
-
-void save_classifier(serialize::Writer& out, const Classifier& model) {
-  out.u32(static_cast<std::uint32_t>(model.kind()));
-  model.save(out);
-}
-
-std::unique_ptr<Classifier> load_classifier(serialize::Reader& in) {
-  const auto kind = static_cast<ClassifierKind>(in.u32());
-  switch (kind) {
-    case ClassifierKind::kDecisionTree:
-      return std::make_unique<DecisionTree>(DecisionTree::load(in));
-    case ClassifierKind::kRandomForest:
-      return std::make_unique<RandomForest>(RandomForest::load(in));
-    case ClassifierKind::kGbdt:
-      return std::make_unique<Gbdt>(Gbdt::load(in));
-    case ClassifierKind::kAdaBoost:
-      return std::make_unique<AdaBoost>(AdaBoost::load(in));
-  }
-  throw std::runtime_error("polaris archive: unknown classifier kind " +
-                           std::to_string(static_cast<std::uint32_t>(kind)));
-}
-
-}  // namespace polaris::ml

@@ -1,7 +1,8 @@
 // Archive bindings for the trained POLARIS artifacts: trees, ensembles,
-// datasets, and SHAP rule sets. Classifier persistence itself is virtual
-// (ml::Classifier::save + ml::load_classifier); the helpers here are the
-// shared primitives those implementations and the bundle layer build on.
+// datasets, and SHAP rule sets. A model's MODL payload (ml::Model::save and
+// ml::Model::load) writes its hyper-parameters and then its ensemble
+// through write_ensemble/read_ensemble; the bundle layer builds on the
+// rest.
 //
 // Every write_* / read_* pair round-trips bit-identically (doubles travel
 // as IEEE-754 bit patterns), which is what makes a bundled model's

@@ -245,7 +245,7 @@ struct StatusReply {
   std::uint64_t connections_total = 0;   // accepted since startup
   std::uint64_t uptime_ms = 0;
   std::uint64_t sample_interval_ms = 0;  // metrics sampler period (0 = off)
-  std::uint64_t samples = 0;             // time-series points collected
+  std::uint64_t samples = 0;             // metrics snapshots taken
   std::vector<InflightEntry> inflight;
   std::vector<engine::CampaignProgress> campaigns;
   std::vector<FlightRecordEntry> recent;  // newest first

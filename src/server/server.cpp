@@ -94,11 +94,10 @@ Server::Server(ServerOptions options)
       recorder_(options_.flight_records,
                 static_cast<std::uint64_t>(options_.slow_request_ms) * 1000),
       sampler_(obs::Registry::global(),
-               obs::Sampler::Options{
-                   options_.sample_interval_ms == 0
-                       ? std::size_t{1000}
-                       : options_.sample_interval_ms,
-                   /*capacity=*/128, options_.metrics_file}),
+               obs::Sampler::Options{options_.sample_interval_ms == 0
+                                         ? std::size_t{1000}
+                                         : options_.sample_interval_ms,
+                                     options_.metrics_file}),
       listener_(options_.socket_path, options_.backlog, options_.max_frame,
                 "server",
                 [this](int fd, std::vector<std::uint8_t>& payload) {
@@ -115,7 +114,7 @@ void Server::request_stop() { listener_.request_stop(); }
 void Server::wait() {
   listener_.wait();
   // Last: the sampler outlives the handlers so the final intervals (the
-  // drain itself included) still land in the time-series and metrics file.
+  // drain itself included) still land in the metrics file.
   sampler_.stop();
 }
 
@@ -277,7 +276,7 @@ core::ResultCache::Body Server::serve_status() {
   reply.uptime_ms =
       static_cast<std::uint64_t>((now - start_mono_ns_) / 1'000'000);
   reply.sample_interval_ms = options_.sample_interval_ms;
-  reply.samples = sampler_.series().total_pushed();
+  reply.samples = sampler_.samples();
   {
     const std::lock_guard<std::mutex> lock(inflight_mutex_);
     reply.inflight.reserve(inflight_.size());

@@ -60,18 +60,13 @@ double RuleSet::score(std::span<const double> x, double fallback) const {
   return 0.5 - 0.5 * best_keep;
 }
 
-double RuleSet::combined_score(const ml::Classifier& model,
-                               std::span<const double> x, double alpha) const {
-  return combined_score(model.predict_proba(x), x, alpha);
-}
-
 double RuleSet::combined_score(double model_score, std::span<const double> x,
                                double alpha) const {
   if (rules_.empty()) return model_score;
   return alpha * model_score + (1.0 - alpha) * score(x, model_score);
 }
 
-RuleSet extract_rules(const ml::Classifier& model, const ml::Dataset& data,
+RuleSet extract_rules(const ml::Model& model, const ml::Dataset& data,
                       const RuleExtractionConfig& config) {
   // Key: ordered literal list encoded as (feature, polarity) pairs.
   using Key = std::vector<std::pair<std::size_t, bool>>;

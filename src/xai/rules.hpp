@@ -69,10 +69,6 @@ class RuleSet {
 
   /// Rule-augmented model score: alpha * model + (1-alpha) * rules
   /// ("alongside the model to achieve better predictions").
-  [[nodiscard]] double combined_score(const ml::Classifier& model,
-                                      std::span<const double> x,
-                                      double alpha = 0.7) const;
-  /// The same blend for a model score the caller already has.
   [[nodiscard]] double combined_score(double model_score,
                                       std::span<const double> x,
                                       double alpha = 0.7) const;
@@ -82,7 +78,7 @@ class RuleSet {
 };
 
 /// Mines rules from SHAP attributions of the fitted model over `data`.
-[[nodiscard]] RuleSet extract_rules(const ml::Classifier& model,
+[[nodiscard]] RuleSet extract_rules(const ml::Model& model,
                                     const ml::Dataset& data,
                                     const RuleExtractionConfig& config = {});
 

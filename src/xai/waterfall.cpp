@@ -10,7 +10,7 @@
 
 namespace polaris::xai {
 
-Waterfall make_waterfall(const ml::Classifier& model, std::span<const double> x,
+Waterfall make_waterfall(const ml::Model& model, std::span<const double> x,
                          std::span<const std::string> feature_names,
                          std::size_t max_bars) {
   Waterfall wf;

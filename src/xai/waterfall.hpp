@@ -29,7 +29,7 @@ struct Waterfall {
 };
 
 /// Builds the waterfall for one sample from exact TreeSHAP attributions.
-[[nodiscard]] Waterfall make_waterfall(const ml::Classifier& model,
+[[nodiscard]] Waterfall make_waterfall(const ml::Model& model,
                                        std::span<const double> x,
                                        std::span<const std::string> feature_names,
                                        std::size_t max_bars = 9);

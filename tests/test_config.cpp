@@ -91,18 +91,18 @@ TEST(ConfigValidate, PolarisConstructorEnforcesIt) {
 
 TEST(ConfigModelKind, ParsesUserSpellings) {
   using core::ModelKind;
-  EXPECT_EQ(core::model_kind_from_string("adaboost"), ModelKind::kAdaBoost);
-  EXPECT_EQ(core::model_kind_from_string("AdaBoost"), ModelKind::kAdaBoost);
-  EXPECT_EQ(core::model_kind_from_string("rf"), ModelKind::kRandomForest);
-  EXPECT_EQ(core::model_kind_from_string("random-forest"),
+  EXPECT_EQ(ml::model_kind_from_string("adaboost"), ModelKind::kAdaBoost);
+  EXPECT_EQ(ml::model_kind_from_string("AdaBoost"), ModelKind::kAdaBoost);
+  EXPECT_EQ(ml::model_kind_from_string("rf"), ModelKind::kRandomForest);
+  EXPECT_EQ(ml::model_kind_from_string("random-forest"),
             ModelKind::kRandomForest);
-  EXPECT_EQ(core::model_kind_from_string("xgboost"), ModelKind::kXgboost);
-  EXPECT_EQ(core::model_kind_from_string("gbdt"), ModelKind::kXgboost);
-  EXPECT_EQ(core::model_kind_from_string("tree"), ModelKind::kDecisionTree);
-  EXPECT_EQ(core::model_kind_from_string("dt"), ModelKind::kDecisionTree);
-  EXPECT_THROW((void)core::model_kind_from_string("svm"),
+  EXPECT_EQ(ml::model_kind_from_string("xgboost"), ModelKind::kXgboost);
+  EXPECT_EQ(ml::model_kind_from_string("gbdt"), ModelKind::kXgboost);
+  EXPECT_EQ(ml::model_kind_from_string("tree"), ModelKind::kDecisionTree);
+  EXPECT_EQ(ml::model_kind_from_string("dt"), ModelKind::kDecisionTree);
+  EXPECT_THROW((void)ml::model_kind_from_string("svm"),
                std::invalid_argument);
-  EXPECT_EQ(core::to_string(ModelKind::kDecisionTree), "DecisionTree");
+  EXPECT_EQ(ml::to_string(ModelKind::kDecisionTree), "DecisionTree");
 }
 
 TEST(ConfigModelKind, DecisionTreeIsConstructible) {

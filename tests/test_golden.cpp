@@ -1,6 +1,6 @@
 // Golden-value regression tests: fixed-seed TVLA t-statistics,
-// score_gates outputs and the extracted RuleSet's bytes checked against
-// CSVs committed under tests/golden/.
+// score_gates outputs, the extracted RuleSet's bytes and each model kind's
+// serialized bytes checked against CSVs committed under tests/golden/.
 // Their job is to make numeric drift LOUD: an engine/scheduler/model
 // refactor that changes any double - even in the last bit - fails here,
 // instead of silently shifting every paper table.
@@ -236,28 +236,22 @@ TEST(Golden, ScoreGatesVoterModelPlusRules) {
                /*max_ulps=*/64);
 }
 
-// --- RuleSet bytes -----------------------------------------------------------
+// --- emit_bits.csv rows ------------------------------------------------------
 
-/// The `ruleset/golden_model` row of emit_bits.csv (test_inference owns its
-/// Verilog rows): `<length>,<hex>` of golden_polaris()'s RuleSet as
-/// write_ruleset writes it. Bit-exact, since a rule either matches or not:
-/// a libm whose exp/log moves a training score by an ulp can flip a
-/// near-tie in the TreeSHAP ranking and change a literal, which is why the
-/// pin lives here with the other train-in-the-loop goldens and not in
-/// test_inference's unit gate.
-TEST(Golden, RuleSetBytes) {
-  serialize::Writer out;
-  serialize::write_ruleset(out, golden_polaris().rules());
-  const auto bytes = out.finish();
-  std::string value = std::to_string(bytes.size()) + ",";
-  static constexpr char kDigits[] = "0123456789abcdef";
-  for (const std::uint8_t b : bytes) {
-    value += kDigits[b >> 4];
-    value += kDigits[b & 15];
-  }
+std::string fnv1a_hex(std::span<const std::uint8_t> bytes) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const std::uint8_t b : bytes) hash = (hash ^ b) * 1099511628211ULL;
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return hex;
+}
 
+/// Checks `actual` (row name -> "<length>,<value>") against the rows of
+/// emit_bits.csv. Under POLARIS_UPDATE_GOLDEN it rewrites only these rows
+/// and keeps every other (test_inference owns the Verilog rows).
+void check_emit_rows(const std::map<std::string, std::string>& actual) {
   const std::string path = golden_path("emit_bits.csv");
-  const std::string name = "ruleset/golden_model";
   std::map<std::string, std::string> rows;  // name -> "<length>,<value>"
   {
     std::ifstream in(path);
@@ -272,7 +266,7 @@ TEST(Golden, RuleSetBytes) {
     }
   }
   if (update_mode()) {
-    rows[name] = value;
+    for (const auto& [name, row] : actual) rows[name] = row;
     std::ofstream out_csv(path);
     ASSERT_TRUE(out_csv) << "cannot write " << path;
     out_csv << "name,length,value\n";
@@ -281,9 +275,54 @@ TEST(Golden, RuleSetBytes) {
     }
     return;
   }
-  const auto it = rows.find(name);
-  ASSERT_NE(it, rows.end()) << name << " missing from " << path;
-  EXPECT_EQ(it->second, value) << name << ": RuleSet bytes drifted";
+  for (const auto& [name, row] : actual) {
+    const auto it = rows.find(name);
+    ASSERT_NE(it, rows.end()) << name << " missing from " << path;
+    EXPECT_EQ(it->second, row) << name << ": bytes drifted";
+  }
+}
+
+/// The `ruleset/golden_model` row: `<length>,<hex>` of golden_polaris()'s
+/// RuleSet as write_ruleset writes it. Bit-exact, since a rule either
+/// matches or not: a libm whose exp/log moves a training score by an ulp
+/// can flip a near-tie in the TreeSHAP ranking and change a literal, which
+/// is why the pin lives here with the other train-in-the-loop goldens and
+/// not in test_inference's unit gate.
+TEST(Golden, RuleSetBytes) {
+  serialize::Writer out;
+  serialize::write_ruleset(out, golden_polaris().rules());
+  const auto bytes = out.finish();
+  std::string value = std::to_string(bytes.size()) + ",";
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (const std::uint8_t b : bytes) {
+    value += kDigits[b >> 4];
+    value += kDigits[b & 15];
+  }
+  check_emit_rows({{"ruleset/golden_model", value}});
+}
+
+/// One `model/<name>` row per model kind: `<length>,<FNV-1a>` of the MODL
+/// payload that make_model's model, fitted on golden_polaris()'s training
+/// data, serializes to. Pins make_model's mapping of the golden config onto
+/// each kind's hyper-parameters as well as every fit. Bit-exact for the
+/// same reason as the RuleSet row (the boosted fits run exp/log).
+TEST(Golden, ModelBytesEveryKind) {
+  constexpr std::size_t kArchiveHeader = 8;  // magic + container version
+  std::map<std::string, std::string> actual;
+  for (const auto kind :
+       {core::ModelKind::kRandomForest, core::ModelKind::kXgboost,
+        core::ModelKind::kAdaBoost, core::ModelKind::kDecisionTree}) {
+    core::PolarisConfig config = golden_polaris().config();
+    config.model = kind;
+    const auto model = core::make_model(config);
+    model->fit(golden_polaris().training_data());
+    serialize::Writer out;
+    model->save(out);
+    const auto payload = std::span(out.bytes()).subspan(kArchiveHeader);
+    actual["model/" + ml::to_string(kind)] =
+        std::to_string(payload.size()) + "," + fnv1a_hex(payload);
+  }
+  check_emit_rows(actual);
 }
 
 }  // namespace

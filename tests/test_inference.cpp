@@ -1,7 +1,7 @@
 // Bit oracles for inference, explanation and Verilog emission.
 //
 // * score_gates must equal a per-gate loop over the public calls
-//   (FeatureExtractor::extract, then Classifier::predict_proba,
+//   (FeatureExtractor::extract, then Model::predict_proba,
 //   RuleSet::score or RuleSet::combined_score, then the coherence
 //   smoothing step), bit for bit, for every evaluation design at scale 1.0
 //   and every InferenceMode, at 1, 2, 3 and 8 lanes and from inside a pool
@@ -129,7 +129,8 @@ std::vector<double> oracle_scores(const core::Polaris& polaris,
         scores[g] = polaris.rules().score(x);
         break;
       case InferenceMode::kModelPlusRules:
-        scores[g] = polaris.rules().combined_score(polaris.model(), x);
+        scores[g] = polaris.rules().combined_score(
+            polaris.model().predict_proba(x), x);
         break;
     }
   }

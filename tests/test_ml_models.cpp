@@ -1,16 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "engine/thread_pool.hpp"
-#include "ml/adaboost.hpp"
-#include "ml/decision_tree.hpp"
-#include "ml/forest.hpp"
-#include "ml/gbdt.hpp"
 #include "ml/metrics.hpp"
+#include "ml/model.hpp"
 #include "serialize/archive.hpp"
 #include "util/rng.hpp"
 
@@ -45,7 +41,6 @@ Dataset xor_dataset(std::size_t n, std::uint64_t seed) {
   return data;
 }
 
-template <typename Model>
 double holdout_accuracy(Model& model, const Dataset& data) {
   auto [train, test] = data.split(0.7, 99);
   model.fit(train);
@@ -54,19 +49,19 @@ double holdout_accuracy(Model& model, const Dataset& data) {
 
 TEST(RandomForest, SeparatesClusters) {
   auto data = cluster_dataset(600, 1);
-  RandomForest model({.trees = 30, .max_depth = 6, .seed = 7});
+  Model model(ForestConfig{.trees = 30, .max_depth = 6, .seed = 7});
   EXPECT_GT(holdout_accuracy(model, data), 0.95);
 }
 
 TEST(RandomForest, LearnsXor) {
   auto data = xor_dataset(800, 2);
-  RandomForest model({.trees = 40, .max_depth = 5, .seed = 3});
+  Model model(ForestConfig{.trees = 40, .max_depth = 5, .seed = 3});
   EXPECT_GT(holdout_accuracy(model, data), 0.95);
 }
 
 TEST(RandomForest, ProbabilitiesAreAverages) {
   auto data = cluster_dataset(200, 3);
-  RandomForest model({.trees = 10, .seed = 1});
+  Model model(ForestConfig{.trees = 10, .seed = 1});
   model.fit(data);
   for (std::size_t i = 0; i < 10; ++i) {
     const double p = model.predict_proba(data.row(i));
@@ -79,13 +74,13 @@ TEST(RandomForest, ProbabilitiesAreAverages) {
 
 TEST(Gbdt, SeparatesClusters) {
   auto data = cluster_dataset(600, 4);
-  Gbdt model({.rounds = 60, .max_depth = 3, .learning_rate = 0.3});
+  Model model(GbdtConfig{.rounds = 60, .max_depth = 3, .learning_rate = 0.3});
   EXPECT_GT(holdout_accuracy(model, data), 0.95);
 }
 
 TEST(Gbdt, LearnsXor) {
   auto data = xor_dataset(800, 5);
-  Gbdt model({.rounds = 80, .max_depth = 3, .learning_rate = 0.3});
+  Model model(GbdtConfig{.rounds = 80, .max_depth = 3, .learning_rate = 0.3});
   EXPECT_GT(holdout_accuracy(model, data), 0.95);
 }
 
@@ -93,15 +88,15 @@ TEST(Gbdt, BaseScoreIsPriorLogOdds) {
   Dataset data;
   for (int i = 0; i < 90; ++i) data.add({0.0}, 1);
   for (int i = 0; i < 10; ++i) data.add({1.0}, 0);
-  Gbdt model({.rounds = 1, .learning_rate = 0.0});
+  Model model(GbdtConfig{.rounds = 1, .learning_rate = 0.0});
   model.fit(data);
   EXPECT_NEAR(model.ensemble().base, std::log(0.9 / 0.1), 1e-9);
 }
 
 TEST(Gbdt, MoreRoundsImproveTrainingFit) {
   auto data = xor_dataset(400, 6);
-  Gbdt small({.rounds = 2, .max_depth = 2, .learning_rate = 0.1});
-  Gbdt large({.rounds = 100, .max_depth = 2, .learning_rate = 0.1});
+  Model small(GbdtConfig{.rounds = 2, .max_depth = 2, .learning_rate = 0.1});
+  Model large(GbdtConfig{.rounds = 100, .max_depth = 2, .learning_rate = 0.1});
   small.fit(data);
   large.fit(data);
   EXPECT_GE(evaluate(large, data).accuracy, evaluate(small, data).accuracy);
@@ -109,13 +104,15 @@ TEST(Gbdt, MoreRoundsImproveTrainingFit) {
 
 TEST(AdaBoost, SeparatesClusters) {
   auto data = cluster_dataset(600, 7);
-  AdaBoost model({.rounds = 40, .max_depth = 2, .learning_rate = 0.5});
+  Model model(
+      AdaBoostConfig{.rounds = 40, .max_depth = 2, .learning_rate = 0.5});
   EXPECT_GT(holdout_accuracy(model, data), 0.95);
 }
 
 TEST(AdaBoost, LearnsXor) {
   auto data = xor_dataset(800, 8);
-  AdaBoost model({.rounds = 60, .max_depth = 2, .learning_rate = 0.5});
+  Model model(
+      AdaBoostConfig{.rounds = 60, .max_depth = 2, .learning_rate = 0.5});
   EXPECT_GT(holdout_accuracy(model, data), 0.95);
 }
 
@@ -124,7 +121,7 @@ TEST(AdaBoost, StopsOnUnlearnableData) {
   // better than chance (err = 0.5 exactly), so boosting must halt at once.
   Dataset data;
   for (int i = 0; i < 300; ++i) data.add({0.0}, i % 2);
-  AdaBoost model({.rounds = 50, .max_depth = 1});
+  Model model(AdaBoostConfig{.rounds = 50, .max_depth = 1});
   model.fit(data);
   EXPECT_TRUE(model.ensemble().trees.empty());
   // The untrained-ish model still predicts a valid probability.
@@ -133,7 +130,7 @@ TEST(AdaBoost, StopsOnUnlearnableData) {
 
 TEST(AdaBoost, MarginIsWeightedVote) {
   auto data = cluster_dataset(300, 12);
-  AdaBoost model({.rounds = 15, .max_depth = 2});
+  Model model(AdaBoostConfig{.rounds = 15, .max_depth = 2});
   model.fit(data);
   const auto& ensemble = model.ensemble();
   ASSERT_FALSE(ensemble.trees.empty());
@@ -146,7 +143,8 @@ TEST(AdaBoost, MarginIsWeightedVote) {
 
 TEST(Models, DeterministicForFixedSeed) {
   auto data = cluster_dataset(300, 13);
-  RandomForest a({.trees = 10, .seed = 5}), b({.trees = 10, .seed = 5});
+  Model a(ForestConfig{.trees = 10, .seed = 5});
+  Model b(ForestConfig{.trees = 10, .seed = 5});
   a.fit(data);
   b.fit(data);
   for (std::size_t i = 0; i < 20; ++i) {
@@ -177,10 +175,10 @@ Dataset wide_dataset(std::size_t n, std::uint64_t seed) {
   return data;
 }
 
-std::vector<std::uint8_t> fitted_bytes(Classifier& model, const Dataset& data) {
+std::vector<std::uint8_t> fitted_bytes(Model model, const Dataset& data) {
   model.fit(data);
   polaris::serialize::Writer out;
-  save_classifier(out, model);
+  model.save(out);
   return out.bytes();
 }
 
@@ -188,40 +186,29 @@ TEST(Models, FitIsIndependentOfLaneCount) {
   // Lanes only schedule the per-candidate scans; the candidates are reduced
   // in a fixed order, so every lane count serializes to the same bytes.
   const Dataset data = wide_dataset(2048, 21);
-  const std::vector<std::function<std::unique_ptr<Classifier>(std::size_t)>>
-      makers = {
-          [](std::size_t lanes) {
-            return std::make_unique<AdaBoost>(
-                AdaBoostConfig{.rounds = 8, .max_depth = 2, .lanes = lanes});
-          },
-          [](std::size_t lanes) {
-            return std::make_unique<Gbdt>(GbdtConfig{
-                .rounds = 4, .max_depth = 3, .learning_rate = 0.3, .lanes = lanes});
-          },
-          [](std::size_t lanes) {
-            return std::make_unique<RandomForest>(ForestConfig{
-                .trees = 4, .max_depth = 4, .features_per_split = 40, .seed = 3,
-                .lanes = lanes});
-          },
-          [](std::size_t lanes) {
-            return std::make_unique<DecisionTree>(
-                DecisionTreeConfig{.max_depth = 5, .lanes = lanes});
-          },
-      };
-  for (const auto& make : makers) {
-    const auto reference_model = make(1);
-    const auto reference = fitted_bytes(*reference_model, data);
+  const ModelConfig configs[] = {
+      AdaBoostConfig{.rounds = 8, .max_depth = 2},
+      GbdtConfig{.rounds = 4, .max_depth = 3, .learning_rate = 0.3},
+      ForestConfig{
+          .trees = 4, .max_depth = 4, .features_per_split = 40, .seed = 3},
+      DecisionTreeConfig{.max_depth = 5},
+  };
+  for (const auto& config : configs) {
+    const std::string name = Model(config).name();
+    const auto reference = fitted_bytes(Model(config), data);
     for (const std::size_t lanes : {2, 3, 8}) {
-      EXPECT_EQ(fitted_bytes(*make(lanes), data), reference)
-          << reference_model->name() << " at " << lanes << " lanes";
+      EXPECT_EQ(fitted_bytes(Model(config, lanes), data), reference)
+          << name << " at " << lanes << " lanes";
     }
     // Inside a pool job the fan-out runs inline; two concurrent fits share
     // the dataset.
     std::vector<std::uint8_t> nested[2];
     polaris::engine::ThreadPool::shared().parallel_for(
-        2, 2, [&](std::size_t i) { nested[i] = fitted_bytes(*make(3), data); });
-    EXPECT_EQ(nested[0], reference) << reference_model->name() << " in a job";
-    EXPECT_EQ(nested[1], reference) << reference_model->name() << " in a job";
+        2, 2, [&](std::size_t i) {
+          nested[i] = fitted_bytes(Model(config, 3), data);
+        });
+    EXPECT_EQ(nested[0], reference) << name << " in a job";
+    EXPECT_EQ(nested[1], reference) << name << " in a job";
   }
 }
 
@@ -233,7 +220,7 @@ TEST(Models, ClassWeightsCounterImbalance) {
   for (int i = 0; i < 950; ++i) data.add({rng.uniform(0.0, 0.6)}, 0);
   for (int i = 0; i < 50; ++i) data.add({rng.uniform(0.4, 1.0)}, 1);
   data.apply_class_balance_weights();
-  Gbdt model({.rounds = 40, .max_depth = 2, .learning_rate = 0.3});
+  Model model(GbdtConfig{.rounds = 40, .max_depth = 2, .learning_rate = 0.3});
   model.fit(data);
   const auto metrics = evaluate(model, data);
   EXPECT_GT(metrics.recall, 0.6);

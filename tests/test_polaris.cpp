@@ -211,7 +211,7 @@ TEST(Polaris, ModelFactoryHonorsKind) {
   EXPECT_EQ(core::make_model(config)->name(), "XGBoost");
   config.model = core::ModelKind::kAdaBoost;
   EXPECT_EQ(core::make_model(config)->name(), "AdaBoost");
-  EXPECT_EQ(core::to_string(core::ModelKind::kXgboost), "XGBoost");
+  EXPECT_EQ(ml::to_string(core::ModelKind::kXgboost), "XGBoost");
 }
 
 TEST(Polaris, RoleMappingMatchesProtocol) {

@@ -1,5 +1,5 @@
 // The serialization subsystem: archive container (endianness, chunking,
-// CRC, version gates), artifact round-trips for all four classifiers,
+// CRC, version gates), artifact round-trips for all four model kinds,
 // Dataset, and RuleSet, and the hard-failure paths (truncation, flipped
 // bytes, future versions, malformed payloads - clean errors, never UB).
 #include <gtest/gtest.h>
@@ -8,10 +8,7 @@
 #include <cmath>
 #include <limits>
 
-#include "ml/adaboost.hpp"
-#include "ml/decision_tree.hpp"
-#include "ml/forest.hpp"
-#include "ml/gbdt.hpp"
+#include "ml/model.hpp"
 #include "serialize/model_io.hpp"
 #include "util/rng.hpp"
 #include "xai/rules.hpp"
@@ -399,8 +396,7 @@ ml::Dataset synthetic_dataset(std::size_t rows, std::size_t features,
   return data;
 }
 
-void expect_identical_predictions(const ml::Classifier& a,
-                                  const ml::Classifier& b,
+void expect_identical_predictions(const ml::Model& a, const ml::Model& b,
                                   std::size_t features) {
   util::Xoshiro256 rng(99);
   for (int trial = 0; trial < 200; ++trial) {
@@ -415,55 +411,53 @@ void expect_identical_predictions(const ml::Classifier& a,
   }
 }
 
-template <typename Model, typename Config>
-void round_trip_classifier(Config config) {
+void round_trip_model(const ml::ModelConfig& config) {
   const std::size_t kFeatures = 9;
   const auto data = synthetic_dataset(240, kFeatures, 7);
-  Model original(config);
+  ml::Model original(config);
   original.fit(data);
   ASSERT_FALSE(original.ensemble().trees.empty());
 
   serialize::Writer out;
   out.begin_chunk("MODL");
-  ml::save_classifier(out, original);
+  original.save(out);
   out.end_chunk();
 
   serialize::Reader in(out.finish());
   in.enter_chunk("MODL");
-  const auto loaded = ml::load_classifier(in);
+  const auto loaded = ml::Model::load(in);
   in.exit_chunk();
 
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->name(), original.name());
-  EXPECT_EQ(loaded->kind(), original.kind());
-  EXPECT_EQ(loaded->ensemble().trees.size(), original.ensemble().trees.size());
-  expect_identical_predictions(original, *loaded, kFeatures);
+  EXPECT_EQ(loaded.name(), original.name());
+  EXPECT_EQ(loaded.kind(), original.kind());
+  EXPECT_EQ(loaded.ensemble().trees.size(), original.ensemble().trees.size());
+  expect_identical_predictions(original, loaded, kFeatures);
 }
 
 TEST(ModelIo, DecisionTreeRoundTrips) {
-  round_trip_classifier<ml::DecisionTree>(ml::DecisionTreeConfig{});
+  round_trip_model(ml::DecisionTreeConfig{});
 }
 
 TEST(ModelIo, RandomForestRoundTrips) {
-  round_trip_classifier<ml::RandomForest>(ml::ForestConfig{.trees = 25});
+  round_trip_model(ml::ForestConfig{.trees = 25});
 }
 
 TEST(ModelIo, GbdtRoundTrips) {
-  round_trip_classifier<ml::Gbdt>(ml::GbdtConfig{.rounds = 40});
+  round_trip_model(ml::GbdtConfig{.rounds = 40});
 }
 
 TEST(ModelIo, AdaBoostRoundTrips) {
-  round_trip_classifier<ml::AdaBoost>(ml::AdaBoostConfig{.rounds = 40});
+  round_trip_model(ml::AdaBoostConfig{.rounds = 40});
 }
 
-TEST(ModelIo, UnknownClassifierKindFails) {
+TEST(ModelIo, UnknownModelKindFails) {
   serialize::Writer out;
   out.begin_chunk("MODL");
-  out.u32(999);  // no such ClassifierKind
+  out.u32(999);  // no such model kind tag
   out.end_chunk();
   serialize::Reader in(out.finish());
   in.enter_chunk("MODL");
-  EXPECT_THROW((void)ml::load_classifier(in), std::runtime_error);
+  EXPECT_THROW((void)ml::Model::load(in), std::runtime_error);
 }
 
 TEST(ModelIo, CorruptTreeChildIndicesFail) {

@@ -1,6 +1,6 @@
-// obs metrics time-series: ring semantics, exact interval deltas via
-// snapshot subtraction, the background sampler (including its metrics
-// file), and the PR contract that sampling never perturbs results.
+// obs metrics sampler: exact interval deltas via snapshot subtraction, the
+// background sampler (including its metrics file), and the contract that
+// sampling never perturbs results.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -21,50 +21,9 @@ namespace {
 
 using namespace polaris;
 
-TEST(TimeSeries, RingWrapEvictsOldestKeepsNewest) {
-  obs::TimeSeries series(3);
-  EXPECT_EQ(series.capacity(), 3u);
-  EXPECT_TRUE(series.recent(5).empty());
-
-  for (std::int64_t i = 0; i < 5; ++i) {
-    obs::TimePoint point;
-    point.wall_ms = i;
-    point.mono_ns = i * 1000;
-    series.push(point);
-  }
-  EXPECT_EQ(series.size(), 3u);
-  EXPECT_EQ(series.total_pushed(), 5u);
-
-  // Oldest-first over the surviving window {2, 3, 4}.
-  const auto all = series.recent(10);
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0].wall_ms, 2);
-  EXPECT_EQ(all[1].wall_ms, 3);
-  EXPECT_EQ(all[2].wall_ms, 4);
-
-  // recent(2) is exactly the (earlier, later) pair subtraction wants.
-  const auto pair = series.recent(2);
-  ASSERT_EQ(pair.size(), 2u);
-  EXPECT_EQ(pair[0].wall_ms, 3);
-  EXPECT_EQ(pair[1].wall_ms, 4);
-}
-
-TEST(TimeSeries, ZeroCapacityClampsToOne) {
-  obs::TimeSeries series(0);
-  EXPECT_EQ(series.capacity(), 1u);
-  obs::TimePoint point;
-  point.wall_ms = 7;
-  series.push(point);
-  point.wall_ms = 8;
-  series.push(point);
-  const auto window = series.recent(4);
-  ASSERT_EQ(window.size(), 1u);
-  EXPECT_EQ(window[0].wall_ms, 8);
-}
-
-TEST(TimeSeries, ConsecutiveSampleSubtractionIsExactIntervalDelta) {
+TEST(TimeSeriesSampler, ConsecutiveSampleSubtractionIsExactIntervalDelta) {
   // The rate math `client top` and the metrics file rely on: subtracting
-  // consecutive ring snapshots yields EXACTLY the records of the interval,
+  // consecutive snapshots yields EXACTLY the records of the interval,
   // identical to a registry that only ever saw those records.
   obs::Registry registry;
   auto& requests = registry.counter("req");
@@ -72,17 +31,12 @@ TEST(TimeSeries, ConsecutiveSampleSubtractionIsExactIntervalDelta) {
   requests.add(5);
   latency.record(10);
 
-  obs::TimeSeries series(4);
-  series.push({1000, 1'000'000, registry.snapshot()});
+  const obs::Snapshot earlier = registry.snapshot();
   requests.add(7);
   latency.record(10);
   latency.record(500);
-  series.push({2000, 2'000'000, registry.snapshot()});
-
-  const auto window = series.recent(2);
-  ASSERT_EQ(window.size(), 2u);
-  obs::Snapshot delta = window[1].snapshot;
-  delta.subtract(window[0].snapshot);
+  obs::Snapshot delta = registry.snapshot();
+  delta.subtract(earlier);
 
   EXPECT_EQ(delta.counter_value("req"), 7u);
   const auto* hist = delta.find_histogram("lat_us");
@@ -111,20 +65,18 @@ TEST(TimeSeriesSampler, CollectsSamplesAndAppendsJsonDeltaLines) {
   {
     obs::Sampler::Options options;
     options.interval_ms = 5;
-    options.capacity = 8;
     options.metrics_file = path;
     obs::Sampler sampler(registry, options);
     EXPECT_EQ(sampler.interval_ms(), 5u);
     sampler.start();
     sampler.start();  // idempotent
-    for (int i = 0; i < 1000 && sampler.series().total_pushed() < 3; ++i) {
+    for (int i = 0; i < 1000 && sampler.samples() < 3; ++i) {
       registry.counter("work.items").add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     sampler.stop();
     sampler.stop();  // idempotent
-    EXPECT_GE(sampler.series().total_pushed(), 3u);
-    EXPECT_GE(sampler.series().size(), 3u);
+    EXPECT_GE(sampler.samples(), 3u);
   }
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -145,23 +97,34 @@ TEST(TimeSeriesSampler, CollectsSamplesAndAppendsJsonDeltaLines) {
 
 TEST(TimeSeriesSampler, EmptyRegistrySamplesCleanly) {
   obs::Registry registry;  // no metrics at all
+  const std::string path =
+      ::testing::TempDir() + "polaris_metrics_empty_" +
+      std::to_string(::getpid()) + ".jsonl";
+  std::remove(path.c_str());
   obs::Sampler::Options options;
   options.interval_ms = 5;
-  options.capacity = 4;
+  options.metrics_file = path;
   obs::Sampler sampler(registry, options);
   sampler.start();
-  for (int i = 0; i < 1000 && sampler.series().total_pushed() < 2; ++i) {
+  for (int i = 0; i < 1000 && sampler.samples() < 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   sampler.stop();
-  const auto window = sampler.series().recent(2);
-  ASSERT_GE(window.size(), 2u);
-  EXPECT_TRUE(window[0].snapshot.counters.empty());
-  EXPECT_TRUE(window[0].snapshot.histograms.empty());
-  // Subtracting empty snapshots is a no-op, not a crash.
-  obs::Snapshot delta = window[1].snapshot;
-  delta.subtract(window[0].snapshot);
-  EXPECT_TRUE(delta.counters.empty());
+  ASSERT_GE(sampler.samples(), 2u);
+  // Every line after the first is an empty snapshot minus an empty one:
+  // subtracting them is a no-op, not a crash.
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::string line;
+  std::size_t lines = 0;
+  while (std::getline(in, line)) {
+    ++lines;
+    EXPECT_NE(line.find("\"counters\":{},\"histograms\":{}"),
+              std::string::npos)
+        << line;
+  }
+  EXPECT_GE(lines, 2u);
+  std::remove(path.c_str());
 }
 
 TEST(TimeSeriesSampler, StopBeforeStartAndDestructorAreSafe) {
@@ -186,7 +149,6 @@ TEST(TimeSeriesSampler, SamplingLeavesTvlaResultsBitIdentical) {
 
   obs::Sampler::Options options;
   options.interval_ms = 1;  // pathological: sample as fast as possible
-  options.capacity = 16;
   obs::Sampler sampler(obs::Registry::global(), options);
   sampler.start();
   for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -199,11 +161,11 @@ TEST(TimeSeriesSampler, SamplingLeavesTvlaResultsBitIdentical) {
   }
   // The audits above may finish inside the first sample interval; wait for
   // the sampler to demonstrably run before asserting it did.
-  for (int i = 0; i < 1000 && sampler.series().total_pushed() < 1; ++i) {
+  for (int i = 0; i < 1000 && sampler.samples() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   sampler.stop();
-  EXPECT_GE(sampler.series().total_pushed(), 1u);
+  EXPECT_GE(sampler.samples(), 1u);
 }
 
 }  // namespace

@@ -33,13 +33,12 @@
 #include <map>
 #include <new>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "core/config.hpp"
 #include "core/polaris.hpp"
-#include "ml/adaboost.hpp"
-#include "ml/decision_tree.hpp"
-#include "ml/forest.hpp"
-#include "ml/gbdt.hpp"
+#include "ml/model.hpp"
 #include "netlist/netlist_io.hpp"
 #include "serialize/archive.hpp"
 #include "serialize/model_io.hpp"
@@ -77,8 +76,8 @@ void write_bytes(const std::string& path, const Bytes& bytes) {
 // --- hand-built instances ---------------------------------------------------
 
 /// One archive holding `tag` around whatever `write` emits: how the bundle
-/// carries a config, a classifier, rules or data, and how this file carries
-/// a bare tree or ensemble.
+/// carries a config, a model, rules or data, and how this file carries a
+/// bare tree or ensemble.
 Bytes in_chunk(const char* tag,
                const std::function<void(serialize::Writer&)>& write) {
   serialize::Writer out;
@@ -158,14 +157,10 @@ ml::Dataset tiny_dataset() {
   return data;
 }
 
-template <class Model, class Config>
-Bytes fitted(Config config) {
-  config.lanes = 1;
-  Model model(config);
+Bytes fitted(const ml::ModelConfig& config) {
+  ml::Model model(config);
   model.fit(tiny_dataset());
-  return in_chunk("MODL", [&](serialize::Writer& out) {
-    ml::save_classifier(out, model);
-  });
+  return in_chunk("MODL", [&](serialize::Writer& out) { model.save(out); });
 }
 
 ml::Tree tiny_tree(double scale) {
@@ -451,24 +446,18 @@ std::vector<Format> formats() {
           });
   }
 
-  const auto reencode_classifier = [](const Bytes& b) {
-    const auto model = from_chunk(b, "MODL", ml::load_classifier);
-    return in_chunk("MODL", [&](serialize::Writer& out) {
-      ml::save_classifier(out, *model);
-    });
+  const auto reencode_model = [](const Bytes& b) {
+    const auto model = from_chunk(b, "MODL", ml::Model::load);
+    return in_chunk("MODL", [&](serialize::Writer& out) { model.save(out); });
   };
-  reply("classifier_decision_tree",
-        fitted<ml::DecisionTree>(ml::DecisionTreeConfig{3, 2, 7, 1}),
-        reencode_classifier);
-  reply("classifier_random_forest",
-        fitted<ml::RandomForest>(ml::ForestConfig{3, 2, 2, 2, 11, 1}),
-        reencode_classifier);
+  reply("classifier_decision_tree", fitted(ml::DecisionTreeConfig{3, 2, 7}),
+        reencode_model);
+  reply("classifier_random_forest", fitted(ml::ForestConfig{3, 2, 2, 2, 11}),
+        reencode_model);
   reply("classifier_gbdt",
-        fitted<ml::Gbdt>(ml::GbdtConfig{3, 2, 0.25, 1.0, 0.0, 2, 13, 1}),
-        reencode_classifier);
-  reply("classifier_adaboost",
-        fitted<ml::AdaBoost>(ml::AdaBoostConfig{3, 1, 0.5, 2, 19, 1}),
-        reencode_classifier);
+        fitted(ml::GbdtConfig{3, 2, 0.25, 1.0, 0.0, 2, 13}), reencode_model);
+  reply("classifier_adaboost", fitted(ml::AdaBoostConfig{3, 1, 0.5, 2, 19}),
+        reencode_model);
 
   reply("tree",
         in_chunk("TREE",
@@ -848,6 +837,74 @@ TEST(WireMutation, SeededSweepOverTheCommittedBundle) {
     (void)survives(resave_bundle, mutated,
                    "bundle mutation " + std::to_string(m));
   }
+}
+
+// --- spliced payloads --------------------------------------------------------
+
+Bytes format_bytes(const std::string& name) {
+  for (auto& format : formats()) {
+    if (format.name == name) return std::move(format.bytes);
+  }
+  throw std::logic_error("no format named " + name);
+}
+
+/// Index of the top-level chunk of `body` tagged `tag`.
+int top_chunk(const Bytes& body, const std::vector<Chunk>& chunks,
+              std::string_view tag) {
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    const auto* at = reinterpret_cast<const char*>(&body[chunks[i].header]);
+    if (chunks[i].parent == -1 && std::string_view(at, 4) == tag) {
+      return static_cast<int>(i);
+    }
+  }
+  throw std::logic_error("no top-level " + std::string(tag) + " chunk");
+}
+
+TEST(WireGolden, ModelPayloadOfAnotherVersionIsRefused) {
+  // The MODL payload opens with the kind tag, then the payload version. A
+  // version this build does not know must be refused, not read as 1.
+  Bytes body = body_of(format_bytes("classifier_adaboost"));
+  const std::size_t version_at = chunks_of(body).front().begin + 4;  // MODL
+  ASSERT_EQ(body[version_at], 1);
+  body[version_at] = 2;
+  const Bytes archive = seal(std::move(body));
+  try {
+    (void)from_chunk(archive, "MODL", ml::Model::load);
+    ADD_FAILURE() << "a version-2 model payload loaded";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("version 2"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(WireGolden, BundleWhoseModelDisagreesWithItsConfigIsRefused) {
+  // The committed bundle's config says AdaBoost; its MODL payload is
+  // replaced by the decision tree row's.
+  Bytes body = body_of(read_bytes(kGoldenBundle));
+  const auto chunks = chunks_of(body);
+  const int modl = top_chunk(body, chunks, "MODL");
+  const Chunk mine = chunks[static_cast<std::size_t>(modl)];
+  const Bytes tree = body_of(format_bytes("classifier_decision_tree"));
+  const Chunk graft = chunks_of(tree).front();  // its only top-level chunk
+  body.erase(body.begin() + static_cast<std::ptrdiff_t>(mine.begin),
+             body.begin() + static_cast<std::ptrdiff_t>(mine.end));
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(mine.begin),
+              tree.begin() + static_cast<std::ptrdiff_t>(graft.begin),
+              tree.begin() + static_cast<std::ptrdiff_t>(graft.end));
+  adjust_lengths(body, chunks, modl,
+                 static_cast<std::int64_t>(graft.end - graft.begin) -
+                     static_cast<std::int64_t>(mine.end - mine.begin));
+  const std::string path = temp_path("polaris_golden_kind.plb");
+  write_bytes(path, seal(std::move(body)));
+  try {
+    (void)core::Polaris::load_bundle(path);
+    ADD_FAILURE() << "a DecisionTree model under an AdaBoost config loaded";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("DecisionTree"), std::string::npos) << what;
+    EXPECT_NE(what.find("AdaBoost"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "ml/adaboost.hpp"
+#include "ml/model.hpp"
 #include "util/rng.hpp"
 #include "xai/rules.hpp"
 #include "xai/waterfall.hpp"
@@ -39,7 +39,7 @@ TEST(Rules, LiteralAndRuleMatching) {
 
 TEST(Rules, ExtractionRecoversPlantedRule) {
   const auto data = planted_rule_data(800, 3);
-  ml::AdaBoost model({.rounds = 40, .max_depth = 2});
+  ml::Model model(ml::AdaBoostConfig{.rounds = 40, .max_depth = 2});
   model.fit(data);
 
   const auto rules = xai::extract_rules(model, data);
@@ -60,7 +60,7 @@ TEST(Rules, ExtractionRecoversPlantedRule) {
 
 TEST(Rules, StandaloneScoringFollowsRules) {
   const auto data = planted_rule_data(800, 4);
-  ml::AdaBoost model({.rounds = 40, .max_depth = 2});
+  ml::Model model(ml::AdaBoostConfig{.rounds = 40, .max_depth = 2});
   model.fit(data);
   const auto rules = xai::extract_rules(model, data);
   ASSERT_FALSE(rules.empty());
@@ -78,17 +78,17 @@ TEST(Rules, StandaloneScoringFollowsRules) {
 
 TEST(Rules, CombinedScoreBlendsModelAndRules) {
   const auto data = planted_rule_data(500, 5);
-  ml::AdaBoost model({.rounds = 30, .max_depth = 2});
+  ml::Model model(ml::AdaBoostConfig{.rounds = 30, .max_depth = 2});
   model.fit(data);
   const auto rules = xai::extract_rules(model, data);
   const auto x = data.row(0);
-  const double combined = rules.combined_score(model, x, 0.7);
   const double model_only = model.predict_proba(x);
+  const double combined = rules.combined_score(model_only, x, 0.7);
   const double rules_only = rules.score(x, model_only);
   EXPECT_NEAR(combined, 0.7 * model_only + 0.3 * rules_only, 1e-12);
   // Empty rule set degrades to the model.
   const xai::RuleSet empty;
-  EXPECT_DOUBLE_EQ(empty.combined_score(model, x, 0.7), model_only);
+  EXPECT_DOUBLE_EQ(empty.combined_score(model_only, x, 0.7), model_only);
   EXPECT_DOUBLE_EQ(empty.score(x, 0.42), 0.42);
 }
 
@@ -119,7 +119,7 @@ TEST(Rules, KeepsTheSixteenStrongestRules) {
     const double votes = x[0] + x[1] + x[2] + x[3] + x[4];
     data.add(std::move(x), votes >= 3.0 ? 1 : 0);
   }
-  ml::AdaBoost model({.rounds = 60, .max_depth = 2});
+  ml::Model model(ml::AdaBoostConfig{.rounds = 60, .max_depth = 2});
   model.fit(data);
   const auto rules = xai::extract_rules(model, data).rules();
   ASSERT_EQ(rules.size(), 16u);
@@ -133,7 +133,7 @@ TEST(Rules, KeepsTheSixteenStrongestRules) {
 
 TEST(Waterfall, DecomposesPrediction) {
   const auto data = planted_rule_data(400, 7);
-  ml::AdaBoost model({.rounds = 25, .max_depth = 2});
+  ml::Model model(ml::AdaBoostConfig{.rounds = 25, .max_depth = 2});
   model.fit(data);
   const std::vector<std::string> names{"f0", "f1", "f2", "f3"};
   const auto wf = xai::make_waterfall(model, data.row(0), names, 3);

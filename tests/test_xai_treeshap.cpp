@@ -4,9 +4,7 @@
 #include <functional>
 #include <numeric>
 
-#include "ml/adaboost.hpp"
-#include "ml/forest.hpp"
-#include "ml/gbdt.hpp"
+#include "ml/model.hpp"
 #include "xai/treeshap.hpp"
 #include "util/rng.hpp"
 
@@ -172,23 +170,21 @@ TEST(TreeShap, LocalAccuracyForAllModelKinds) {
     const double c = rng.uniform();
     data.add({a, b, c}, (a != b) ? 1 : 0);
   }
-  ml::RandomForest forest({.trees = 12, .max_depth = 4, .seed = 2});
-  ml::Gbdt gbdt({.rounds = 25, .max_depth = 3, .learning_rate = 0.2});
-  ml::AdaBoost ada({.rounds = 20, .max_depth = 2});
-  forest.fit(data);
-  gbdt.fit(data);
-  ada.fit(data);
-  for (const ml::Classifier* model :
-       {static_cast<const ml::Classifier*>(&forest),
-        static_cast<const ml::Classifier*>(&gbdt),
-        static_cast<const ml::Classifier*>(&ada)}) {
+  for (const ml::ModelConfig& config : {
+           ml::ModelConfig(
+               ml::ForestConfig{.trees = 12, .max_depth = 4, .seed = 2}),
+           ml::ModelConfig(ml::GbdtConfig{
+               .rounds = 25, .max_depth = 3, .learning_rate = 0.2}),
+           ml::ModelConfig(ml::AdaBoostConfig{.rounds = 20, .max_depth = 2})}) {
+    ml::Model model(config);
+    model.fit(data);
     for (std::size_t i = 0; i < 25; ++i) {
       const auto x = data.row(i);
-      const auto phi = xai::tree_shap(model->ensemble(), x);
+      const auto phi = xai::tree_shap(model.ensemble(), x);
       const double sum = std::accumulate(phi.begin(), phi.end(), 0.0);
-      EXPECT_NEAR(sum + xai::expected_value(model->ensemble()),
-                  model->predict_margin(x), 1e-6)
-          << model->name() << " row " << i;
+      EXPECT_NEAR(sum + xai::expected_value(model.ensemble()),
+                  model.predict_margin(x), 1e-6)
+          << model.name() << " row " << i;
     }
   }
 }

@@ -183,7 +183,7 @@ core::PolarisConfig config_from_flags(const ParsedFlags& flags) {
   }
   if (flags.has("model")) {
     try {
-      config.model = core::model_kind_from_string(flags.get("model"));
+      config.model = ml::model_kind_from_string(flags.get("model"));
     } catch (const std::invalid_argument& error) {
       throw UsageError(error.what());
     }

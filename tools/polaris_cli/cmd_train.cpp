@@ -40,7 +40,7 @@ int cmd_train(std::span<const char* const> args) {
   core::Polaris polaris(config);
   std::printf("training %s on %zu designs (itr=%zu, traces=%zu, Msize=%zu, "
               "theta_r=%.2f)...\n",
-              core::to_string(config.model).c_str(), training.size(),
+              ml::to_string(config.model).c_str(), training.size(),
               config.iterations, config.tvla.traces, config.mask_size,
               config.theta_r);
   util::Timer timer;
