@@ -40,6 +40,7 @@
 #include "core/polaris.hpp"
 #include "obs/obs.hpp"
 #include "techlib/techlib.hpp"
+#include "util/hash.hpp"
 #include "util/math.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -168,19 +169,18 @@ inline JsonLine& append_obs_counters(JsonLine& line,
   return line;
 }
 
-/// FNV-1a over raw bytes, as 16 hex digits: the benches' bit-identity
-/// fingerprint (a model's serialized bytes, a t-series' IEEE-754 patterns).
-inline std::string fnv1a_hex(const void* data, std::size_t size) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
+/// A 64-bit hash as 16 hex digits.
+inline std::string hex64(std::uint64_t hash) {
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(hash));
   return hex;
+}
+
+/// FNV-1a over raw bytes, as 16 hex digits: the benches' bit-identity
+/// fingerprint (a model's serialized bytes, a t-series' IEEE-754 patterns).
+inline std::string fnv1a_hex(const void* data, std::size_t size) {
+  return hex64(util::fnv1a(data, size));
 }
 
 /// The CPU model string from /proc/cpuinfo ("unknown" where there is

@@ -50,25 +50,6 @@ namespace {
 constexpr std::size_t kReps = 5;
 constexpr std::size_t kMaskSize = 200;  // perfbench train_mask's Msize
 
-/// FNV-1a 64 over `size` bytes, continuing from `hash`.
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::string hex(std::uint64_t hash) {
-  char text[17];
-  std::snprintf(text, sizeof text, "%016llx",
-                static_cast<unsigned long long>(hash));
-  return text;
-}
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-
 struct Timing {
   double min_ms = 0.0;
   double median_ms = 0.0;
@@ -100,12 +81,12 @@ const char* mode_name(core::InferenceMode mode) {
 void score_line(const core::Polaris& polaris,
                 const std::vector<circuits::Design>& suite,
                 std::size_t maskable, core::InferenceMode mode) {
-  std::uint64_t hash = kFnvOffset;
+  std::uint64_t hash = util::kFnv1aOffset;
   const Timing timing = time_reps([&] {
-    hash = kFnvOffset;
+    hash = util::kFnv1aOffset;
     for (const auto& design : suite) {
       const auto scores = polaris.score_gates(design, mode);
-      hash = fnv1a(hash, scores.data(), scores.size() * sizeof(double));
+      hash = util::fnv1a(scores.data(), scores.size() * sizeof(double), hash);
     }
   });
   bench::JsonLine("score")
@@ -116,14 +97,14 @@ void score_line(const core::Polaris& polaris,
       .field("reps", kReps)
       .field("min_ms", timing.min_ms, 1)
       .field("median_ms", timing.median_ms, 1)
-      .field("scores_fnv1a", hex(hash))
+      .field("scores_fnv1a", bench::hex64(hash))
       .print();
 }
 
 std::string ruleset_hash(const xai::RuleSet& rules) {
   serialize::Writer out;
   serialize::write_ruleset(out, rules);
-  return hex(fnv1a(kFnvOffset, out.bytes().data(), out.bytes().size()));
+  return bench::hex64(util::fnv1a(out.bytes()));
 }
 
 /// Times extract_rules as Polaris::train calls it (literals over the binary
@@ -219,14 +200,14 @@ int main() {
       masked.push_back(
           polaris.mask_design(design, setup.lib, kMaskSize).masked);
     }
-    std::uint64_t hash = kFnvOffset;
+    std::uint64_t hash = util::kFnv1aOffset;
     std::size_t bytes = 0;
     const Timing timing = time_reps([&] {
-      hash = kFnvOffset;
+      hash = util::kFnv1aOffset;
       bytes = 0;
       for (const auto& nl : masked) {
         const std::string text = netlist::to_verilog(nl);
-        hash = fnv1a(hash, text.data(), text.size());
+        hash = util::fnv1a(text, hash);
         bytes += text.size();
       }
     });
@@ -236,7 +217,7 @@ int main() {
         .field("reps", kReps)
         .field("min_ms", timing.min_ms, 1)
         .field("median_ms", timing.median_ms, 1)
-        .field("verilog_fnv1a", hex(hash))
+        .field("verilog_fnv1a", bench::hex64(hash))
         .print();
 
     lane_probe(lanes);

@@ -2,26 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 
 #include "engine/thread_pool.hpp"
 #include "netlist/netlist_io.hpp"
+#include "util/hash.hpp"
 
 namespace polaris::core {
-
-namespace {
-
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a 64
-  for (const std::uint8_t byte : bytes) {
-    hash = (hash ^ byte) * 1099511628211ULL;
-  }
-  return hash;
-}
-
-}  // namespace
 
 void validate(const PolarisConfig& config) {
   std::vector<std::string> problems;
@@ -177,7 +165,7 @@ std::uint64_t config_fingerprint(const PolarisConfig& config) {
   canonical.tvla.threads = 0;
   serialize::Writer writer;
   write_config(writer, canonical);
-  return fnv1a(writer.bytes());
+  return util::fnv1a(writer.bytes());
 }
 
 void write_design(serialize::Writer& out, const circuits::Design& design) {
@@ -193,7 +181,7 @@ circuits::Design read_design(serialize::Reader& in) {
 std::uint64_t design_fingerprint(const circuits::Design& design) {
   serialize::Writer writer;
   write_design(writer, design);
-  return fnv1a(writer.bytes());
+  return util::fnv1a(writer.bytes());
 }
 
 std::unique_ptr<ml::Model> make_model(const PolarisConfig& config) {

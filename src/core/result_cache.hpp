@@ -47,16 +47,6 @@ class ResultCache {
   /// subtracts - this is occupancy, not cumulative traffic).
   [[nodiscard]] std::uint64_t bytes() const;
 
-  /// Folds `value` into `key` (FNV-1a step) - the helper request handlers
-  /// use to extend a fingerprint with request parameters.
-  [[nodiscard]] static std::uint64_t combine(std::uint64_t key,
-                                             std::uint64_t value) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      key = (key ^ ((value >> shift) & 0xFF)) * 1099511628211ULL;
-    }
-    return key;
-  }
-
  private:
   std::size_t capacity_;
   mutable std::mutex mutex_;

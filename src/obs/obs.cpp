@@ -5,19 +5,13 @@
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <ctime>
 
 #include "sim/simd.hpp"
+#include "util/strings.hpp"
 
 namespace polaris::obs {
-
-std::int64_t now_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 namespace detail {
 
@@ -190,20 +184,7 @@ void Snapshot::subtract(const Snapshot& earlier) {
 
 namespace {
 
-void appendf(std::string& out, const char* format, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* format, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, format);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  if (n > 0) {
-    out.append(buffer, std::min(static_cast<std::size_t>(n),
-                                sizeof(buffer) - 1));
-  }
-}
+using util::appendf;
 
 std::string sanitize_metric_name(std::string_view name) {
   std::string out;

@@ -29,11 +29,13 @@
 #include <string_view>
 #include <vector>
 
+#include "util/timer.hpp"
+
 namespace polaris::obs {
 
-/// Monotonic timestamp in nanoseconds (steady clock). All obs durations
+/// Monotonic timestamp in nanoseconds (util/timer.hpp). All obs durations
 /// and the tracer share this timebase.
-[[nodiscard]] std::int64_t now_ns() noexcept;
+using util::now_ns;
 
 namespace detail {
 /// Stable per-thread shard index in [0, kCounterShards): threads are

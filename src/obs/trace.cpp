@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
+
+#include "util/strings.hpp"
 
 namespace polaris::obs {
 
@@ -13,38 +13,7 @@ namespace {
 // bound. 1M events is far above any real CLI run; drops are counted.
 constexpr std::size_t kMaxEventsPerThread = 1u << 20;
 
-void appendf(std::string& out, const char* format, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void appendf(std::string& out, const char* format, ...) {
-  char buffer[256];
-  va_list args;
-  va_start(args, format);
-  const int n = std::vsnprintf(buffer, sizeof(buffer), format, args);
-  va_end(args);
-  if (n > 0) {
-    out.append(buffer, std::min(static_cast<std::size_t>(n),
-                                sizeof(buffer) - 1));
-  }
-}
-
-void append_escaped(std::string& out, const char* text) {
-  for (const char* p = text; *p != '\0'; ++p) {
-    const char c = *p;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          appendf(out, "\\u%04x", static_cast<unsigned>(c));
-        } else {
-          out += c;
-        }
-    }
-  }
-}
+using util::appendf;
 
 }  // namespace
 
@@ -78,7 +47,7 @@ TraceArgs& TraceArgs::add(const char* key, double value) {
 TraceArgs& TraceArgs::add(const char* key, const char* value) {
   open(key);
   body_ += '"';
-  append_escaped(body_, value);
+  body_ += util::json_escape(value);
   body_ += '"';
   return *this;
 }

@@ -3,22 +3,12 @@
 #include <errno.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstring>
 
 #include "server/net.hpp"
+#include "util/timer.hpp"
 
 namespace polaris::server {
-
-namespace {
-
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 Client::Client(const std::string& endpoint, std::size_t timeout_ms)
     : timeout_ms_(timeout_ms) {
@@ -34,12 +24,12 @@ Client::~Client() {
 
 CancelProbe Client::arm_deadline() {
   if (timeout_ms_ == 0) return {};
-  deadline_ns_ = steady_now_ns() +
+  deadline_ns_ = util::now_ns() +
                  static_cast<std::int64_t>(timeout_ms_) * 1'000'000;
   // Throwing from the probe (instead of returning true) surfaces the
   // structured TimeoutError rather than the generic cancellation message.
   return [this]() -> bool {
-    if (steady_now_ns() > deadline_ns_) {
+    if (util::now_ns() > deadline_ns_) {
       throw TimeoutError("polaris client: no response within " +
                          std::to_string(timeout_ms_) + " ms");
     }

@@ -1,6 +1,5 @@
 #include "server/flight_recorder.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "obs/obs.hpp"
@@ -9,15 +8,14 @@ namespace polaris::server {
 
 FlightRecorder::FlightRecorder(std::size_t capacity,
                                std::uint64_t slow_threshold_us)
-    : capacity_(std::max<std::size_t>(capacity, 1)),
-      slow_threshold_us_(slow_threshold_us) {}
+    : capacity_(capacity), slow_threshold_us_(slow_threshold_us) {}
 
 void FlightRecorder::record(const Record& record, std::string_view kind_name) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (ring_.size() < capacity_) {
       ring_.push_back(record);
-    } else {
+    } else if (capacity_ > 0) {
       ring_[next_] = record;
       next_ = (next_ + 1) % capacity_;
     }

@@ -1,15 +1,18 @@
 // Request flight recorder: a fixed-capacity ring of the last N completed
-// requests, kept by the daemon for post-hoc "what just happened" queries.
+// requests, for post-hoc "what just happened" queries.
 //
-// Every request the server answers (success or error) deposits one Record:
-// kind, final status, payload size, service duration, cache hit, and a
-// monotonic completion timestamp. A status request (protocol.hpp kStatus)
-// returns the ring newest-first so `polaris_cli client status` can show the
-// recent request history without any server-side log scraping.
+// Each server::Listener (listener.hpp) owns one, and every request it
+// answers (success or error) deposits one Record: kind, final status,
+// payload size, service duration, cache hit, and a monotonic completion
+// timestamp. The daemon's status request (protocol.hpp kStatus) returns
+// the ring newest-first so `polaris_cli client status` can show the recent
+// request history without any server-side log scraping. The shard worker
+// serves no status request, so its recorder has capacity 0 and keeps none.
 //
 // Requests slower than a configurable threshold additionally emit one
 // rate-limited obs::log line and bump the `server.slow_requests` counter -
-// the push-side complement to the pull-side ring.
+// the push-side complement to the pull-side ring. The worker's threshold
+// is 0, so only the daemon's recorder ever logs.
 //
 // Pure telemetry: nothing here feeds responses, caches, or result bytes.
 #pragma once
@@ -32,7 +35,7 @@ class FlightRecorder {
     std::int64_t completed_ns = 0;  // obs::now_ns() at completion
   };
 
-  /// `capacity` is clamped to at least 1. `slow_threshold_us` = 0 disables
+  /// `capacity` = 0 keeps no records. `slow_threshold_us` = 0 disables
   /// slow-request logging (every request would be "slow").
   explicit FlightRecorder(std::size_t capacity,
                           std::uint64_t slow_threshold_us = 0);

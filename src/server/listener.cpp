@@ -5,11 +5,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <initializer_list>
 #include <stdexcept>
 
-#include "server/protocol.hpp"
+#include "obs/trace.hpp"
 
 namespace polaris::server {
 
@@ -37,23 +38,38 @@ bool resource_error(int error) {
          error == ENOMEM;
 }
 
+/// `<owner>.<metric>` in the global registry.
+obs::Counter& counter(const char* owner, const char* metric) {
+  return obs::Registry::global().counter(std::string(owner) + "." + metric);
+}
+obs::Histogram& histogram(const char* owner, const std::string& metric) {
+  return obs::Registry::global().histogram(std::string(owner) + "." + metric);
+}
+
 }  // namespace
 
 Listener::Listener(const std::string& endpoint, int backlog,
-                   std::size_t max_frame, const std::string& name,
-                   Handler handler)
+                   std::size_t max_frame, const char* name,
+                   std::size_t flight_records, std::uint64_t slow_request_us,
+                   Service service)
     : max_frame_(max_frame),
       name_(name),
-      handler_(std::move(handler)),
-      frames_in_(obs::Registry::global().counter(name + ".frames_in")),
-      frames_out_(obs::Registry::global().counter(name + ".frames_out")),
-      frame_errors_(obs::Registry::global().counter(name + ".frame_errors")),
-      connections_opened_(
-          obs::Registry::global().counter(name + ".connections_opened")),
-      connections_closed_(
-          obs::Registry::global().counter(name + ".connections_closed")),
-      accept_errors_(obs::Registry::global().counter(name + ".accept_errors")),
-      drain_us_(obs::Registry::global().histogram(name + ".drain_us")) {
+      service_(std::move(service)),
+      recorder_(flight_records, slow_request_us),
+      frames_in_(counter(name, "frames_in")),
+      frames_out_(counter(name, "frames_out")),
+      frame_errors_(counter(name, "frame_errors")),
+      request_errors_(counter(name, "request_errors")),
+      connections_opened_(counter(name, "connections_opened")),
+      connections_closed_(counter(name, "connections_closed")),
+      accept_errors_(counter(name, "accept_errors")),
+      drain_us_(histogram(name, "drain_us")) {
+  // Every decodable kind has a histogram, a refused one included.
+  for (auto kind = static_cast<std::uint8_t>(RequestKind::kPing);
+       kind <= static_cast<std::uint8_t>(RequestKind::kShard); ++kind) {
+    const char* kind_name = request_kind_name(static_cast<RequestKind>(kind));
+    service_us_.push_back(&histogram(name, std::string(kind_name) + "_us"));
+  }
   // The endpoint layer handles both transports: UDS with the stale-socket
   // replacement, TCP with SO_REUSEADDR before bind.
   const net::Endpoint requested = net::parse_endpoint(endpoint);
@@ -65,7 +81,7 @@ Listener::Listener(const std::string& endpoint, int backlog,
     const int error = errno;
     ::close(listen_fd_);
     net::unlink_if_uds(endpoint_);
-    throw std::runtime_error("polaris " + name_ +
+    throw std::runtime_error(std::string("polaris ") + name_ +
                              ": pipe: " + std::strerror(error));
   }
   wake_read_fd_ = pipe_fds[0];
@@ -85,7 +101,8 @@ Listener::~Listener() {
 
 void Listener::start() {
   if (accept_thread_.joinable() || listen_fd_ < 0) {
-    throw std::logic_error("polaris " + name_ + ": start() called twice");
+    throw std::logic_error(std::string("polaris ") + name_ +
+                           ": start() called twice");
   }
   accept_thread_ = std::thread(&Listener::accept_loop, this);
 }
@@ -110,6 +127,26 @@ std::uint64_t Listener::connections_active() const {
   return active;
 }
 
+std::vector<InflightEntry> Listener::inflight(std::int64_t now_ns) const {
+  std::vector<InflightEntry> entries;
+  {
+    const std::lock_guard<std::mutex> lock(connections_mutex_);
+    for (const auto& connection : connections_) {
+      if (!connection->request) continue;
+      const Request& request = *connection->request;
+      entries.push_back(InflightEntry{
+          request.kind, request.bytes,
+          static_cast<std::uint64_t>((now_ns - request.start_ns) / 1000)});
+    }
+  }
+  // Oldest first, so the table keeps its order between polls.
+  std::sort(entries.begin(), entries.end(),
+            [](const InflightEntry& a, const InflightEntry& b) {
+              return a.age_us > b.age_us;
+            });
+  return entries;
+}
+
 void Listener::accept_loop() {
   for (;;) {
     reap_finished_connections();
@@ -131,9 +168,9 @@ void Listener::accept_loop() {
       // listening fd stays readable, so back off one tick on the wake pipe
       // alone - a stop request still ends the wait at once.
       accept_errors_.add();
-      obs::log(name_.c_str(), std::string("accept: ") + std::strerror(error) +
-                                  "; retrying in " +
-                                  std::to_string(kAcceptPollMs) + " ms");
+      obs::log(name_, std::string("accept: ") + std::strerror(error) +
+                          "; retrying in " + std::to_string(kAcceptPollMs) +
+                          " ms");
       pollfd wake{wake_read_fd_, POLLIN, 0};
       if (::poll(&wake, 1, kAcceptPollMs) > 0) break;
       continue;
@@ -152,7 +189,7 @@ void Listener::accept_loop() {
       connections_.push_back(std::move(connection));
     }
     raw->thread = std::thread([this, fd, raw] {
-      handle_connection(fd);
+      handle_connection(*raw, fd);
       raw->done.store(true);
     });
   }
@@ -198,7 +235,7 @@ void Listener::reap_finished_connections() {
   }
 }
 
-void Listener::handle_connection(int fd) {
+void Listener::handle_connection(Connection& connection, int fd) {
   const CancelProbe stop_probe = [this] { return stopping_.load(); };
   std::vector<std::uint8_t> payload;
   try {
@@ -229,7 +266,7 @@ void Listener::handle_connection(int fd) {
         break;
       }
       frames_in_.add();
-      const bool keep_open = handler_(fd, payload);
+      const bool keep_open = serve_frame(connection, fd, payload);
       frames_out_.add();
       requests_served_.fetch_add(1);
       if (!keep_open) break;
@@ -241,6 +278,78 @@ void Listener::handle_connection(int fd) {
   }
   ::close(fd);
   connections_closed_.add();
+}
+
+bool Listener::serve_frame(Connection& connection, int fd,
+                           std::vector<std::uint8_t>& payload) {
+  Status status = Status::kOk;
+  std::string message;
+  Reply reply;
+  bool keep_open = true;
+  const std::uint64_t payload_bytes = payload.size();
+  // 0xFF marks "payload never yielded a kind" in the flight recorder; it
+  // can never collide with a real RequestKind (decode rejects > kShard).
+  std::uint8_t wire_kind = 0xFF;
+  const char* kind_name = "?";
+  // Known only once the kind decoded: an undecodable payload records
+  // nowhere.
+  obs::Histogram* service_us = nullptr;
+  const std::int64_t t0 = obs::now_ns();
+  obs::Span span("request", name_);
+  try {
+    serialize::Reader in(std::move(payload));
+    const RequestKind kind = decode_request_kind(in);
+    wire_kind = static_cast<std::uint8_t>(kind);
+    kind_name = request_kind_name(kind);
+    service_us = service_us_[wire_kind];
+    span.arg("kind", kind_name);
+    // In inflight() from here until just before the reply frame is written
+    // - the window the flight recorder times.
+    set_request(connection, Request{wire_kind, payload_bytes, t0});
+    if (kind == RequestKind::kShutdown) {
+      keep_open = false;
+      request_stop();
+    } else if (stopping() && kind != RequestKind::kPing) {
+      throw ServerError(Status::kShuttingDown,
+                        to_string(Status::kShuttingDown));
+    } else {
+      reply = service_(kind, in, fd);
+    }
+  } catch (const ServerError& error) {
+    status = error.status;
+    message = error.what();
+  } catch (const std::exception& error) {
+    // Anything the decode layer threw: the frame arrived intact but its
+    // payload archive or request structure did not parse.
+    status = Status::kBadPayload;
+    message = error.what();
+  }
+  if (status != Status::kOk) request_errors_.add();
+  const auto elapsed_us =
+      static_cast<std::uint64_t>((obs::now_ns() - t0) / 1000);
+  if (service_us != nullptr) service_us->record(elapsed_us);
+  span.arg("status", to_string(status)).arg("cache_hit", reply.cache_hit);
+  // Cleared BEFORE the reply write: write_frame may throw (torn peer), and
+  // the connection would show the request until it closed.
+  set_request(connection, std::nullopt);
+  // The probe only fires on a send timeout: a cooperating client (blocked
+  // in read) always gets its in-flight response, even mid-drain; only a
+  // stalled peer with a full buffer is dropped.
+  const std::span<const std::uint8_t> body =
+      reply.body ? std::span<const std::uint8_t>(*reply.body)
+                 : std::span<const std::uint8_t>();
+  write_frame(fd, encode_response(status, message, reply.cache_hit, body),
+              [this] { return stopping(); });
+  recorder_.record({wire_kind, static_cast<std::uint8_t>(status),
+                    reply.cache_hit, payload_bytes, elapsed_us, obs::now_ns()},
+                   kind_name);
+  return keep_open;
+}
+
+void Listener::set_request(Connection& connection,
+                           std::optional<Request> request) {
+  const std::lock_guard<std::mutex> lock(connections_mutex_);
+  connection.request = request;
 }
 
 }  // namespace polaris::server

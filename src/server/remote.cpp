@@ -15,11 +15,9 @@ namespace polaris::server {
 
 namespace {
 
-/// Outstanding chunks per worker connection.
+/// Outstanding chunks per worker connection: the bound on a worker's
+/// queue of shard requests.
 constexpr std::size_t kPipelineDepth = 2;
-/// Admission control: a feeder stops sending while the request bytes of
-/// its outstanding chunks exceed this (bounds worker-side queue memory).
-constexpr std::size_t kMaxInflightBytes = std::size_t{4} << 20;
 /// Per-roundtrip deadline: a worker that exceeds it is treated as dead and
 /// its chunks are requeued.
 constexpr std::chrono::seconds kRoundtripTimeout{30};
@@ -150,12 +148,9 @@ std::vector<tvla::LeakageReport> WorkerPool::audit(
 
 void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
   using Lease = engine::Scheduler::Lease;
-  struct Pending {
-    std::optional<Lease> lease;  // empty for a design-install ack
-    std::size_t bytes = 0;       // request payload size (admission control)
-  };
-  std::deque<Pending> outstanding;
-  std::size_t inflight_bytes = 0;
+  // One entry per unanswered frame, in send order: a chunk's lease, or
+  // empty for a design-install ack.
+  std::deque<std::optional<Lease>> outstanding;
   int fd = -1;
   // Gives a lease back to the queue: the shards were sent but will never
   // be answered (or were answered unusably).
@@ -178,15 +173,13 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
 
     std::vector<std::uint8_t> payload;
     for (;;) {
-      // Admission control: pipeline up to kPipelineDepth chunks, but
-      // never more than kMaxInflightBytes of unanswered request payload -
-      // a slow worker's queue stays bounded.
+      // Pipeline up to kPipelineDepth chunks: a slow worker's queue stays
+      // bounded.
       std::size_t chunks_out = 0;
       for (const auto& pending : outstanding) {
-        if (pending.lease) ++chunks_out;
+        if (pending) ++chunks_out;
       }
-      while (chunks_out < kPipelineDepth &&
-             inflight_bytes < kMaxInflightBytes) {
+      while (chunks_out < kPipelineDepth) {
         // Block for work only with nothing outstanding here: a feeder
         // with replies to read must stay free to read them. A waiting
         // lease returns empty once this audit's campaigns are finalized.
@@ -195,7 +188,7 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
         if (!lease) break;
         const std::size_t design = batch.design_of(lease->campaign);
         deadline = std::chrono::steady_clock::now() + kRoundtripTimeout;
-        // Until the Pending lands in `outstanding`, the outer handler
+        // Until the lease lands in `outstanding`, the outer handler
         // cannot see this lease: give it back on any send failure (torn
         // connection, deadline probe firing mid-EAGAIN) before withdrawing.
         try {
@@ -213,7 +206,7 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
             slot.bytes_out.fetch_add(install.size());
             bytes_counter().add(install.size());
             installs_counter().add();
-            outstanding.push_back(Pending{});
+            outstanding.emplace_back();
           }
           ShardRequest request;
           request.fingerprint = fingerprint;
@@ -225,8 +218,7 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
           slot.bytes_out.fetch_add(frame.size());
           bytes_counter().add(frame.size());
           shards_out_counter().add(lease->end - lease->begin);
-          inflight_bytes += frame.size();
-          outstanding.push_back(Pending{lease, frame.size()});
+          outstanding.push_back(lease);
         } catch (...) {
           abandon(*lease);
           throw;
@@ -247,11 +239,11 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
       }
       const std::size_t reply_bytes = payload.size();
       Response response = decode_response(std::move(payload));
-      const Pending pending = std::move(outstanding.front());
+      const std::optional<Lease> pending = outstanding.front();
       outstanding.pop_front();
       slot.bytes_in.fetch_add(reply_bytes);
       bytes_counter().add(reply_bytes);
-      if (!pending.lease) {  // design-install ack
+      if (!pending) {  // design-install ack
         if (response.status != Status::kOk) {
           throw std::runtime_error("polaris net: worker '" + slot.display +
                                    "' rejected design install: " +
@@ -259,8 +251,7 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
         }
         continue;
       }
-      const Lease& lease = *pending.lease;
-      inflight_bytes -= pending.bytes;
+      const Lease& lease = *pending;
       slot.inflight.fetch_sub(1);
       if (response.status == Status::kUnknownDesign) {
         // The worker restarted since the install (or another audit's
@@ -326,9 +317,9 @@ void WorkerPool::feed_worker(WorkerSlot& slot, Batch& batch) {
     // harmless, re-running a shard yields the same bits and nothing from
     // this worker was completed for them.
     for (const auto& pending : outstanding) {
-      if (!pending.lease) continue;
+      if (!pending) continue;
       slot.inflight.fetch_sub(1);
-      abandon(*pending.lease);
+      abandon(*pending);
     }
     {
       const std::lock_guard<std::mutex> lock(slot.installed_mutex);

@@ -3,10 +3,13 @@
 // process.
 //
 // polaris_cli pays a process launch, a bundle load, and cold caches on
-// every invocation; the daemon pays them once. The transport - accept
-// loop, one handler thread per connection, frame loop, header-level frame
-// errors, graceful drain - is a server::Listener (listener.hpp) shared
-// with the shard worker; this class holds only the request semantics.
+// every invocation; the daemon pays them once. The transport and the
+// request envelope - accept loop, one handler thread per connection, frame
+// loop, header-level frame errors, kind decode, shutdown and drain
+// refusals, error statuses, per-kind timing, the in-flight table, the
+// flight recorder, reply frames, graceful drain - are a server::Listener
+// (listener.hpp) shared with the shard worker; this class holds only the
+// request semantics, one serve() switch over the kinds it answers.
 // All TVLA work - distributed audits under --workers included - funnels
 // into ONE engine::Scheduler: concurrent clients' campaigns share its
 // queue, its lanes and its progress table (the status reply). Each handler
@@ -18,23 +21,21 @@
 // Shutdown is graceful: request_stop() (async-signal-safe: one write to a
 // pipe) stops the accept loop; in-flight requests run to completion and
 // their responses are delivered before wait() returns and the socket file
-// is unlinked. The metrics sampler stops after the drain.
+// is unlinked. A request still queued on an open connection is answered
+// kShuttingDown, a ping excepted. The metrics sampler stops after the
+// drain.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/polaris.hpp"
 #include "core/result_cache.hpp"
 #include "engine/scheduler.hpp"
 #include "obs/timeseries.hpp"
-#include "server/flight_recorder.hpp"
 #include "server/listener.hpp"
 #include "server/net.hpp"
 #include "server/protocol.hpp"
@@ -61,7 +62,8 @@ struct ServerOptions {
   // Live-operations knobs (pure telemetry; none affect served results):
   std::size_t sample_interval_ms = 1000;  // metrics sampler period, 0 = off
   std::string metrics_file;      // append one JSON delta line per interval
-  std::size_t flight_records = 64;       // completed-request ring depth
+  std::size_t flight_records = 64;       // completed-request ring depth,
+                                         // 0 = keep none
   std::size_t slow_request_ms = 1000;    // log threshold, 0 = never log
 };
 
@@ -111,10 +113,9 @@ class Server {
   }
 
  private:
-  /// The listener's handler: decodes and serves one request payload and
-  /// writes its reply. Returns false when the connection should close (a
-  /// served shutdown request).
-  bool handle_payload(int fd, std::vector<std::uint8_t>& payload);
+  /// The listener's service: audit, audit_stream, mask, score, stats,
+  /// status and ping. `fd` carries a streaming audit's partial frames.
+  Listener::Reply serve(RequestKind kind, serialize::Reader& in, int fd);
 
   core::ResultCache::Body serve_ping();
   /// Registry snapshot + runtime identity. Never cached: the snapshot is
@@ -123,21 +124,18 @@ class Server {
   /// Live-operations snapshot: in-flight requests, per-campaign scheduler
   /// progress, flight-recorder ring. Never cached, for the same reason.
   core::ResultCache::Body serve_status();
-  core::ResultCache::Body serve_audit(serialize::Reader& in, bool& cache_hit);
-  /// Streaming audit: identical compute and cache key to serve_audit, but
+  /// Streaming audit: identical compute and cache key to an audit, but
   /// while the campaign runs it pushes one kOk frame per early-stop
   /// checkpoint (AUDP body) onto `fd`. The returned body is the final AUDS
   /// reply - byte-identical to the non-streaming one, so both kinds share
   /// cache entries (a cache hit streams zero partials).
-  core::ResultCache::Body serve_audit_stream(int fd, serialize::Reader& in,
-                                             bool& cache_hit);
+  Listener::Reply serve_audit_stream(int fd, serialize::Reader& in);
   /// Shared audit implementation behind both kinds: validate, then
   /// serve_cached with a submit + get + encode compute.
-  core::ResultCache::Body audit_body(const AuditRequest& request,
-                                     bool& cache_hit,
-                                     tvla::ProgressFn progress);
-  core::ResultCache::Body serve_mask(serialize::Reader& in, bool& cache_hit);
-  core::ResultCache::Body serve_score(serialize::Reader& in, bool& cache_hit);
+  Listener::Reply audit_reply(const AuditRequest& request,
+                              tvla::ProgressFn progress);
+  Listener::Reply serve_mask(serialize::Reader& in);
+  Listener::Reply serve_score(serialize::Reader& in);
 
   /// Encodes the reply body for one built design (throws on failure).
   using Compute =
@@ -149,9 +147,9 @@ class Server {
   /// (a .v file's bytes are read once, hashed for the key and parsed from
   /// memory), runs `compute` and caches the body. A bad scale, name or
   /// file answers kBadRequest; a failed compute kServerError.
-  core::ResultCache::Body serve_cached(const std::string& design, double scale,
-                                       std::uint64_t request_key,
-                                       bool& cache_hit, const Compute& compute);
+  Listener::Reply serve_cached(const std::string& design, double scale,
+                               std::uint64_t request_key,
+                               const Compute& compute);
 
   ServerOptions options_;
   std::int64_t start_mono_ns_ = 0;  // obs::now_ns() at construction
@@ -162,19 +160,7 @@ class Server {
   /// Non-null when --workers was given: audits also lease to the workers.
   std::unique_ptr<WorkerPool> pool_;
   core::ResultCache cache_;
-  FlightRecorder recorder_;
   obs::Sampler sampler_;
-
-  /// Requests currently being serviced (decoded, not yet answered), keyed
-  /// by a per-request token so concurrent handlers never collide.
-  struct Inflight {
-    std::uint8_t kind = 0;
-    std::uint64_t bytes = 0;
-    std::int64_t start_ns = 0;
-  };
-  std::mutex inflight_mutex_;
-  std::unordered_map<std::uint64_t, Inflight> inflight_;
-  std::atomic<std::uint64_t> next_inflight_token_{0};
 
   /// Last: bound after the bundle loads, and destroyed first, so its drain
   /// joins every handler before anything a handler touches goes away.

@@ -8,48 +8,25 @@ namespace polaris::server {
 Worker::Worker(WorkerOptions options)
     : options_(std::move(options)),
       listener_(options_.listen, options_.backlog, options_.max_frame,
-                "worker",
-                [this](int fd, std::vector<std::uint8_t>& payload) {
-                  return handle_payload(fd, payload);
+                "worker", /*flight_records=*/0, /*slow_request_us=*/0,
+                [this](RequestKind kind, serialize::Reader& in, int) {
+                  return serve(kind, in);
                 }) {}
 
-bool Worker::handle_payload(int fd, std::vector<std::uint8_t>& payload) {
-  Status status = Status::kOk;
-  std::string message;
-  bool keep_open = true;
-  std::vector<std::uint8_t> body;
-  try {
-    serialize::Reader in(std::move(payload));
-    const RequestKind kind = decode_request_kind(in);
-    switch (kind) {
-      case RequestKind::kPing: body = serve_ping(); break;
-      case RequestKind::kDesign: body = serve_design(in); break;
-      case RequestKind::kShard: body = serve_shards(in); break;
-      case RequestKind::kShutdown:
-        keep_open = false;
-        request_stop();
-        break;
-      default:
-        throw ServerError(Status::kBadRequest,
-                          std::string("polaris worker: request kind '") +
-                              request_kind_name(kind) +
-                              "' not served by shard workers");
-    }
-  } catch (const ServerError& error) {
-    status = error.status;
-    message = error.what();
-    body.clear();
-  } catch (const std::exception& error) {
-    status = Status::kBadPayload;
-    message = error.what();
-    body.clear();
+Listener::Reply Worker::serve(RequestKind kind, serialize::Reader& in) {
+  switch (kind) {
+    case RequestKind::kPing: return {serve_ping()};
+    case RequestKind::kDesign: return {serve_design(in)};
+    case RequestKind::kShard: return {serve_shards(in)};
+    default:
+      throw ServerError(Status::kBadRequest,
+                        std::string("polaris worker: request kind '") +
+                            request_kind_name(kind) +
+                            "' not served by shard workers");
   }
-  write_frame(fd, encode_response(status, message, /*cache_hit=*/false, body),
-              [this] { return listener_.stopping(); });
-  return keep_open;
 }
 
-std::vector<std::uint8_t> Worker::serve_ping() {
+Listener::Body Worker::serve_ping() {
   const obs::RuntimeInfo runtime = obs::runtime_info();
   PingReply reply;
   reply.model_name = "shard-worker";
@@ -57,10 +34,11 @@ std::vector<std::uint8_t> Worker::serve_ping() {
   reply.build_type = runtime.build_type;
   reply.simd = runtime.simd;
   reply.lane_words = runtime.lane_words;
-  return encode_ping_reply(reply);
+  return std::make_shared<const std::vector<std::uint8_t>>(
+      encode_ping_reply(reply));
 }
 
-std::vector<std::uint8_t> Worker::serve_design(serialize::Reader& in) {
+Listener::Body Worker::serve_design(serialize::Reader& in) {
   DesignRequest request = decode_design_request(in);
   static auto& installed =
       obs::Registry::global().counter("worker.designs_installed");
@@ -73,7 +51,7 @@ std::vector<std::uint8_t> Worker::serve_design(serialize::Reader& in) {
       installed.add();
     }
   }
-  return {};  // empty-body kOk ack
+  return nullptr;
 }
 
 std::shared_ptr<tvla::ShardRunner> Worker::runner_for(
@@ -104,7 +82,7 @@ std::shared_ptr<tvla::ShardRunner> Worker::runner_for(
   return installed.runner;
 }
 
-std::vector<std::uint8_t> Worker::serve_shards(serialize::Reader& in) {
+Listener::Body Worker::serve_shards(serialize::Reader& in) {
   const ShardRequest request = decode_shard_request(in);
   // A config the library refuses (cycles_per_batch 0, say) is a bad
   // request, not a crash.
@@ -143,7 +121,8 @@ std::vector<std::uint8_t> Worker::serve_shards(serialize::Reader& in) {
   }
   shards_counter.add(count);
   shards_run_.fetch_add(count);
-  return encode_shard_reply(reply);
+  return std::make_shared<const std::vector<std::uint8_t>>(
+      encode_shard_reply(reply));
 }
 
 }  // namespace polaris::server

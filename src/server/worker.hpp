@@ -1,19 +1,22 @@
 // The POLARIS shard worker: a process that executes TVLA campaign shards
 // on behalf of a remote coordinator (server/remote.hpp).
 //
-// A worker is the serve daemon's little sibling: the same transport - one
-// server::Listener (listener.hpp) with its accept loop, handler threads,
-// frame loop and graceful drain, counted under `worker.*` - but no bundle,
-// no result cache, and only four request kinds (ping / design / shard /
-// shutdown). A coordinator first installs each design ONCE with kDesign
-// (netlist + input roles under the content fingerprint). The first shard
-// request compiles it once; the worker keeps that plan with the design
-// and one tvla::ShardRunner per design, rebuilt from the plan when a
-// request's config fingerprint differs from the runner's - so memory is
-// bounded by the installed designs, however many configs arrive. Shard
-// requests carry only the fingerprint, the canonical config, and a shard
-// range - a few hundred bytes - and the reply ships the per-shard UNMERGED
-// moment blocks back as an archive.
+// A worker is the serve daemon's little sibling: the same transport and
+// request envelope - one server::Listener (listener.hpp) with its accept
+// loop, handler threads, frame loop, error statuses, per-kind timing and
+// graceful drain, counted under `worker.*` - but no bundle, no result
+// cache, no flight records, and only four request kinds (ping / design /
+// shard, and the shutdown the listener answers). As on the daemon, a
+// request queued on an open connection after the drain began is answered
+// kShuttingDown, a ping excepted. A coordinator first installs each
+// design ONCE with kDesign (netlist + input roles under the content
+// fingerprint). The first shard request compiles it once; the worker
+// keeps that plan with the design and one tvla::ShardRunner per design,
+// rebuilt from the plan when a request's config fingerprint differs from
+// the runner's - so memory is bounded by the installed designs, however
+// many configs arrive. Shard requests carry only the fingerprint, the
+// canonical config, and a shard range - a few hundred bytes - and the
+// reply ships the per-shard UNMERGED moment blocks back as an archive.
 //
 // Determinism: per-shard moments are a pure function of (design, config,
 // shard index) - stimulus streams are counter-keyed per batch and blocks
@@ -77,14 +80,13 @@ class Worker {
   }
 
  private:
-  /// The listener's handler: decodes and serves one request payload and
-  /// writes its reply. Returns false when the connection should close (a
-  /// served shutdown request).
-  bool handle_payload(int fd, std::vector<std::uint8_t>& payload);
+  /// The listener's service: ping, design and shard.
+  Listener::Reply serve(RequestKind kind, serialize::Reader& in);
 
-  std::vector<std::uint8_t> serve_ping();
-  std::vector<std::uint8_t> serve_design(serialize::Reader& in);
-  std::vector<std::uint8_t> serve_shards(serialize::Reader& in);
+  Listener::Body serve_ping();
+  /// An empty-body ack.
+  Listener::Body serve_design(serialize::Reader& in);
+  Listener::Body serve_shards(serialize::Reader& in);
 
   /// The runner of the request's design for the request's config.
   std::shared_ptr<tvla::ShardRunner> runner_for(const ShardRequest& request);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdarg>
 #include <cstdio>
 
 namespace polaris::util {
@@ -51,6 +52,44 @@ std::string numbered(std::string_view prefix, std::size_t n) {
   std::string name(prefix);
   name += std::to_string(n);
   return name;
+}
+
+void appendf(std::string& out, const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  va_list again;
+  va_copy(again, args);
+  const int needed = std::vsnprintf(nullptr, 0, format, args);
+  va_end(args);
+  if (needed > 0) {
+    const std::size_t old_size = out.size();
+    const auto length = static_cast<std::size_t>(needed);
+    out.resize(old_size + length + 1);
+    std::vsnprintf(out.data() + old_size, length + 1, format, again);
+    out.resize(old_size + length);
+  }
+  va_end(again);
+}
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          appendf(out, "\\u%04x", static_cast<unsigned>(c));
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace polaris::util

@@ -1,4 +1,5 @@
-// Small string utilities shared by the Verilog front-end and report writers.
+// Small string utilities shared by the Verilog front-end, the report and
+// JSON writers, and the telemetry renderers.
 #pragma once
 
 #include <string>
@@ -28,5 +29,14 @@ namespace polaris::util {
 /// misread as an overlapping copy the way it does `"g" + std::to_string(n)`
 /// (-Wrestrict).
 [[nodiscard]] std::string numbered(std::string_view prefix, std::size_t n);
+
+/// printf onto the end of `out`, sized exactly: a long path or name is
+/// never truncated.
+void appendf(std::string& out, const char* format, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/// `text` as the body of a JSON string: quote, backslash and control
+/// characters escaped.
+[[nodiscard]] std::string json_escape(std::string_view text);
 
 }  // namespace polaris::util

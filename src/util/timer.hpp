@@ -1,10 +1,19 @@
 // Wall-clock timing for the runtime columns of Table II and the ablation
-// benches.
+// benches, and the monotonic clock the telemetry and the client share.
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace polaris::util {
+
+/// Monotonic timestamp in nanoseconds (steady clock): the obs timebase and
+/// the client's request deadlines.
+[[nodiscard]] inline std::int64_t now_ns() noexcept {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 class Timer {
  public:

@@ -429,6 +429,53 @@ TEST(DistributedWorker, InvalidShardConfigIsABadRequestNotACrash) {
   ::close(fd);
 }
 
+TEST(DistributedWorker, ShardRequestsAreTimedAndRefusalsCounted) {
+  // The worker answers through the daemon's request envelope: each shard
+  // request records its service time in worker.shard_us, and a refused
+  // request bumps worker.request_errors.
+  Fleet fleet(1);
+  const auto shard_count = [] {
+    const auto snapshot = obs::Registry::global().snapshot();
+    const auto* histogram = snapshot.find_histogram("worker.shard_us");
+    return histogram == nullptr ? std::uint64_t{0} : histogram->count;
+  };
+  auto& errors = obs::Registry::global().counter("worker.request_errors");
+  const std::uint64_t shards_before = shard_count();
+  const std::uint64_t errors_before = errors.value();
+  const auto design = circuits::load_design("des3", 0.3);
+  const int fd = server::net::connect_endpoint(fleet.workers[0]->endpoint());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(
+      worker_roundtrip(fd, server::encode_design_request(design)).status,
+      server::Status::kOk);
+  server::ShardRequest request;
+  request.fingerprint = core::design_fingerprint(design);
+  request.config = audit_config();
+  request.shard_begin = 0;
+  request.shard_end = 1;
+  ASSERT_EQ(worker_roundtrip(fd, server::encode_shard_request(request)).status,
+            server::Status::kOk);
+  EXPECT_EQ(shard_count(), shards_before + 1);
+  EXPECT_EQ(errors.value(), errors_before);
+
+  server::AuditRequest audit;
+  audit.design = "des3";
+  audit.config = audit_config();
+  const auto refused =
+      worker_roundtrip(fd, server::encode_audit_request(audit));
+  EXPECT_EQ(refused.status, server::Status::kBadRequest);
+  EXPECT_EQ(refused.message,
+            "polaris worker: request kind 'audit' not served by shard "
+            "workers");
+  EXPECT_EQ(errors.value(), errors_before + 1);
+  request.fingerprint ^= 1;  // never installed
+  EXPECT_EQ(worker_roundtrip(fd, server::encode_shard_request(request)).status,
+            server::Status::kUnknownDesign);
+  EXPECT_EQ(errors.value(), errors_before + 2);
+  EXPECT_EQ(shard_count(), shards_before + 2);  // a refusal is timed too
+  ::close(fd);
+}
+
 TEST(DistributedWorker, DistinctConfigsCompileADesignOnce) {
   // Every seed is a new config. The worker compiles the design once and
   // rebuilds its one runner from that plan, and every seed's moments still

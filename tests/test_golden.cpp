@@ -33,6 +33,7 @@
 #include "serialize/model_io.hpp"
 #include "techlib/techlib.hpp"
 #include "tvla/tvla.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -239,8 +240,7 @@ TEST(Golden, ScoreGatesVoterModelPlusRules) {
 // --- emit_bits.csv rows ------------------------------------------------------
 
 std::string fnv1a_hex(std::span<const std::uint8_t> bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::uint8_t b : bytes) hash = (hash ^ b) * 1099511628211ULL;
+  const std::uint64_t hash = util::fnv1a(bytes);
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(hash));

@@ -52,6 +52,7 @@
 #include "serialize/archive.hpp"
 #include "serialize/model_io.hpp"
 #include "techlib/techlib.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "xai/treeshap.hpp"
 
@@ -403,11 +404,7 @@ bool update_mode() {
 }
 
 std::string fnv1a_hex(std::string_view bytes) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
+  const std::uint64_t hash = util::fnv1a(bytes);
   char hex[17];
   std::snprintf(hex, sizeof hex, "%016llx",
                 static_cast<unsigned long long>(hash));

@@ -405,9 +405,13 @@ TEST_F(ServerTest, ConcurrentClientsGetCorrectAnswers) {
 
 // --- malformed frames -------------------------------------------------------
 
-/// What a frame-hardening test runs against: the daemon or a shard worker.
-/// One server::Listener reads the frames of both.
+/// What a frame-hardening or drain test runs against: the daemon or a
+/// shard worker. One server::Listener reads the frames of both.
 enum class Target { kDaemon, kWorker };
+
+std::string target_name(const ::testing::TestParamInfo<Target>& info) {
+  return info.param == Target::kDaemon ? "Daemon" : "Worker";
+}
 
 /// A started daemon or shard worker on a fresh socket path.
 struct Listening {
@@ -444,12 +448,9 @@ class FrameHardeningTest : public ServerTest,
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Listeners, FrameHardeningTest,
-    ::testing::Values(Target::kDaemon, Target::kWorker),
-    [](const ::testing::TestParamInfo<Target>& info) {
-      return std::string(info.param == Target::kDaemon ? "Daemon" : "Worker");
-    });
+INSTANTIATE_TEST_SUITE_P(Listeners, FrameHardeningTest,
+                         ::testing::Values(Target::kDaemon, Target::kWorker),
+                         target_name);
 
 TEST_P(FrameHardeningTest, EveryTruncatedFramePrefixLeavesTheServerServing) {
   auto daemon = make_server(1);
@@ -1196,6 +1197,16 @@ TEST(FlightRecorder, RingEvictsOldestAndListsNewestFirst) {
   EXPECT_EQ(recent[0].bytes, 40u);
 }
 
+TEST(FlightRecorder, ZeroCapacityKeepsNothing) {
+  server::FlightRecorder recorder(0);
+  EXPECT_EQ(recorder.capacity(), 0u);
+  server::FlightRecorder::Record record;
+  record.kind = 1;
+  for (int i = 0; i < 3; ++i) recorder.record(record, "audit");
+  EXPECT_TRUE(recorder.recent().empty());
+  EXPECT_EQ(recorder.total_recorded(), 3u);
+}
+
 TEST(FlightRecorder, SlowThresholdCountsOnlySlowRequests) {
   auto& slow = obs::Registry::global().counter("server.slow_requests");
   const std::uint64_t before = slow.value();
@@ -1459,6 +1470,106 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
   EXPECT_GT(poll.stats().uptime_ms + 1, 0u);  // present and decodable
   daemon->request_stop();
   daemon->wait();
+}
+
+// --- drain: requests queued behind a running one ---------------------------
+
+class DrainTest : public ServerTest,
+                  public ::testing::WithParamInterface<Target> {};
+
+INSTANTIATE_TEST_SUITE_P(Listeners, DrainTest,
+                         ::testing::Values(Target::kDaemon, Target::kWorker),
+                         target_name);
+
+TEST_P(DrainTest, QueuedRequestIsRefusedAndQueuedPingAnswered) {
+  // One connection carries a slow request, a second request of the same
+  // kind and a ping, all sent before the drain begins. The slow one is
+  // answered; the other two are read after the drain began, so the
+  // request is refused and the ping is still answered.
+  std::unique_ptr<HeldWorker> held;  // the daemon's one shard worker
+  std::unique_ptr<server::Server> daemon;
+  std::unique_ptr<server::Worker> worker;
+  std::string path;
+  std::vector<std::uint8_t> slow;
+  std::vector<std::uint8_t> queued;
+  std::size_t slow_shards = 0;
+  int fd = -1;
+  if (GetParam() == Target::kDaemon) {
+    // The slow audit cannot finish until the held worker lets it.
+    held = std::make_unique<HeldWorker>();
+    daemon = make_server(1, server::kDefaultMaxFrame, held->endpoint());
+    path = daemon->socket_path();
+    server::AuditRequest request = held_audit_request();
+    slow = server::encode_audit_request(request);
+    request.config.tvla.seed += 1;
+    queued = server::encode_audit_request(request);
+    fd = raw_connect(path);
+    ASSERT_GE(fd, 0);
+  } else {
+    server::WorkerOptions options;
+    options.listen = path = unique_socket_path();
+    options.threads = 1;
+    worker = std::make_unique<server::Worker>(options);
+    worker->start();
+    const auto design = circuits::load_design("des3", 1.0);
+    fd = raw_connect(path);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(raw_roundtrip(fd, server::encode_design_request(design)).status,
+              server::Status::kOk);
+    server::ShardRequest request;
+    request.fingerprint = core::design_fingerprint(design);
+    request.config = audit_config();
+    request.config.tvla.traces = 65536;
+    request.shard_begin = 0;
+    request.shard_end = slow_shards = 8;
+    slow = server::encode_shard_request(request);
+    queued = slow;
+  }
+  const auto compiles = [] {
+    const auto snapshot = obs::Registry::global().snapshot();
+    const auto* histogram = snapshot.find_histogram("tvla.compile_us");
+    return histogram == nullptr ? std::uint64_t{0} : histogram->count;
+  };
+  const std::uint64_t compiles_before = compiles();
+  server::write_frame(fd, slow);
+  server::write_frame(fd, queued);
+  server::write_frame(fd, server::encode_ping_request());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  const auto wait_until = [&](const auto& done) {
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+  if (held) {
+    ASSERT_TRUE(held->wait_for_held_shard());
+  } else {
+    // The worker compiles the design inside the slow request, after the
+    // listener let it through; its shards then take far longer than the
+    // stop below.
+    ASSERT_TRUE(wait_until([&] { return compiles() > compiles_before; }));
+  }
+  daemon ? daemon->request_stop() : worker->request_stop();
+  // The drain has begun once the socket file is gone.
+  struct stat status_buffer{};
+  ASSERT_TRUE(
+      wait_until([&] { return ::stat(path.c_str(), &status_buffer) != 0; }));
+  if (held) held->release();
+
+  EXPECT_EQ(read_status(fd), server::Status::kOk);
+  const server::Response refused = read_response(fd);
+  EXPECT_EQ(refused.status, server::Status::kShuttingDown);
+  EXPECT_EQ(refused.message,
+            server::to_string(server::Status::kShuttingDown));
+  EXPECT_EQ(read_status(fd), server::Status::kOk);
+  ::close(fd);
+  if (daemon) {
+    daemon->wait();
+  } else {
+    worker->wait();
+    EXPECT_EQ(worker->shards_run(), slow_shards);  // the queued one never ran
+  }
 }
 
 TEST_F(ServerTest, DistributedAuditsWaitOnlyOnTheirOwnLeases) {

@@ -15,6 +15,7 @@
 
 #include "util/csv.hpp"
 #include "util/fileio.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -110,6 +111,34 @@ TEST(Strings, FormatDouble) {
   EXPECT_EQ(format_double(1.23456, 2), "1.23");
   EXPECT_EQ(format_double(-0.5, 1), "-0.5");
   EXPECT_EQ(format_double(2.0, 0), "2");
+}
+
+TEST(Strings, AppendfNeverTruncates) {
+  // The telemetry renderers cut a formatted piece at 255 bytes before they
+  // shared this helper.
+  std::string out = "x";
+  const std::string name(300, 'n');
+  appendf(out, "[%s]%d", name.c_str(), 7);
+  EXPECT_EQ(out, "x[" + name + "]7");
+}
+
+TEST(Strings, JsonEscape) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("q\"b\\n\nr\rt\t\x01"),
+            "q\\\"b\\\\n\\nr\\rt\\t\\u0001");
+}
+
+TEST(Hash, Fnv1aReferenceValues) {
+  EXPECT_EQ(fnv1a(std::string_view("")), kFnv1aOffset);
+  EXPECT_EQ(fnv1a(std::string_view("a")), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a(std::string_view("foobar")), 0x85944171f73967e8ULL);
+  // A hash continues from the one passed in, and a word folds in as its
+  // little-endian bytes.
+  EXPECT_EQ(fnv1a(std::string_view("bar"), fnv1a(std::string_view("foo"))),
+            fnv1a(std::string_view("foobar")));
+  const unsigned char bytes[8] = {8, 7, 6, 5, 4, 3, 2, 1};
+  EXPECT_EQ(fnv1a_u64(kFnv1aOffset, 0x0102030405060708ULL),
+            fnv1a(bytes, sizeof bytes));
 }
 
 TEST(Table, RendersAlignedColumns) {

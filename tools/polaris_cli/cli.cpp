@@ -206,23 +206,8 @@ core::InferenceMode mode_from_string(const std::string& name) {
                    "'; expected model, rules, or model+rules");
 }
 
-namespace {
-
-/// printf-append onto a std::string (keeps the renderers byte-compatible
-/// with the printf-based output they replaced). Sized exactly: arbitrarily
-/// long design/output paths must never truncate.
-template <class... Args>
-void appendf(std::string& out, const char* format, Args... args) {
-  const int needed = std::snprintf(nullptr, 0, format, args...);
-  if (needed <= 0) return;
-  const std::size_t old_size = out.size();
-  out.resize(old_size + static_cast<std::size_t>(needed) + 1);
-  std::snprintf(out.data() + old_size, static_cast<std::size_t>(needed) + 1,
-                format, args...);
-  out.resize(old_size + static_cast<std::size_t>(needed));
-}
-
-}  // namespace
+using util::appendf;
+using util::json_escape;
 
 std::string render_audit_json(const std::string& design_name,
                               std::size_t gate_count,
@@ -320,29 +305,6 @@ std::string render_mask_text(const std::string& design_name,
             before->leaky_count(), after->leaky_count(), before_total,
             after_total,
             util::reduction_percent(before_total, after_total));
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
   }
   return out;
 }

@@ -67,9 +67,6 @@ class ParsedFlags {
 /// Parses an InferenceMode name: model | rules | model+rules.
 [[nodiscard]] core::InferenceMode mode_from_string(const std::string& name);
 
-/// JSON string escaping (quotes, backslashes, control characters).
-[[nodiscard]] std::string json_escape(const std::string& text);
-
 /// RAII wrapper for `--trace FILE`: starts the global obs::Tracer and
 /// opens a root span named after the command; the destructor closes the
 /// span, stops the tracer, and writes the Chrome trace-event JSON

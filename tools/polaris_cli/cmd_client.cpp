@@ -46,7 +46,7 @@ int client_ping(const ParsedFlags& flags) {
   std::printf("{\"server\":\"polaris\",\"protocol\":%u,\"model\":\"%s\","
               "\"fingerprint\":\"%016llx\",\"requests\":%llu,"
               "\"cache_hits\":%llu,\"cache_entries\":%llu}\n",
-              reply.protocol, json_escape(reply.model_name).c_str(),
+              reply.protocol, util::json_escape(reply.model_name).c_str(),
               static_cast<unsigned long long>(reply.config_fingerprint),
               static_cast<unsigned long long>(reply.requests_served),
               static_cast<unsigned long long>(reply.cache_hits),
@@ -73,10 +73,10 @@ int client_stats(const ParsedFlags& flags) {
   std::printf("{\"server\":\"polaris\",\"protocol\":%u,\"model\":\"%s\","
               "\"fingerprint\":\"%016llx\",\"build\":\"%s\",\"simd\":\"%s\","
               "\"lane_words\":%llu,\"requests\":%llu,\"connections\":%llu,%s}\n",
-              reply.protocol, json_escape(reply.model_name).c_str(),
+              reply.protocol, util::json_escape(reply.model_name).c_str(),
               static_cast<unsigned long long>(reply.config_fingerprint),
-              json_escape(reply.build_type).c_str(),
-              json_escape(reply.simd).c_str(),
+              util::json_escape(reply.build_type).c_str(),
+              util::json_escape(reply.simd).c_str(),
               static_cast<unsigned long long>(reply.lane_words),
               static_cast<unsigned long long>(reply.requests_served),
               static_cast<unsigned long long>(reply.connections),
@@ -97,7 +97,7 @@ std::string render_status_json(const server::StatusReply& reply) {
                 "\"requests\":%llu,\"connections_active\":%llu,"
                 "\"connections_total\":%llu,\"uptime_ms\":%llu,"
                 "\"sample_interval_ms\":%llu,\"samples\":%llu,",
-                reply.protocol, json_escape(reply.model_name).c_str(),
+                reply.protocol, util::json_escape(reply.model_name).c_str(),
                 static_cast<unsigned long long>(reply.requests_served),
                 static_cast<unsigned long long>(reply.connections_active),
                 static_cast<unsigned long long>(reply.connections_total),
@@ -122,7 +122,7 @@ std::string render_status_json(const server::StatusReply& reply) {
                   "%s{\"label\":\"%s\",\"sequence\":%llu,\"shards_done\":%zu,"
                   "\"shards_total\":%zu,\"queue_position\":%zu,"
                   "\"age_us\":%llu,\"stopped\":%s}",
-                  i == 0 ? "" : ",", json_escape(row.label).c_str(),
+                  i == 0 ? "" : ",", util::json_escape(row.label).c_str(),
                   static_cast<unsigned long long>(row.sequence),
                   row.shards_done, row.shards_total, row.queue_position,
                   static_cast<unsigned long long>(row.age_us),
@@ -152,7 +152,7 @@ std::string render_status_json(const server::StatusReply& reply) {
         "%s{\"endpoint\":\"%s\",\"alive\":%s,\"inflight\":%llu,"
         "\"shards_done\":%llu,\"bytes_out\":%llu,\"bytes_in\":%llu,"
         "\"resends\":%llu}",
-        i == 0 ? "" : ",", json_escape(worker.endpoint).c_str(),
+        i == 0 ? "" : ",", util::json_escape(worker.endpoint).c_str(),
         worker.alive ? "true" : "false",
         static_cast<unsigned long long>(worker.inflight),
         static_cast<unsigned long long>(worker.shards_done),
@@ -467,7 +467,7 @@ int client_score(const ParsedFlags& flags) {
 
   if (flags.has("json")) {
     std::printf("{\"design\":\"%s\",\"gates\":%zu,\"scored\":%zu,\"top\":[",
-                json_escape(reply.design_name).c_str(), reply.scores.size(),
+                util::json_escape(reply.design_name).c_str(), reply.scores.size(),
                 ranked.size());
     for (std::size_t i = 0; i < shown; ++i) {
       std::printf("%s{\"gate\":%zu,\"score\":%.6f}", i == 0 ? "" : ",",

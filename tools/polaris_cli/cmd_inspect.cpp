@@ -6,6 +6,7 @@
 
 #include "cli.hpp"
 #include "graph/features.hpp"
+#include "util/strings.hpp"
 
 namespace polaris::cli {
 
@@ -44,9 +45,9 @@ int cmd_inspect(std::span<const char* const> args) {
         "\"config\":{\"mask_size\":%zu,\"locality\":%zu,\"iterations\":%zu,"
         "\"theta_r\":%.3f,\"model_rounds\":%zu,\"learning_rate\":%.4f,"
         "\"traces\":%zu,\"seed\":%llu}}\n",
-        json_escape(path).c_str(), info.format_version, info.bundle_version,
+        util::json_escape(path).c_str(), info.format_version, info.bundle_version,
         static_cast<unsigned long long>(info.config_fingerprint),
-        json_escape(info.model_name).c_str(), info.samples, info.positives,
+        util::json_escape(info.model_name).c_str(), info.samples, info.positives,
         info.feature_dim, info.rule_count, info.has_dataset ? "true" : "false",
         ensemble.trees.size(), nodes, max_depth, config.mask_size,
         config.locality, config.iterations, config.theta_r,

@@ -31,7 +31,8 @@ int cmd_serve(std::span<const char* const> args) {
       {"slow-request-ms", true,
        "log requests slower than this, 0 disables (default 1000)"},
       {"flight-records", true,
-       "completed requests kept for 'client status' (default 64)"},
+       "completed requests kept for 'client status', 0 keeps none "
+       "(default 64)"},
       {"help", false, "show this help"},
   };
   const ParsedFlags flags(args, specs);

@@ -8,6 +8,7 @@
 #include "obs/obs.hpp"
 #include "serialize/archive.hpp"
 #include "server/protocol.hpp"
+#include "util/strings.hpp"
 
 namespace polaris::cli {
 
@@ -29,7 +30,7 @@ int cmd_version(std::span<const char* const> args) {
         "{\"build\":\"%s\",\"simd\":\"%s\",\"lane_words\":%llu,"
         "\"avx2_supported\":%s,\"avx2_built\":%s,\"protocol\":%u,"
         "\"bundle_format\":%u}\n",
-        json_escape(info.build_type).c_str(), json_escape(info.simd).c_str(),
+        util::json_escape(info.build_type).c_str(), util::json_escape(info.simd).c_str(),
         static_cast<unsigned long long>(info.lane_words),
         info.avx2_supported ? "true" : "false",
         info.avx2_built ? "true" : "false", server::kProtocolVersion,
