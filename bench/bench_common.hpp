@@ -8,13 +8,6 @@
 //                          engine: 0 = all hardware threads, 1 = serial
 //                          (default 0). Results are independent of this
 //                          knob; only wall-clock changes.
-//   POLARIS_BENCH_WORDS    lane-block width for the compiled kernel
-//                          (1, 2, 4, or 8 64-trace words per pass;
-//                          default 0 = auto, i.e. sim::default_lane_words).
-//                          Like threads, a pure execution knob: reports
-//                          are bit-identical at every width.
-//                          (POLARIS_SIMD=off additionally forces the
-//                          portable kernels; see src/sim/simd.hpp.)
 //   POLARIS_BENCH_BUNDLE   path to a .plb model bundle. When set and the
 //                          file exists, benches that only need a trained
 //                          model load it instead of re-running Algorithm 1,
@@ -63,7 +56,6 @@ struct BenchSetup {
   double scale = 1.0;
   std::uint64_t seed = 1;
   std::size_t threads = 0;
-  std::size_t lane_words = 0;  // 0 = auto (sim::default_lane_words)
   techlib::TechLibrary lib = techlib::TechLibrary::default_library();
 
   static BenchSetup from_env() {
@@ -72,7 +64,6 @@ struct BenchSetup {
     setup.scale = env_double("POLARIS_BENCH_SCALE", 1.0);
     setup.seed = env_size("POLARIS_BENCH_SEED", 1);
     setup.threads = env_size("POLARIS_BENCH_THREADS", 0);
-    setup.lane_words = env_size("POLARIS_BENCH_WORDS", 0);
     return setup;
   }
 
@@ -92,7 +83,6 @@ struct BenchSetup {
     config.tvla.traces = traces;
     config.tvla.noise_std_fj = 1.0;
     config.tvla.seed = seed;
-    config.tvla.lane_words = lane_words;
     config.seed = seed;
     config.threads = threads;
     return config;

@@ -66,7 +66,6 @@ int main() {
     config.seed = setup.seed;
     config.noise_std_fj = 1.0;
     config.threads = setup.threads;
-    config.lane_words = setup.lane_words;  // POLARIS_BENCH_WORDS, 0 = auto
 
     util::Timer compile_timer;
     const auto compiled = sim::compile(sbox);
@@ -75,11 +74,9 @@ int main() {
     const auto report = tvla::run(
         {.compiled = compiled, .lib = &setup.lib, .config = config});
     const double kernel_seconds = kernel_timer.seconds();
-    // The width this combinational campaign actually ran at, and the
-    // kernel path that width resolves to under the current SIMD policy.
-    const std::size_t lane_words = config.lane_words != 0
-                                       ? config.lane_words
-                                       : sim::default_lane_words();
+    // The width this combinational campaign ran at, and the kernel path
+    // that width resolves to under the current SIMD policy.
+    const std::size_t lane_words = sim::kDefaultLaneWords;
     std::printf("kernel probe: aes_sbox x4 (%zu gates) compiled in %.2fms "
                 "(%zu buf/not runs fused), %zu traces in %.3fs "
                 "(%zu-word blocks, %s), %zu leaky\n\n",

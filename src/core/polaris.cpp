@@ -356,6 +356,23 @@ std::vector<std::future<tvla::LeakageReport>> submit_audits(
   return pending;
 }
 
+MaskVerification verify_masking(engine::Scheduler& scheduler,
+                                const circuits::Design& design,
+                                const netlist::Netlist& masked,
+                                const techlib::TechLibrary& lib,
+                                const PolarisConfig& config) {
+  tvla::CampaignSpec spec{.design = &design.netlist,
+                          .lib = &lib,
+                          .config = tvla_config_for(config, design),
+                          .label = design.name + ":before"};
+  auto before = tvla::submit(scheduler, spec);
+  spec.design = &masked;
+  spec.label = design.name + ":after";
+  auto after = tvla::submit(scheduler, std::move(spec));
+  scheduler.drain({before.id(), after.id()});
+  return {before.get(), after.get()};
+}
+
 std::vector<tvla::LeakageReport> audit_designs(
     std::span<const circuits::Design> designs, const techlib::TechLibrary& lib,
     const PolarisConfig& config) {

@@ -137,4 +137,20 @@ class Polaris {
     const techlib::TechLibrary& lib, const PolarisConfig& config,
     tvla::ProgressFn progress = {});
 
+/// The `--verify` sign-off of a masked design: Algorithm 2's line-10
+/// leakage estimate beside the original netlist's.
+struct MaskVerification {
+  tvla::LeakageReport before;  // the original netlist
+  tvla::LeakageReport after;   // the masked netlist
+};
+
+/// Queues the before and after campaigns, both under
+/// tvla_config_for(config, design) and labelled `<name>:before` and
+/// `<name>:after`, on an EXISTING scheduler and drains only these two, so
+/// they share the queue with whatever else the caller runs on it.
+[[nodiscard]] MaskVerification verify_masking(
+    engine::Scheduler& scheduler, const circuits::Design& design,
+    const netlist::Netlist& masked, const techlib::TechLibrary& lib,
+    const PolarisConfig& config);
+
 }  // namespace polaris::core

@@ -402,7 +402,7 @@ RuntimeInfo runtime_info() {
 #else
   info.build_type = "debug";
 #endif
-  info.lane_words = sim::default_lane_words();
+  info.lane_words = sim::kDefaultLaneWords;
   info.simd = sim::simd_name(info.lane_words);
   info.avx2_supported = sim::avx2_supported();
   info.avx2_built = sim::avx2_built();

@@ -232,7 +232,7 @@ void log(const char* component, const std::string& message);
 struct RuntimeInfo {
   std::string build_type;     // "release" or "debug" (from NDEBUG)
   std::string simd;           // dispatch result for the default width
-  std::uint64_t lane_words;   // sim::default_lane_words()
+  std::uint64_t lane_words;   // sim::kDefaultLaneWords
   bool avx2_supported;        // CPUID says the CPU can
   bool avx2_built;            // this binary carries the AVX2 TU
 };

@@ -17,23 +17,4 @@ PowerModel::PowerModel(const netlist::Netlist& netlist,
   }
 }
 
-void PowerModel::total_power(const sim::Simulator& simulator,
-                             std::vector<double>& out_per_lane) const {
-  // Walk active_gates_ (ascending id) instead of all gates: zero-energy
-  // gates contribute exactly +0.0 to nonnegative accumulators, so the sums
-  // are bit-identical to the all-gates sweep while skipping the dead set.
-  out_per_lane.assign(sim::kLanes, 0.0);
-  for (const GateId g : active_gates_) {
-    const std::uint64_t toggles = simulator.toggles(g);
-    if (toggles == 0) continue;
-    const double energy = energies_[g];
-    std::uint64_t bits = toggles;
-    while (bits != 0) {
-      const int lane = __builtin_ctzll(bits);
-      out_per_lane[static_cast<std::size_t>(lane)] += energy;
-      bits &= bits - 1;
-    }
-  }
-}
-
 }  // namespace polaris::power

@@ -6,11 +6,9 @@
 // simulation-based TVLA flows (which is what the paper itself uses).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/simulator.hpp"
 #include "techlib/techlib.hpp"
 
 namespace polaris::power {
@@ -31,12 +29,6 @@ class PowerModel {
   [[nodiscard]] const std::vector<netlist::GateId>& active_gates() const {
     return active_gates_;
   }
-
-  /// Total-power samples for all 64 lanes of the simulator's last eval():
-  /// out[l] = sum over active gates of E_g * toggle_g[lane l]. This is the
-  /// "aggregate power trace" view an oscilloscope-level attacker sees.
-  void total_power(const sim::Simulator& simulator,
-                   std::vector<double>& out_per_lane) const;
 
   /// Static leakage power (nW) of the whole design (activity-independent).
   [[nodiscard]] double static_leakage() const { return static_leakage_nw_; }

@@ -263,21 +263,12 @@ Listener::Reply Server::serve_mask(serialize::Reader& in) {
         reply.seconds = outcome.seconds;
         reply.verilog = netlist::to_verilog(outcome.masked);
         if (request.verify) {
-          // Sign-off campaigns (before on the original, after on the masked
-          // netlist) share the queue with every other client's shards;
-          // this handler runs and waits on these two only.
-          tvla::CampaignSpec spec{
-              .design = &design.netlist,
-              .lib = &lib_,
-              .config = core::tvla_config_for(polaris_.config(), design),
-              .label = design.name + ":before"};
-          auto before = tvla::submit(scheduler_, spec);
-          spec.design = &outcome.masked;
-          spec.label = design.name + ":after";
-          auto after = tvla::submit(scheduler_, std::move(spec));
-          scheduler_.drain({before.id(), after.id()});
-          reply.before = before.get();
-          reply.after = after.get();
+          // The sign-off campaigns share the queue with every other
+          // client's shards; this handler waits on these two only.
+          auto verification = core::verify_masking(
+              scheduler_, design, outcome.masked, lib_, polaris_.config());
+          reply.before = std::move(verification.before);
+          reply.after = std::move(verification.after);
         }
         return encode_mask_reply(reply);
       });

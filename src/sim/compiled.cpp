@@ -230,26 +230,16 @@ void CompiledDesign::eval_comb(std::uint64_t* values, std::uint64_t* toggles,
 namespace detail {
 
 // Portable kernel table: the shared template (compiled_kernels.hpp) over
-// unrolled-uint64 blocks, one instantiation per valid width and toggle
-// mode. The AVX2 entries live in compiled_avx2.cpp, the only TU built
-// with -mavx2.
+// unrolled-uint64 blocks, one instantiation per valid width (1 and 4
+// words) and toggle mode. The AVX2 entries live in compiled_avx2.cpp, the
+// only TU built with -mavx2.
 EvalFn portable_kernel(std::size_t lane_words, bool record_toggles) noexcept {
-  if (record_toggles) {
-    switch (lane_words) {
-      case 1: return &KernelAccess::eval<U64Block<1>, true>;
-      case 2: return &KernelAccess::eval<U64Block<2>, true>;
-      case 4: return &KernelAccess::eval<U64Block<4>, true>;
-      case 8: return &KernelAccess::eval<U64Block<8>, true>;
-      default: return nullptr;
-    }
+  if (lane_words == 1) {
+    return record_toggles ? &KernelAccess::eval<U64Block<1>, true>
+                          : &KernelAccess::eval<U64Block<1>, false>;
   }
-  switch (lane_words) {
-    case 1: return &KernelAccess::eval<U64Block<1>, false>;
-    case 2: return &KernelAccess::eval<U64Block<2>, false>;
-    case 4: return &KernelAccess::eval<U64Block<4>, false>;
-    case 8: return &KernelAccess::eval<U64Block<8>, false>;
-    default: return nullptr;
-  }
+  return record_toggles ? &KernelAccess::eval<U64Block<4>, true>
+                        : &KernelAccess::eval<U64Block<4>, false>;
 }
 
 }  // namespace detail

@@ -29,10 +29,10 @@
 // Lane blocks: eval_comb evaluates `lane_words` 64-trace words per op in
 // one pass over blocked arrays where slot i owns words [i*W, (i+1)*W).
 // The kernel body is a width-generic template (compiled_kernels.hpp)
-// instantiated portably for every valid width and as AVX2 vectors for the
-// widths that fill whole __m256i registers; sim/simd.hpp owns the runtime
-// dispatch policy (CPUID + POLARIS_SIMD). Both instantiations execute the
-// same op order and the same write-time toggle rule, so they produce
+// instantiated portably for 1- and 4-word blocks and as one __m256i
+// vector for the 4-word block; sim/simd.hpp owns the runtime dispatch
+// policy (CPUID + POLARIS_SIMD). Both instantiations execute the same op
+// order and the same write-time toggle rule, so they produce
 // bit-identical words.
 //
 // Toggle contract: toggles are computed at write time (old XOR new, per

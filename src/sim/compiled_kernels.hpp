@@ -2,9 +2,9 @@
 //
 // The combinational wave is written ONCE as a template over a lane-block
 // type and instantiated per (width, instruction set): compiled.cpp stamps
-// out the portable U64Block entries for every valid width, and
-// compiled_avx2.cpp (built with -mavx2) stamps out __m256i entries for the
-// widths that fill whole 256-bit vectors. A block type provides
+// out the portable U64Block entries for both valid widths (1 and 4
+// words), and compiled_avx2.cpp (built with -mavx2) stamps out the
+// __m256i entry for the 4-word width. A block type provides
 //   kWords, load/store, zeros/ones, and the bitwise operators & | ^ ~
 // and nothing else - the kernel bodies, the prelude execution, and the
 // write-time toggle update are identical across instantiations, which is
@@ -28,7 +28,7 @@ using EvalFn = void (*)(const CompiledDesign&, std::uint64_t*, std::uint64_t*);
 
 /// Portable lane block: W unrolled uint64 words. The compiler's
 /// autovectorizer may still widen these loops, but correctness never
-/// depends on it - this is the fallback every width supports.
+/// depends on it - this is the fallback both widths support.
 template <std::size_t W>
 struct U64Block {
   static constexpr std::size_t kWords = W;
@@ -196,17 +196,16 @@ struct KernelAccess {
   }
 };
 
-/// Portable evaluator for a width; nullptr for invalid widths.
+/// Portable evaluator for a valid width (1 or 4 words).
 /// `record_toggles=false` selects the toggle-eliding instantiation.
 [[nodiscard]] EvalFn portable_kernel(std::size_t lane_words,
                                      bool record_toggles) noexcept;
-/// AVX2 evaluator for a width; nullptr when the build lacks the -mavx2
-/// unit or the width has no vector entry (1- and 2-word blocks).
-[[nodiscard]] EvalFn avx2_kernel(std::size_t lane_words,
-                                 bool record_toggles) noexcept;
+/// AVX2 evaluator for the 4-word block; nullptr when the build lacks the
+/// -mavx2 unit.
+[[nodiscard]] EvalFn avx2_kernel(bool record_toggles) noexcept;
 [[nodiscard]] bool avx2_built_impl() noexcept;
 /// Applies the SimdMode / CPUID policy (simd.hpp) to pick the evaluator
-/// for a dispatch at this width. Never returns nullptr for valid widths.
+/// for a dispatch at a valid width. Never returns nullptr.
 [[nodiscard]] EvalFn resolve_eval_fn(std::size_t lane_words,
                                      bool record_toggles) noexcept;
 

@@ -57,18 +57,6 @@ void ReferenceSimulator::set_inputs_random() {
   for (const NetId net : netlist_.primary_inputs()) values_[net] = rng_();
 }
 
-void ReferenceSimulator::set_inputs_mixed(const std::vector<bool>& fixed,
-                                          std::uint64_t fixed_mask) {
-  const auto& inputs = netlist_.primary_inputs();
-  if (fixed.size() != inputs.size()) {
-    throw std::invalid_argument("set_inputs_mixed: fixed vector size mismatch");
-  }
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const std::uint64_t fixed_word = fixed[i] ? ~0ULL : 0ULL;
-    values_[inputs[i]] = (fixed_word & fixed_mask) | (rng_() & ~fixed_mask);
-  }
-}
-
 void ReferenceSimulator::eval() {
   // Snapshot for toggle computation. The snapshot is taken before sources
   // are refreshed so kRand/DFF/const toggles are visible to the power model;
@@ -91,7 +79,6 @@ void ReferenceSimulator::eval() {
     values_[op.output] =
         netlist::eval_cell_word(op.type, {operands.data(), op.fan_in});
   }
-  ++cycle_;
 }
 
 void ReferenceSimulator::latch() {
@@ -105,7 +92,6 @@ void ReferenceSimulator::reset(std::uint64_t seed) {
   std::fill(values_.begin(), values_.end(), 0);
   std::fill(previous_.begin(), previous_.end(), 0);
   std::fill(dff_state_.begin(), dff_state_.end(), 0);
-  cycle_ = 0;
 }
 
 std::vector<bool> ReferenceSimulator::eval_single(

@@ -28,7 +28,6 @@ class ReferenceSimulator {
 
   void set_input(std::size_t pi_index, std::uint64_t word);
   void set_inputs_random();
-  void set_inputs_mixed(const std::vector<bool>& fixed, std::uint64_t fixed_mask);
 
   void eval();
   void latch();
@@ -44,8 +43,6 @@ class ReferenceSimulator {
   }
 
   [[nodiscard]] std::vector<bool> eval_single(const std::vector<bool>& bits);
-
-  [[nodiscard]] std::uint64_t cycle() const { return cycle_; }
 
  private:
   struct Op {
@@ -65,7 +62,6 @@ class ReferenceSimulator {
   std::vector<std::uint64_t> values_;
   std::vector<std::uint64_t> previous_;
   std::vector<std::uint64_t> dff_state_;
-  std::uint64_t cycle_ = 0;
 };
 
 }  // namespace polaris::sim

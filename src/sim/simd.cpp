@@ -62,38 +62,19 @@ bool avx2_enabled() noexcept {
 }
 
 bool simd_active(std::size_t lane_words) noexcept {
-  if (lane_words != 4 && lane_words != 8) return false;  // sub-vector widths
-  return avx2_enabled();
+  return lane_words == 4 && avx2_enabled();
 }
 
 const char* simd_name(std::size_t lane_words) noexcept {
   return simd_active(lane_words) ? "avx2" : "portable";
 }
 
-std::size_t default_lane_words() noexcept {
-  static const std::size_t words = [] {
-    constexpr std::size_t kDefault = 4;
-    const char* raw = std::getenv("POLARIS_SIM_WORDS");
-    if (raw == nullptr || *raw == '\0') return kDefault;
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(raw, &end, 10);
-    if (end == raw || parsed == 0) return kDefault;
-    // Snap down to the nearest valid width.
-    if (parsed >= 8) return std::size_t{8};
-    if (parsed >= 4) return std::size_t{4};
-    if (parsed >= 2) return std::size_t{2};
-    return std::size_t{1};
-  }();
-  return words;
-}
-
 namespace detail {
 
 EvalFn resolve_eval_fn(std::size_t lane_words, bool record_toggles) noexcept {
-  if (simd_active(lane_words)) {
-    const EvalFn fn = avx2_kernel(lane_words, record_toggles);
-    if (fn != nullptr) return fn;
-  }
+  // simd_active() implies the AVX2 unit is built: kAuto asks avx2_built()
+  // and set_simd_mode refuses kAvx2 without it.
+  if (simd_active(lane_words)) return avx2_kernel(record_toggles);
   return portable_kernel(lane_words, record_toggles);
 }
 

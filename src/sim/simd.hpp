@@ -3,12 +3,12 @@
 //
 // The kernel (compiled.hpp) evaluates K-word *lane blocks*: every value
 // slot owns K contiguous 64-bit words, so one op processes 64*K traces.
-// Two implementations of the same width-generic kernel template exist:
-//  * a portable unrolled-uint64 path, always available, for every valid
-//    width (1/2/4/8 words);
-//  * an AVX2 path (__m256i, one vector per 4 words) compiled in its own
-//    -mavx2 translation unit, eligible for widths that fill whole 256-bit
-//    vectors (4 and 8 words).
+// K is 4 for combinational campaigns (256 traces per pass) and 1 for
+// sequential campaigns and one-off simulators. Two instantiations of the
+// same width-generic kernel template exist:
+//  * a portable unrolled-uint64 path, always available, for both widths;
+//  * an AVX2 path (one __m256i per 4-word block) compiled in its own
+//    -mavx2 translation unit, for the 4-word width.
 // Which one runs is decided here, once per eval dispatch:
 //  * kAuto (the default): AVX2 whenever the CPU reports it (CPUID via
 //    __builtin_cpu_supports) and the build contains the AVX2 unit;
@@ -16,23 +16,24 @@
 //    process default to kPortable (the CI portable-fallback leg);
 //  * set_simd_mode() overrides both - the property tests force kPortable
 //    and kAvx2 in turn and assert bit-identical words.
-// Sub-vector widths (1 and 2 words) always take the portable path;
-// simd_name() reports the path a given width would actually use. The
-// sampling readout follows the same mode at every width.
+// 1-word blocks always take the portable path; simd_name() reports the
+// path a given width would actually use. The sampling readout follows the
+// same mode at both widths.
 #pragma once
 
 #include <cstddef>
 
 namespace polaris::sim {
 
-/// Widest supported lane block: 8 words = 512 traces per pass.
-inline constexpr std::size_t kMaxLaneWords = 8;
-
 enum class SimdMode { kAuto, kPortable, kAvx2 };
 
-/// Lane-block widths the kernel tables cover: 1, 2, 4, or 8 words.
+/// Lane-block width of combinational campaigns that leave lane_words = 0:
+/// 4 words, 256 traces per pass.
+inline constexpr std::size_t kDefaultLaneWords = 4;
+
+/// Lane-block widths the kernel tables cover: 1 or 4 words.
 [[nodiscard]] constexpr bool valid_lane_words(std::size_t words) noexcept {
-  return words == 1 || words == 2 || words == 4 || words == 8;
+  return words == 1 || words == 4;
 }
 
 /// CPU reports AVX2 (CPUID; cached). False on non-x86 builds.
@@ -54,15 +55,10 @@ void set_simd_mode(SimdMode mode);
 [[nodiscard]] bool avx2_enabled() noexcept;
 
 /// True when a kernel dispatch at this width takes the AVX2 path under the
-/// current mode: avx2_enabled() and a width of 4 or 8 words.
+/// current mode: a 4-word width and avx2_enabled().
 [[nodiscard]] bool simd_active(std::size_t lane_words) noexcept;
 /// "avx2" or "portable" - the path simd_active() resolves to. Bench probes
 /// record this next to traces/sec.
 [[nodiscard]] const char* simd_name(std::size_t lane_words) noexcept;
-
-/// Default lane-block width for campaigns that leave lane_words = 0:
-/// POLARIS_SIM_WORDS when set (snapped down to the nearest valid width),
-/// otherwise 4 (256 traces per pass).
-[[nodiscard]] std::size_t default_lane_words() noexcept;
 
 }  // namespace polaris::sim

@@ -6,9 +6,6 @@
 
 namespace polaris::sim {
 
-using netlist::CellType;
-using netlist::NetId;
-
 Simulator::Simulator(const netlist::Netlist& netlist, std::uint64_t seed,
                      std::size_t lane_words)
     : Simulator(compile(netlist), seed, lane_words) {}
@@ -17,7 +14,7 @@ Simulator::Simulator(CompiledDesignPtr compiled, std::uint64_t seed,
                      std::size_t lane_words)
     : compiled_(std::move(compiled)), lane_words_(lane_words) {
   if (!valid_lane_words(lane_words)) {
-    throw std::invalid_argument("Simulator: lane_words must be 1, 2, 4, or 8");
+    throw std::invalid_argument("Simulator: lane_words must be 1 or 4");
   }
   rngs_.reserve(lane_words_);
   for (std::size_t w = 0; w < lane_words_; ++w) {
@@ -50,36 +47,12 @@ void Simulator::set_input_word(std::size_t pi_index, std::size_t word_index,
           word_index] = word;
 }
 
-void Simulator::set_input_net(NetId net, std::uint64_t word) {
-  const auto& netlist = compiled_->design();
-  if (netlist.gate(netlist.net(net).driver).type != CellType::kInput) {
-    throw std::invalid_argument("set_input_net: not a primary-input net");
-  }
-  values_[static_cast<std::size_t>(compiled_->slot(net)) * lane_words_] = word;
-}
-
 void Simulator::set_inputs_random() {
   // Input-ascending draws per stream, matching the single-word order.
   for (const std::uint32_t slot : compiled_->pi_slots_) {
     const std::size_t base = static_cast<std::size_t>(slot) * lane_words_;
     for (std::size_t w = 0; w < lane_words_; ++w) {
       values_[base + w] = rngs_[w]();
-    }
-  }
-}
-
-void Simulator::set_inputs_mixed(const std::vector<bool>& fixed,
-                                 std::uint64_t fixed_mask) {
-  const auto& slots = compiled_->pi_slots_;
-  if (fixed.size() != slots.size()) {
-    throw std::invalid_argument("set_inputs_mixed: fixed vector size mismatch");
-  }
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const std::uint64_t fixed_word = fixed[i] ? ~0ULL : 0ULL;
-    const std::size_t base = static_cast<std::size_t>(slots[i]) * lane_words_;
-    for (std::size_t w = 0; w < lane_words_; ++w) {
-      values_[base + w] =
-          (fixed_word & fixed_mask) | (rngs_[w]() & ~fixed_mask);
     }
   }
 }
@@ -114,7 +87,6 @@ void Simulator::eval(bool record_toggles) {
     }
   }
   plan.eval_comb(values_.data(), toggles_.data(), K, record_toggles);
-  ++cycle_;
 }
 
 void Simulator::latch() {
@@ -133,7 +105,6 @@ void Simulator::reset(std::uint64_t seed) {
   std::fill(values_.begin(), values_.end(), 0);
   std::fill(toggles_.begin(), toggles_.end(), 0);
   std::fill(dff_state_.begin(), dff_state_.end(), 0);
-  cycle_ = 0;
 }
 
 void Simulator::reseed(std::uint64_t seed) {

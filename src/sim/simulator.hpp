@@ -4,10 +4,12 @@
 // Each std::uint64_t word holds one signal across 64 independent simulation
 // lanes (traces); a simulator constructed with lane_words = K carries K
 // such words per signal (64*K traces per eval), stored slot-major: slot i
-// owns words [i*K, (i+1)*K). One eval() is one clock cycle: sources are
-// refreshed (constants, fresh mask randomness, DFF state), then the
-// combinational wave runs through the compiled, type-batched schedule at
-// the full block width (sim/simd.hpp selects the AVX2 or portable kernel).
+// owns words [i*K, (i+1)*K). K is 1 (the default: sequential campaigns
+// and one-off simulators) or 4 (combinational campaigns, 256 traces per
+// eval). One eval() is one clock cycle: sources are refreshed (constants,
+// fresh mask randomness, DFF state), then the combinational wave runs
+// through the compiled, type-batched schedule at the full block width
+// (sim/simd.hpp selects the AVX2 or portable kernel).
 // latch() commits DFF next-state for every word.
 //
 // The Simulator is a thin mutable state - value words, toggle words, DFF
@@ -55,7 +57,7 @@ class Simulator {
  public:
   /// Convenience: compiles the netlist privately. Prefer the shared-plan
   /// constructor when many simulators run the same design. Throws
-  /// std::invalid_argument unless valid_lane_words(lane_words).
+  /// std::invalid_argument unless valid_lane_words(lane_words): 1 or 4.
   explicit Simulator(const netlist::Netlist& netlist,
                      std::uint64_t seed = 0x51313ab1e5eedULL,
                      std::size_t lane_words = 1);
@@ -81,16 +83,9 @@ class Simulator {
   /// Sets lane word `word_index` of the i-th primary input.
   void set_input_word(std::size_t pi_index, std::size_t word_index,
                       std::uint64_t word);
-  /// Same as set_input, addressed by net (must be a primary-input net).
-  void set_input_net(netlist::NetId net, std::uint64_t word);
   /// Fills every primary input of every lane word with fresh random words
   /// (word w draws from its own stream, inputs in ascending order).
   void set_inputs_random();
-  /// Per-input word = (fixed bit broadcast & fixed_mask) | (random & ~mask):
-  /// lanes selected by `fixed_mask` see `fixed[i]`, others see random bits.
-  /// Applied to every lane word (same mask). This is exactly the
-  /// fixed-vs-random stimulus split of TVLA.
-  void set_inputs_mixed(const std::vector<bool>& fixed, std::uint64_t fixed_mask);
 
   /// One combinational evaluation (one cycle worth of settled values) over
   /// all lane words. Never throws: the plan was validated at compile time.
@@ -149,9 +144,6 @@ class Simulator {
   /// lane-0 output bits in primary_outputs() order. Does not latch.
   [[nodiscard]] std::vector<bool> eval_single(const std::vector<bool>& bits);
 
-  /// Number of evals since construction/reset (cycle counter).
-  [[nodiscard]] std::uint64_t cycle() const { return cycle_; }
-
  private:
   /// Per-word staged write with write-time toggle (blocked write_slot).
   void write_word(std::size_t offset, std::uint64_t value) {
@@ -165,7 +157,6 @@ class Simulator {
   std::vector<std::uint64_t> values_;
   std::vector<std::uint64_t> toggles_;
   std::vector<std::uint64_t> dff_state_;
-  std::uint64_t cycle_ = 0;
 };
 
 }  // namespace polaris::sim

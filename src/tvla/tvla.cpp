@@ -138,7 +138,7 @@ struct ShardRunner::Impl {
       throw std::invalid_argument("TVLA input_class size mismatch");
     }
     if (config.lane_words != 0 && !sim::valid_lane_words(config.lane_words)) {
-      throw std::invalid_argument("TvlaConfig.lane_words must be 1, 2, 4, or 8");
+      throw std::invalid_argument("TvlaConfig.lane_words must be 0, 1, or 4");
     }
     sequential_ = design_has_dff();
     if (sequential_ && config.cycles_per_batch == 0) {
@@ -159,7 +159,7 @@ struct ShardRunner::Impl {
     lane_words_ = sequential_ ? 1
                               : (config.lane_words != 0
                                      ? config.lane_words
-                                     : sim::default_lane_words());
+                                     : sim::kDefaultLaneWords);
     shards_ = engine::ShardPlan::make(batch_count());
     if (config_.budget.enabled) build_checkpoint_schedule();
 

@@ -105,13 +105,13 @@ struct TvlaConfig {
   /// analytically: means are unchanged, both class variances gain sigma^2.
   double noise_std_fj = 1.5;
   /// Lane-block width for the compiled kernel: 64-trace words evaluated
-  /// per simulator pass (1, 2, 4, or 8; 0 = auto, i.e.
-  /// sim::default_lane_words(), overridable via POLARIS_SIM_WORDS).
+  /// per simulator pass (1 or 4; 0 = sim::kDefaultLaneWords, i.e. 4).
   /// Sequential campaigns always run 1 (the per-cycle sample order of a
   /// multi-batch lockstep would differ from the batch-major order; see
   /// DESIGN.md). Pure execution knob like `threads`: reports are
-  /// bit-identical for every setting, and the field is never serialized
-  /// nor part of config fingerprints.
+  /// bit-identical for every setting (the identity tests run their 1-word
+  /// reference through it), and the field is never serialized nor part of
+  /// config fingerprints.
   std::size_t lane_words = 0;
   /// Role of each primary input (empty = all kSensitive, the classic
   /// full-vector fixed-vs-random protocol).

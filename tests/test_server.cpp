@@ -263,6 +263,34 @@ TEST_F(ServerTest, MaskMatchesOfflinePathAndCachesByteIdentically) {
   EXPECT_GE(daemon->stats().cache_hits, 1u);
 }
 
+TEST_F(ServerTest, MaskVerifyReportsMatchStandaloneCampaigns) {
+  // The served sign-off runs the original and the masked netlist under the
+  // bundle's campaign config on the daemon's shared scheduler; each report
+  // must be bit-identical to a standalone campaign on that netlist.
+  const auto design = circuits::load_design("des3", 0.3);
+  const auto offline =
+      polaris_->mask_design(design, lib(), 20, core::InferenceMode::kModel);
+  const auto tvla_config = core::tvla_config_for(polaris_->config(), design);
+  const auto before = tvla::run(
+      {.design = &design.netlist, .lib = &lib(), .config = tvla_config});
+  const auto after = tvla::run(
+      {.design = &offline.masked, .lib = &lib(), .config = tvla_config});
+
+  auto daemon = make_server(2);
+  server::Client client(daemon->socket_path());
+  server::MaskRequest request;
+  request.design = "des3";
+  request.scale = 0.3;
+  request.mask_size = 20;
+  request.verify = true;
+  const auto reply = client.mask(request);
+  EXPECT_EQ(reply.verilog, netlist::to_verilog(offline.masked));
+  ASSERT_TRUE(reply.before.has_value());
+  ASSERT_TRUE(reply.after.has_value());
+  expect_reports_bit_identical(*reply.before, before);
+  expect_reports_bit_identical(*reply.after, after);
+}
+
 TEST_F(ServerTest, ScoreMatchesOfflineScoreGates) {
   const auto design = circuits::load_design("square", 0.3);
   const auto expected =

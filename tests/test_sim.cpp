@@ -150,28 +150,12 @@ TEST(Simulator, ResetClearsStateAndReseeds) {
   sim.reset(1);
   sim.eval();
   EXPECT_EQ(sim.value(q), 0u);
-  EXPECT_EQ(sim.cycle(), 1u);
-}
-
-TEST(Simulator, MixedInputsSplitLanes) {
-  netlist::Netlist nl;
-  const NetId a = nl.add_input("a");
-  nl.mark_output(a);
-  sim::Simulator sim(nl, 4);
-  const std::uint64_t mask = 0x00000000ffffffffULL;
-  sim.set_inputs_mixed({true}, mask);
-  sim.eval();
-  // Fixed lanes carry the fixed bit (1); random lanes are mixed.
-  EXPECT_EQ(sim.value(a) & mask, mask);
 }
 
 TEST(Simulator, InputValidation) {
   const auto nl = circuits::make_adder(4);
   sim::Simulator sim(nl);
   EXPECT_THROW(sim.eval_single({true}), std::invalid_argument);
-  EXPECT_THROW(sim.set_inputs_mixed({true}, 0), std::invalid_argument);
-  EXPECT_THROW(sim.set_input_net(nl.primary_outputs()[0], 0),
-               std::invalid_argument);
 }
 
 TEST(Simulator, BroadcastMatchesLanewiseRandom) {

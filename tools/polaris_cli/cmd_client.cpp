@@ -91,8 +91,7 @@ const char* wire_kind_name(std::uint8_t kind) {
 
 std::string render_status_json(const server::StatusReply& reply) {
   std::string out;
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
+  util::appendf(out,
                 "{\"server\":\"polaris\",\"protocol\":%u,\"model\":\"%s\","
                 "\"requests\":%llu,\"connections_active\":%llu,"
                 "\"connections_total\":%llu,\"uptime_ms\":%llu,"
@@ -104,21 +103,18 @@ std::string render_status_json(const server::StatusReply& reply) {
                 static_cast<unsigned long long>(reply.uptime_ms),
                 static_cast<unsigned long long>(reply.sample_interval_ms),
                 static_cast<unsigned long long>(reply.samples));
-  out += buffer;
   out += "\"inflight\":[";
   for (std::size_t i = 0; i < reply.inflight.size(); ++i) {
     const auto& entry = reply.inflight[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s{\"kind\":\"%s\",\"bytes\":%llu,\"age_us\":%llu}",
+    util::appendf(out, "%s{\"kind\":\"%s\",\"bytes\":%llu,\"age_us\":%llu}",
                   i == 0 ? "" : ",", wire_kind_name(entry.kind),
                   static_cast<unsigned long long>(entry.bytes),
                   static_cast<unsigned long long>(entry.age_us));
-    out += buffer;
   }
   out += "],\"campaigns\":[";
   for (std::size_t i = 0; i < reply.campaigns.size(); ++i) {
     const auto& row = reply.campaigns[i];
-    std::snprintf(buffer, sizeof(buffer),
+    util::appendf(out,
                   "%s{\"label\":\"%s\",\"sequence\":%llu,\"shards_done\":%zu,"
                   "\"shards_total\":%zu,\"queue_position\":%zu,"
                   "\"age_us\":%llu,\"stopped\":%s}",
@@ -127,13 +123,12 @@ std::string render_status_json(const server::StatusReply& reply) {
                   row.shards_done, row.shards_total, row.queue_position,
                   static_cast<unsigned long long>(row.age_us),
                   row.stopped ? "true" : "false");
-    out += buffer;
   }
   out += "],\"recent\":[";
   for (std::size_t i = 0; i < reply.recent.size(); ++i) {
     const auto& record = reply.recent[i];
-    std::snprintf(
-        buffer, sizeof(buffer),
+    util::appendf(
+        out,
         "%s{\"kind\":\"%s\",\"status\":\"%s\",\"cache_hit\":%s,"
         "\"bytes\":%llu,\"duration_us\":%llu,\"age_us\":%llu}",
         i == 0 ? "" : ",", wire_kind_name(record.kind),
@@ -142,13 +137,12 @@ std::string render_status_json(const server::StatusReply& reply) {
         static_cast<unsigned long long>(record.bytes),
         static_cast<unsigned long long>(record.duration_us),
         static_cast<unsigned long long>(record.age_us));
-    out += buffer;
   }
   out += "],\"workers\":[";
   for (std::size_t i = 0; i < reply.workers.size(); ++i) {
     const auto& worker = reply.workers[i];
-    std::snprintf(
-        buffer, sizeof(buffer),
+    util::appendf(
+        out,
         "%s{\"endpoint\":\"%s\",\"alive\":%s,\"inflight\":%llu,"
         "\"shards_done\":%llu,\"bytes_out\":%llu,\"bytes_in\":%llu,"
         "\"resends\":%llu}",
@@ -159,7 +153,6 @@ std::string render_status_json(const server::StatusReply& reply) {
         static_cast<unsigned long long>(worker.bytes_out),
         static_cast<unsigned long long>(worker.bytes_in),
         static_cast<unsigned long long>(worker.resends));
-    out += buffer;
   }
   out += "]}";
   return out;

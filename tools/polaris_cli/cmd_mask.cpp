@@ -56,17 +56,11 @@ int cmd_mask(std::span<const char* const> args) {
 
   std::optional<tvla::LeakageReport> before;
   if (verify) {
-    const auto tvla_config = core::tvla_config_for(polaris.config(), design);
     engine::Scheduler scheduler(polaris.config().threads);
-    auto before_campaign = tvla::submit(
-        scheduler,
-        {.design = &design.netlist, .lib = &lib, .config = tvla_config});
-    auto after_campaign = tvla::submit(
-        scheduler,
-        {.design = &outcome.masked, .lib = &lib, .config = tvla_config});
-    scheduler.drain({before_campaign.id(), after_campaign.id()});
-    before = before_campaign.get();
-    outcome.verification = after_campaign.get();
+    auto verification = core::verify_masking(scheduler, design, outcome.masked,
+                                             lib, polaris.config());
+    before = std::move(verification.before);
+    outcome.verification = std::move(verification.after);
   }
 
   const tvla::LeakageReport* before_report = before ? &*before : nullptr;

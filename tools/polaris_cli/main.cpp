@@ -8,7 +8,10 @@
 //   polaris_cli mask    --bundle model.plb --design des3 --out masked.v
 //   polaris_cli inspect --bundle model.plb [--rules]
 //   polaris_cli serve   --bundle model.plb --socket polaris.sock
-//   polaris_cli client  <audit|mask|score|ping|shutdown> --socket polaris.sock
+//   polaris_cli worker  --listen tcp:0.0.0.0:7000
+//   polaris_cli client  <audit|mask|score|ping|stats|status|top|shutdown>
+//                       --socket polaris.sock
+//   polaris_cli version [--json]
 //
 // Exit codes: 0 success, 1 runtime failure, 2 bad usage.
 #include <cstdio>
@@ -35,9 +38,10 @@ void print_usage() {
       "           shutdown (--workers distributes audit campaigns)\n"
       "  worker   shard-execution worker: runs TVLA campaign shards for a\n"
       "           remote coordinator (audit/serve --workers)\n"
-      "  client   send one request to a running daemon (audit | mask |\n"
-      "           score | ping | stats | shutdown); same output and exit\n"
-      "           codes as the offline commands\n"
+      "  client   talk to a running daemon (audit | mask | score | ping |\n"
+      "           stats | status | top | shutdown); audit, mask and score\n"
+      "           print the same output, with the same exit codes, as the\n"
+      "           offline commands\n"
       "  version  build type, SIMD dispatch, and protocol versions\n"
       "\n"
       "designs are suite names (des3, arbiter, sin, md5, voter, square,\n"
