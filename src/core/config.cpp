@@ -123,7 +123,7 @@ void config_fields(Io& io, Config& config) {
     io.u8_enum(input, tvla::InputClass::kRandomCommon, "input class");
   });
   io.bool_vec(config.tvla.fixed_input);
-  io.bool_vec(config.tvla.fixed_input_b);
+  io.bool_vec(config.tvla.fixed_input_b);  // layout only: nothing reads it
   io.f64(config.min_leak_for_label);
   io.u32_enum(config.scheme, masking::Scheme::kDom, "masking scheme");
   io.f64(config.coherence_smoothing);

@@ -26,8 +26,7 @@ std::string describe_exception(const std::exception_ptr& error) {
 }
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t workers, std::string name)
-    : name_(std::move(name)) {
+ThreadPool::ThreadPool(std::size_t workers) {
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -84,7 +83,7 @@ void ThreadPool::drive(std::unique_lock<std::mutex>& lock,
       // handful of lines and a counter, not n_total stderr writes. The
       // exception itself still propagates to the submitter via job->error.
       exceptions.add();
-      obs::log("pool", name_ + ": task " + std::to_string(index) + "/" +
+      obs::log("pool", "task " + std::to_string(index) + "/" +
                            std::to_string(job->n_total) +
                            " threw: " + describe_exception(error));
     }
@@ -181,8 +180,7 @@ ThreadPool& ThreadPool::shared() {
         // (forced-serial execution comes from a threads=1 cap, not from an
         // empty pool).
         return parsed == 0 ? fallback : static_cast<std::size_t>(parsed);
-      }(),
-      "shared");
+      }());
   return pool;
 }
 

@@ -22,7 +22,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -31,9 +30,8 @@ namespace polaris::engine {
 class ThreadPool {
  public:
   /// Spawns `workers` persistent threads (0 is valid: every job then runs
-  /// inline on the submitting thread). `name` labels this pool in metrics
-  /// and log lines.
-  explicit ThreadPool(std::size_t workers, std::string name = "pool");
+  /// inline on the submitting thread).
+  explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -49,7 +47,6 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
-  [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Process-wide pool sized to the hardware (hardware_concurrency - 1
   /// workers; the submitting thread supplies the remaining lane). The
@@ -84,7 +81,6 @@ class ThreadPool {
   std::condition_variable done_cv_;  // submitters: "a job may be complete"
   std::deque<std::shared_ptr<Job>> jobs_;
   std::vector<std::thread> workers_;
-  std::string name_;
   bool stop_ = false;
 };
 

@@ -202,7 +202,7 @@ const char* metric_help(std::string_view name, bool histogram) {
   if (name == "cache.bytes") return "Resident reply-body bytes in the result cache.";
   if (name == "server.frames_in") return "Request frames received.";
   if (name == "server.frames_out") return "Response frames sent.";
-  if (name == "server.slow_requests") return "Requests slower than the --slow-request-ms threshold.";
+  if (name == "server.slow_requests") return "Requests slower than 1 s.";
   if (name == "sched.campaigns") return "Campaigns submitted to the shard scheduler.";
   if (name == "sched.shards") return "Shards enqueued on the shard scheduler.";
   if (name == "tvla.campaigns") return "TVLA campaigns constructed.";

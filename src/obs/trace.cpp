@@ -32,18 +32,6 @@ TraceArgs& TraceArgs::add(const char* key, std::uint64_t value) {
   return *this;
 }
 
-TraceArgs& TraceArgs::add(const char* key, std::int64_t value) {
-  open(key);
-  appendf(body_, "%" PRId64, value);
-  return *this;
-}
-
-TraceArgs& TraceArgs::add(const char* key, double value) {
-  open(key);
-  appendf(body_, "%.3f", value);
-  return *this;
-}
-
 TraceArgs& TraceArgs::add(const char* key, const char* value) {
   open(key);
   body_ += '"';

@@ -29,8 +29,6 @@ namespace polaris::obs {
 class TraceArgs {
  public:
   TraceArgs& add(const char* key, std::uint64_t value);
-  TraceArgs& add(const char* key, std::int64_t value);
-  TraceArgs& add(const char* key, double value);
   TraceArgs& add(const char* key, const char* value);
   TraceArgs& add(const char* key, const std::string& value) {
     return add(key, value.c_str());

@@ -48,10 +48,9 @@ obs::Histogram& histogram(const char* owner, const std::string& metric) {
 
 }  // namespace
 
-Listener::Listener(const std::string& endpoint, int backlog,
-                   std::size_t max_frame, const char* name,
-                   std::size_t flight_records, std::uint64_t slow_request_us,
-                   Service service)
+Listener::Listener(const std::string& endpoint, std::size_t max_frame,
+                   const char* name, std::size_t flight_records,
+                   std::uint64_t slow_request_us, Service service)
     : max_frame_(max_frame),
       name_(name),
       service_(std::move(service)),
@@ -73,7 +72,7 @@ Listener::Listener(const std::string& endpoint, int backlog,
   // The endpoint layer handles both transports: UDS with the stale-socket
   // replacement, TCP with SO_REUSEADDR before bind.
   const net::Endpoint requested = net::parse_endpoint(endpoint);
-  listen_fd_ = net::listen_endpoint(requested, backlog);
+  listen_fd_ = net::listen_endpoint(requested);
   endpoint_ = net::bound_endpoint(listen_fd_, requested);
 
   int pipe_fds[2];

@@ -64,7 +64,7 @@ class Listener {
   /// the last `flight_records` requests (0 keeps none) and logs those
   /// slower than `slow_request_us` (0 never). Throws std::runtime_error on
   /// bind failure. No connection is accepted until start().
-  Listener(const std::string& endpoint, int backlog, std::size_t max_frame,
+  Listener(const std::string& endpoint, std::size_t max_frame,
            const char* name, std::size_t flight_records,
            std::uint64_t slow_request_us, Service service);
   /// Drains (as request_stop + wait) if started, then closes its fds.

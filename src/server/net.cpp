@@ -15,6 +15,10 @@ namespace polaris::server::net {
 
 namespace {
 
+/// listen(2) backlog: connections the kernel queues while an accept loop
+/// is busy spawning handlers.
+constexpr int kListenBacklog = 64;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error("polaris net: " + what + ": " +
                            std::strerror(errno));
@@ -121,8 +125,7 @@ std::string to_string(const Endpoint& endpoint) {
   return "tcp:" + endpoint.host + ":" + std::to_string(endpoint.port);
 }
 
-int listen_endpoint(const Endpoint& endpoint, int backlog) {
-  if (backlog <= 0) backlog = 1;
+int listen_endpoint(const Endpoint& endpoint) {
   if (!endpoint.tcp) {
     const sockaddr_un addr = uds_addr(endpoint.path);
     // Replace a STALE socket file only: silently unlinking a live daemon's
@@ -141,7 +144,7 @@ int listen_endpoint(const Endpoint& endpoint, int backlog) {
       errno = saved;
       throw_errno("bind '" + endpoint.path + "'");
     }
-    if (::listen(fd, backlog) != 0) {
+    if (::listen(fd, kListenBacklog) != 0) {
       const int saved = errno;
       ::close(fd);
       ::unlink(endpoint.path.c_str());
@@ -166,7 +169,7 @@ int listen_endpoint(const Endpoint& endpoint, int backlog) {
     const int one = 1;
     (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     if (::bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 &&
-        ::listen(fd, backlog) == 0) {
+        ::listen(fd, kListenBacklog) == 0) {
       break;
     }
     last_errno = errno;

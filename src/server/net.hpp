@@ -33,11 +33,11 @@ struct Endpoint {
 /// Canonical display form: "tcp:host:port" or the UDS path.
 [[nodiscard]] std::string to_string(const Endpoint& endpoint);
 
-/// Binds and listens. UDS: replaces a STALE socket file only (connecting
-/// to a live daemon's socket throws instead of hijacking it). TCP: sets
-/// SO_REUSEADDR before bind so restart-in-place works in CI and smoke
-/// scripts. Throws std::runtime_error on failure.
-[[nodiscard]] int listen_endpoint(const Endpoint& endpoint, int backlog);
+/// Binds and listens (backlog 64). UDS: replaces a STALE socket file only
+/// (connecting to a live daemon's socket throws instead of hijacking it).
+/// TCP: sets SO_REUSEADDR before bind so restart-in-place works in CI and
+/// smoke scripts. Throws std::runtime_error on failure.
+[[nodiscard]] int listen_endpoint(const Endpoint& endpoint);
 
 /// The endpoint a listening fd actually bound - resolves an ephemeral TCP
 /// port 0 to the kernel-assigned port. UDS endpoints return unchanged.

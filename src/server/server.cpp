@@ -13,6 +13,13 @@ namespace polaris::server {
 
 namespace {
 
+/// Live-operations constants: the metrics sampler's period, the requests
+/// the flight recorder keeps for `client status`, and the service time
+/// above which a request is logged as slow.
+constexpr std::size_t kSampleIntervalMs = 1000;
+constexpr std::size_t kFlightRecords = 64;
+constexpr std::uint64_t kSlowRequestUs = 1'000'000;
+
 std::uint64_t combine_all(std::uint64_t key,
                           std::initializer_list<std::uint64_t> values) {
   for (const auto value : values) key = util::fnv1a_u64(key, value);
@@ -52,19 +59,15 @@ Server::Server(ServerOptions options)
       pool_(make_pool(options_)),
       cache_(options_.cache_capacity),
       sampler_(obs::Registry::global(),
-               obs::Sampler::Options{options_.sample_interval_ms == 0
-                                         ? std::size_t{1000}
-                                         : options_.sample_interval_ms,
-                                     options_.metrics_file}),
-      listener_(options_.socket_path, options_.backlog, options_.max_frame,
-                "server", options_.flight_records,
-                static_cast<std::uint64_t>(options_.slow_request_ms) * 1000,
+               obs::Sampler::Options{kSampleIntervalMs, options_.metrics_file}),
+      listener_(options_.socket_path, options_.max_frame, "server",
+                kFlightRecords, kSlowRequestUs,
                 [this](RequestKind kind, serialize::Reader& in, int fd) {
                   return serve(kind, in, fd);
                 }) {}
 
 void Server::start() {
-  if (options_.sample_interval_ms > 0) sampler_.start();
+  if (!options_.metrics_file.empty()) sampler_.start();
   listener_.start();
 }
 
@@ -151,7 +154,8 @@ core::ResultCache::Body Server::serve_status() {
   reply.connections_active = listener_.connections_active();
   reply.uptime_ms =
       static_cast<std::uint64_t>((now - start_mono_ns_) / 1'000'000);
-  reply.sample_interval_ms = options_.sample_interval_ms;
+  reply.sample_interval_ms =
+      options_.metrics_file.empty() ? 0 : kSampleIntervalMs;
   reply.samples = sampler_.samples();
   reply.inflight = listener_.inflight(now);
   reply.campaigns = scheduler_.progress();

@@ -22,8 +22,8 @@
 // pipe) stops the accept loop; in-flight requests run to completion and
 // their responses are delivered before wait() returns and the socket file
 // is unlinked. A request still queued on an open connection is answered
-// kShuttingDown, a ping excepted. The metrics sampler stops after the
-// drain.
+// kShuttingDown, a ping excepted. The metrics sampler, which runs only
+// when a metrics file is named, stops after the drain.
 #pragma once
 
 #include <cstdint>
@@ -52,19 +52,14 @@ struct ServerOptions {
   std::size_t threads = 0;  // scheduler fan-out: 0 = all hardware threads
   std::size_t max_frame = kDefaultMaxFrame;  // per-frame payload cap, bytes
   std::size_t cache_capacity = 256;          // result-cache entries
-  int backlog = 64;  // listen(2) backlog: connections the kernel queues
-                     // while the accept loop is busy spawning handlers
   /// Comma-separated shard-worker endpoints. Non-empty routes every audit
   /// campaign through a WorkerPool: the daemon's scheduler lanes plus these
   /// workers. Results stay byte-identical, so the result cache and its
   /// keys are untouched.
   std::string workers;
-  // Live-operations knobs (pure telemetry; none affect served results):
-  std::size_t sample_interval_ms = 1000;  // metrics sampler period, 0 = off
-  std::string metrics_file;      // append one JSON delta line per interval
-  std::size_t flight_records = 64;       // completed-request ring depth,
-                                         // 0 = keep none
-  std::size_t slow_request_ms = 1000;    // log threshold, 0 = never log
+  /// Non-empty runs the metrics sampler, which appends one JSON delta line
+  /// per second here. Pure telemetry: served results never change.
+  std::string metrics_file;
 };
 
 struct ServerStats {

@@ -7,8 +7,8 @@ namespace polaris::server {
 
 Worker::Worker(WorkerOptions options)
     : options_(std::move(options)),
-      listener_(options_.listen, options_.backlog, options_.max_frame,
-                "worker", /*flight_records=*/0, /*slow_request_us=*/0,
+      listener_(options_.listen, options_.max_frame, "worker",
+                /*flight_records=*/0, /*slow_request_us=*/0,
                 [this](RequestKind kind, serialize::Reader& in, int) {
                   return serve(kind, in);
                 }) {}
@@ -75,8 +75,7 @@ std::shared_ptr<tvla::ShardRunner> Worker::runner_for(
     }
     installed.runner = std::make_shared<tvla::ShardRunner>(
         installed.plan, lib_,
-        core::tvla_config_for(request.config, installed.design),
-        tvla::Protocol::kFixedVsRandom);
+        core::tvla_config_for(request.config, installed.design));
     installed.config_fingerprint = config;
   }
   return installed.runner;

@@ -45,7 +45,6 @@ struct WorkerOptions {
   std::size_t threads = 0;  // per-request shard fan-out on the shared
                             // pool: 0 = all hardware threads
   std::size_t max_frame = kDefaultMaxFrame;  // per-frame payload cap, bytes
-  int backlog = 64;         // listen(2) backlog
 };
 
 class Worker {

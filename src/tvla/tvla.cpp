@@ -108,7 +108,7 @@ void sample_block(const power::SamplePlan& plan,
 }  // namespace
 
 /// Thin protocol layer: owns the campaign-wide, read-only context (the
-/// compiled design plan, power model, sampling plan, fixed vectors) and
+/// compiled design plan, power model, sampling plan, fixed vector) and
 /// defines how one shard of traces is stimulated and sampled. The design
 /// is compiled ONCE here; every shard's Simulator shares the plan, so
 /// per-shard setup never re-runs topological_order() or rebuilds a
@@ -117,21 +117,17 @@ void sample_block(const power::SamplePlan& plan,
 /// run_shard call.
 struct ShardRunner::Impl {
   Impl(sim::CompiledDesignPtr compiled, const techlib::TechLibrary& lib,
-       const TvlaConfig& config, Protocol protocol)
+       const TvlaConfig& config)
       : design_(compiled->design()),
         config_(config),
-        protocol_(protocol),
         compiled_(std::move(compiled)),
         power_(design_, lib),
         plan_(*compiled_, power_) {
     const std::size_t n_inputs = design_.primary_inputs().size();
-    fixed_a_ = config.fixed_input.empty()
-                   ? derive_fixed_vector(n_inputs, config.seed ^ 0xf1e1dcafeULL)
-                   : config.fixed_input;
-    fixed_b_ = config.fixed_input_b.empty()
-                   ? derive_fixed_vector(n_inputs, config.seed ^ 0xbeefULL)
-                   : config.fixed_input_b;
-    if (fixed_a_.size() != n_inputs || fixed_b_.size() != n_inputs) {
+    fixed_ = config.fixed_input.empty()
+                 ? derive_fixed_vector(n_inputs, config.seed ^ 0xf1e1dcafeULL)
+                 : config.fixed_input;
+    if (fixed_.size() != n_inputs) {
       throw std::invalid_argument("TVLA fixed vector size mismatch");
     }
     if (!config.input_class.empty() && config.input_class.size() != n_inputs) {
@@ -180,10 +176,7 @@ struct ShardRunner::Impl {
           .add("traces", static_cast<std::uint64_t>(config_.traces))
           .add("lane_words", static_cast<std::uint64_t>(lane_words_))
           .add("simd", sim::simd_name(lane_words_))
-          .add("sequential", sequential_)
-          .add("mode", protocol_ == Protocol::kFixedVsRandom
-                           ? "fixed-vs-random"
-                           : "fixed-vs-fixed");
+          .add("sequential", sequential_);
       tracer.async_begin("campaign", "tvla", trace_id_, std::move(args).str());
     }
   }
@@ -338,7 +331,7 @@ struct ShardRunner::Impl {
     const auto& inputs = design_.primary_inputs();
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       if (input_class(i) == InputClass::kFixedCommon) {
-        const std::uint64_t word = fixed_a_[i] ? ~0ULL : 0ULL;
+        const std::uint64_t word = fixed_[i] ? ~0ULL : 0ULL;
         for (std::size_t w = 0; w < words; ++w) {
           state.simulator.set_input_word(i, w, word);
         }
@@ -353,20 +346,16 @@ struct ShardRunner::Impl {
   void apply_target_inputs(ShardState& state, std::size_t words) const {
     const auto& inputs = design_.primary_inputs();
     for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const std::uint64_t a = fixed_a_[i] ? ~0ULL : 0ULL;
-      const std::uint64_t b = fixed_b_[i] ? ~0ULL : 0ULL;
+      const std::uint64_t fixed = fixed_[i] ? ~0ULL : 0ULL;
       for (std::size_t w = 0; w < words; ++w) {
         const std::uint64_t fixed_mask = state.class_masks[w];
         std::uint64_t word = 0;
         switch (input_class(i)) {
           case InputClass::kSensitive:
-            word = (protocol_ == Protocol::kFixedVsRandom)
-                       ? (a & fixed_mask) |
-                             (state.stimulus[w]() & ~fixed_mask)
-                       : (a & fixed_mask) | (b & ~fixed_mask);
+            word = (fixed & fixed_mask) | (state.stimulus[w]() & ~fixed_mask);
             break;
           case InputClass::kFixedCommon:
-            word = a;
+            word = fixed;
             break;
           case InputClass::kRandomCommon:
             word = state.stimulus[w]();
@@ -492,7 +481,6 @@ struct ShardRunner::Impl {
 
   const netlist::Netlist& design_;
   TvlaConfig config_;
-  Protocol protocol_;
   sim::CompiledDesignPtr compiled_;
   power::PowerModel power_;
   power::SamplePlan plan_;
@@ -500,7 +488,7 @@ struct ShardRunner::Impl {
   std::size_t lane_words_ = 1;
   engine::ShardPlan shards_;  // pure function of batch_count()
   std::uint64_t trace_id_ = 0;  // async span id; 0 = tracing was off
-  std::vector<bool> fixed_a_, fixed_b_;
+  std::vector<bool> fixed_;
   // Early-stop state (budget-enabled campaigns only). The schedule is
   // fixed at construction; stopped_/traces_used_ are written by at most
   // one checkpoint (under the scheduler's campaign merge lock) and read
@@ -525,10 +513,9 @@ sim::CompiledDesignPtr compile(const netlist::Netlist& design) {
 CampaignHandle submit(engine::Scheduler& scheduler, CampaignSpec spec) {
   auto campaign =
       spec.compiled ? std::make_shared<ShardRunner>(std::move(spec.compiled),
-                                                    *spec.lib, spec.config,
-                                                    spec.protocol)
+                                                    *spec.lib, spec.config)
                     : std::make_shared<ShardRunner>(*spec.design, *spec.lib,
-                                                    spec.config, spec.protocol);
+                                                    spec.config);
   ShardRunner::Impl& impl = *campaign->impl_;
   impl.progress_ = std::move(spec.progress);
   // The closures share ownership of the campaign (and its power model and
@@ -569,13 +556,13 @@ LeakageReport run_fixed_vs_random(const netlist::Netlist& design,
 
 ShardRunner::ShardRunner(const netlist::Netlist& design,
                          const techlib::TechLibrary& lib,
-                         const TvlaConfig& config, Protocol protocol)
-    : ShardRunner(compile(design), lib, config, protocol) {}
+                         const TvlaConfig& config)
+    : ShardRunner(compile(design), lib, config) {}
 
 ShardRunner::ShardRunner(sim::CompiledDesignPtr design,
                          const techlib::TechLibrary& lib,
-                         const TvlaConfig& config, Protocol protocol)
-    : impl_(std::make_unique<Impl>(std::move(design), lib, config, protocol)) {}
+                         const TvlaConfig& config)
+    : impl_(std::make_unique<Impl>(std::move(design), lib, config)) {}
 
 ShardRunner::~ShardRunner() = default;
 

@@ -6,14 +6,11 @@
 // class against the random class. Gates with |t| > 4.5 are considered leaky
 // (Fig. 4).
 //
-// Two stimulus protocols are provided (Sec. II-A):
-//  * fixed-vs-random - lanes in the fixed class switch from a random base
-//    vector to a fixed target vector; random-class lanes switch to a fresh
-//    random vector.
-//  * fixed-vs-fixed  - two distinct fixed target vectors (known intermediate
-//    values) are compared.
-// Sequential designs (DFFs present) run free-running multi-cycle traces with
-// per-cycle sampling instead of vector pairs.
+// Stimulus protocol: fixed-vs-random (Sec. II-A) - lanes in the fixed
+// class switch from a random base vector to a fixed target vector;
+// random-class lanes switch to a fresh random vector. Sequential designs
+// (DFFs present) run free-running multi-cycle traces with per-cycle
+// sampling instead of vector pairs.
 //
 // Execution: one CampaignSpec in, one CampaignHandle out - submit() queues
 // it on engine::Scheduler, the one shard executor, and run() is the sync
@@ -39,9 +36,6 @@
 #include "tvla/welch.hpp"
 
 namespace polaris::tvla {
-
-/// Stimulus protocol of a campaign (see the file comment).
-enum class Protocol : std::uint8_t { kFixedVsRandom, kFixedVsFixed };
 
 /// Role of a primary input in the TVLA protocol.
 enum class InputClass : std::uint8_t {
@@ -119,7 +113,8 @@ struct TvlaConfig {
   /// Fixed target vector (one bit per primary input). Empty = derived
   /// deterministically from `seed`.
   std::vector<bool> fixed_input;
-  /// Second fixed vector for fixed-vs-fixed. Empty = derived from seed.
+  /// Unused: kept only so the CONF chunk (core::config_fields) and every
+  /// config fingerprint keep their layout. Nothing reads it.
   std::vector<bool> fixed_input_b;
   /// Early-stopping trace budget (off by default; see TvlaBudget).
   TvlaBudget budget;
@@ -189,7 +184,7 @@ struct CampaignSpec;
 class CampaignHandle;
 
 /// One campaign: the compiled design, power model, sampling plan, fixed
-/// vectors, and checkpoint schedule. submit() builds one per campaign; the
+/// vector, and checkpoint schedule. submit() builds one per campaign; the
 /// shard workers (server/worker.hpp) run single shards of it. run_shard(s)
 /// produces the same CampaignMoments shard s accumulates under any
 /// scheduler, thread count, lane width, or host, so per-shard moments
@@ -200,12 +195,11 @@ class ShardRunner {
   /// Compiles the design once. Throws std::invalid_argument on invalid
   /// configs. `design` and `lib` must outlive the runner.
   ShardRunner(const netlist::Netlist& design, const techlib::TechLibrary& lib,
-              const TvlaConfig& config,
-              Protocol protocol = Protocol::kFixedVsRandom);
+              const TvlaConfig& config);
   /// Same, over a caller-compiled plan (its netlist must outlive the
   /// runner).
   ShardRunner(sim::CompiledDesignPtr design, const techlib::TechLibrary& lib,
-              const TvlaConfig& config, Protocol protocol);
+              const TvlaConfig& config);
   ~ShardRunner();
 
   ShardRunner(const ShardRunner&) = delete;
@@ -245,7 +239,6 @@ struct CampaignSpec {
   const netlist::Netlist* design = nullptr;
   sim::CompiledDesignPtr compiled = nullptr;
   const techlib::TechLibrary* lib = nullptr;
-  Protocol protocol = Protocol::kFixedVsRandom;
   TvlaConfig config = {};
   ProgressFn progress = {};  // checkpoint observer (budget-enabled configs)
   /// Names the campaign in the scheduler's progress table
@@ -287,7 +280,7 @@ class CampaignHandle : public engine::CampaignHandle<LeakageReport> {
 /// submit() on a private engine::Scheduler(config.threads), then get().
 [[nodiscard]] LeakageReport run(CampaignSpec spec);
 
-/// run() of a fixed-vs-random netlist spec (the paper tables' protocol).
+/// run() of a netlist spec.
 [[nodiscard]] LeakageReport run_fixed_vs_random(const netlist::Netlist& design,
                                                 const techlib::TechLibrary& lib,
                                                 const TvlaConfig& config);

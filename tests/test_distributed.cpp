@@ -736,7 +736,7 @@ class TamperingWorker {
 
   explicit TamperingWorker(Tamper tamper)
       : listen_fd_(server::net::listen_endpoint(
-            server::net::parse_endpoint("tcp:127.0.0.1:0"), 4)),
+            server::net::parse_endpoint("tcp:127.0.0.1:0"))),
         endpoint_(server::net::bound_endpoint(
             listen_fd_, server::net::parse_endpoint("tcp:127.0.0.1:0"))),
         thread_([this, tamper = std::move(tamper)] { serve(tamper); }) {}

@@ -218,23 +218,6 @@ TEST(SyncCampaign, SequentialReportIndependentOfThreadCount) {
   }
 }
 
-TEST(SyncCampaign, FixedVsFixedReportIndependentOfThreadCount) {
-  const auto nl = circuits::make_adder(8);
-  tvla::TvlaConfig config;
-  config.traces = 2048;
-  config.seed = 3;
-  config.threads = 1;
-  const auto fixed_vs_fixed = [&] {
-    return tvla::run({.design = &nl,
-                      .lib = &lib(),
-                      .protocol = tvla::Protocol::kFixedVsFixed,
-                      .config = config});
-  };
-  const auto serial = fixed_vs_fixed();
-  config.threads = 8;
-  expect_reports_identical(serial, fixed_vs_fixed());
-}
-
 TEST(SyncCampaign, MaskedDesignReportIndependentOfThreadCount) {
   // Masked composites add kRand cells, exercising the per-batch mask-share
   // reseeding path.

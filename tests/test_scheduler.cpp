@@ -160,22 +160,6 @@ TEST(Scheduler, IndependentOfSubmissionOrder) {
   }
 }
 
-TEST(Scheduler, FixedVsFixedMatchesPerCampaignPath) {
-  const auto design = circuits::make_adder(8);
-  tvla::TvlaConfig config;
-  config.traces = 2048;
-  config.seed = 3;
-  const tvla::CampaignSpec spec{.design = &design,
-                                .lib = &lib(),
-                                .protocol = tvla::Protocol::kFixedVsFixed,
-                                .config = config};
-  const auto reference = tvla::run(spec);
-  engine::Scheduler scheduler(8);
-  auto pending = tvla::submit(scheduler, spec);
-  scheduler.drain();
-  expect_reports_identical(reference, pending.get());
-}
-
 TEST(Scheduler, SingleCampaignDegenerateCase) {
   // One campaign in the queue == the per-campaign path, at any cap.
   const auto design = circuits::make_aes_sbox_layer(1);

@@ -1262,7 +1262,7 @@ class HeldWorker {
  public:
   HeldWorker()
       : listen_fd_(server::net::listen_endpoint(
-            server::net::parse_endpoint("tcp:127.0.0.1:0"), 8)),
+            server::net::parse_endpoint("tcp:127.0.0.1:0"))),
         endpoint_(server::net::bound_endpoint(
             listen_fd_, server::net::parse_endpoint("tcp:127.0.0.1:0"))),
         accept_thread_([this] { accept_loop(); }) {}
@@ -1498,6 +1498,44 @@ TEST_F(ServerTest, StatusReportsInflightCampaignsAndFlightRecorder) {
   EXPECT_GT(poll.stats().uptime_ms + 1, 0u);  // present and decodable
   daemon->request_stop();
   daemon->wait();
+}
+
+TEST_F(ServerTest, MetricsSamplerRunsOnlyWithAMetricsFile) {
+  // Without a metrics file the daemon runs no sampler: status reports an
+  // interval of 0 and no samples. With one, it samples every second and
+  // appends one JSON delta line per sample.
+  auto idle = make_server(1);
+  const std::string metrics_path = ::testing::TempDir() + "serve_metrics_" +
+                                   std::to_string(::getpid()) + ".jsonl";
+  std::remove(metrics_path.c_str());
+  server::ServerOptions options;
+  options.socket_path = unique_socket_path();
+  options.bundle_path = *bundle_path_;
+  options.threads = 1;
+  options.metrics_file = metrics_path;
+  server::Server sampling(options);
+  sampling.start();
+
+  server::Client idle_client(idle->socket_path());
+  server::Client sampling_client(sampling.socket_path());
+  EXPECT_EQ(idle_client.status().sample_interval_ms, 0u);
+  EXPECT_EQ(sampling_client.status().sample_interval_ms, 1000u);
+  // The idle daemon started first, so by the first sample it has been up
+  // for over a second without taking one.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sampling_client.status().samples == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_GE(sampling_client.status().samples, 1u);
+  EXPECT_EQ(idle_client.status().samples, 0u);
+  sampling.request_stop();
+  sampling.wait();
+  // A sample counts after its line is written.
+  const std::string metrics = util::read_file(metrics_path);
+  EXPECT_EQ(metrics.rfind("{\"wall_ms\":", 0), 0u) << metrics;
+  std::remove(metrics_path.c_str());
 }
 
 // --- drain: requests queued behind a running one ---------------------------
@@ -1857,7 +1895,7 @@ TEST(ServeClient, TimeoutRaisesStructuredErrorAgainstASilentPeer) {
   // would block forever; with one it must throw the structured type within
   // the configured window.
   const auto requested = server::net::parse_endpoint("tcp:127.0.0.1:0");
-  const int listen_fd = server::net::listen_endpoint(requested, 1);
+  const int listen_fd = server::net::listen_endpoint(requested);
   ASSERT_GE(listen_fd, 0);
   const auto bound = server::net::bound_endpoint(listen_fd, requested);
 

@@ -20,19 +20,10 @@ int cmd_serve(std::span<const char* const> args) {
       {"workers", true,
        "comma-separated shard-worker endpoints; audits distribute across "
        "them plus local lanes (results stay byte-identical)"},
-      {"backlog", true, "listen(2) connection backlog (default 64)"},
       {"max-frame", true,
        "largest accepted request payload in bytes (default 67108864)"},
       {"cache-capacity", true, "result-cache entries, 0 disables (default 256)"},
-      {"metrics-file", true,
-       "append one JSON metrics-delta line per sample interval"},
-      {"sample-interval-ms", true,
-       "metrics sampler period in ms, 0 disables (default 1000)"},
-      {"slow-request-ms", true,
-       "log requests slower than this, 0 disables (default 1000)"},
-      {"flight-records", true,
-       "completed requests kept for 'client status', 0 keeps none "
-       "(default 64)"},
+      {"metrics-file", true, "append one JSON metrics-delta line per second"},
       {"help", false, "show this help"},
   };
   const ParsedFlags flags(args, specs);
@@ -48,13 +39,9 @@ int cmd_serve(std::span<const char* const> args) {
   options.socket_path = flags.require("socket");
   options.threads = flags.get_size("threads", 0);
   options.workers = flags.get("workers", "");
-  options.backlog = static_cast<int>(flags.get_size("backlog", 64));
   options.max_frame = flags.get_size("max-frame", server::kDefaultMaxFrame);
   options.cache_capacity = flags.get_size("cache-capacity", 256);
   options.metrics_file = flags.get("metrics-file", "");
-  options.sample_interval_ms = flags.get_size("sample-interval-ms", 1000);
-  options.slow_request_ms = flags.get_size("slow-request-ms", 1000);
-  options.flight_records = flags.get_size("flight-records", 64);
 
   server::Server daemon(options);
   const auto& info = daemon.bundle_info();

@@ -18,7 +18,6 @@ int cmd_worker(std::span<const char* const> args) {
        "endpoint to serve on: tcp:host:port (port 0 = ephemeral) or a "
        "Unix-socket path (required)"},
       {"threads", true, "shard fan-out threads, 0 = all cores (default 0)"},
-      {"backlog", true, "listen(2) connection backlog (default 64)"},
       {"max-frame", true,
        "largest accepted request payload in bytes (default 67108864)"},
       {"help", false, "show this help"},
@@ -34,7 +33,6 @@ int cmd_worker(std::span<const char* const> args) {
   server::WorkerOptions options;
   options.listen = flags.require("listen");
   options.threads = flags.get_size("threads", 0);
-  options.backlog = static_cast<int>(flags.get_size("backlog", 64));
   options.max_frame = flags.get_size("max-frame", server::kDefaultMaxFrame);
 
   server::Worker worker(options);
