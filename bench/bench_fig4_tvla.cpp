@@ -3,8 +3,9 @@
 // per-gate t-value series (binned ASCII profile) and exports the raw series
 // as CSV.
 //
-// First come the kernel probes (plain aes_sbox, its early-stop variant, and
-// masked square and des3); POLARIS_BENCH_KERNEL_ONLY=1 stops after them.
+// First come the kernel probes (plain aes_sbox, its early-stop variant,
+// plain des3, and masked square and des3); POLARIS_BENCH_KERNEL_ONLY=1
+// stops after them.
 // They use only public API, so this file also builds against older sources
 // for a same-host before/after comparison.
 #include <cmath>
@@ -49,6 +50,28 @@ std::vector<netlist::GateId> shuffled_maskable(const netlist::Netlist& design,
   return gates;
 }
 
+/// The best of three runs of one campaign, and its t-series hash.
+struct ProbeRun {
+  double seconds = 0.0;
+  std::string t_fnv1a;
+};
+
+ProbeRun best_of_three(const sim::CompiledDesignPtr& compiled,
+                       const techlib::TechLibrary& lib,
+                       const tvla::TvlaConfig& config) {
+  ProbeRun best;
+  for (int run = 0; run < 3; ++run) {
+    util::Timer timer;
+    const auto report =
+        tvla::run({.compiled = compiled, .lib = &lib, .config = config});
+    const double seconds = timer.seconds();
+    if (run == 0 || seconds < best.seconds) best.seconds = seconds;
+    const auto& t = report.t_values();
+    best.t_fnv1a = bench::fnv1a_hex(t.data(), t.size() * sizeof(double));
+  }
+  return best;
+}
+
 }  // namespace
 
 int main() {
@@ -77,12 +100,17 @@ int main() {
     // The width this combinational campaign ran at, and the kernel path
     // that width resolves to under the current SIMD policy.
     const std::size_t lane_words = sim::kDefaultLaneWords;
+    const auto runtime = obs::runtime_info();
+    const auto& sbox_t = report.t_values();
+    const std::string sbox_hash =
+        bench::fnv1a_hex(sbox_t.data(), sbox_t.size() * sizeof(double));
     std::printf("kernel probe: aes_sbox x4 (%zu gates) compiled in %.2fms "
                 "(%zu buf/not runs fused), %zu traces in %.3fs "
-                "(%zu-word blocks, %s), %zu leaky\n\n",
+                "(%zu-word blocks, %s), %zu leaky, t-series fnv1a %s\n\n",
                 sbox.gate_count(), compile_ms, compiled->fused_run_count(),
                 setup.traces, kernel_seconds, lane_words,
-                sim::simd_name(lane_words), report.leaky_count());
+                sim::simd_name(lane_words), report.leaky_count(),
+                sbox_hash.c_str());
     bench::JsonLine("fig4_tvla_kernel")
         .field("design", "aes_sbox")
         .field("gates", sbox.gate_count())
@@ -98,6 +126,10 @@ int main() {
                    ? static_cast<double>(setup.traces) / kernel_seconds
                    : 0.0,
                1)
+        .field("t_fnv1a", sbox_hash)
+        .field("nproc", std::thread::hardware_concurrency())
+        .field("cpu", bench::cpu_model())
+        .field("build_type", runtime.build_type)
         .print();
     // --- adaptive probe: early-stop budget vs the fixed budget -----------
     // Same campaign with TvlaBudget enabled (floor = traces/32, default
@@ -140,6 +172,38 @@ int main() {
           .field("campaign_seconds", adaptive_seconds)
           .print();
     }
+    // --- plain des3 probe: the suite's heaviest single-group readout -----
+    // des3 at scale 1.0 on one thread, best of three runs, host-stamped;
+    // the t-series hash must match across builds and SIMD modes.
+    {
+      const auto des3 = circuits::get_design("des3", 1.0);
+      const auto compiled_des3 = sim::compile(des3.netlist);
+      tvla::TvlaConfig des3_config = config;
+      des3_config.threads = 1;
+      const ProbeRun run = best_of_three(compiled_des3, setup.lib, des3_config);
+      const double traces_per_sec =
+          run.seconds > 0.0 ? static_cast<double>(setup.traces) / run.seconds
+                            : 0.0;
+      std::printf("kernel probe: des3 (%zu gates), %zu traces in %.3fs on 1 "
+                  "thread, t-series fnv1a %s\n\n",
+                  des3.netlist.gate_count(), setup.traces, run.seconds,
+                  run.t_fnv1a.c_str());
+      bench::JsonLine("fig4_tvla_kernel")
+          .field("design", "des3")
+          .field("scale", 1.0, 2)
+          .field("gates", des3.netlist.gate_count())
+          .field("traces", setup.traces)
+          .field("threads", std::size_t{1})
+          .field("lane_words", lane_words)
+          .field("simd", sim::simd_name(lane_words))
+          .field("campaign_seconds", run.seconds)
+          .field("traces_per_sec", traces_per_sec, 1)
+          .field("t_fnv1a", run.t_fnv1a)
+          .field("nproc", std::thread::hardware_concurrency())
+          .field("cpu", bench::cpu_model())
+          .field("build_type", runtime.build_type)
+          .print();
+    }
     // --- masked probe: the multi-member-group readout -------------------
     // Masked square and des3 (200 maskable gates drawn by a seeded shuffle,
     // Trichina) on one thread. Every masked composite and every reader
@@ -148,7 +212,6 @@ int main() {
     // t-series hash must match across builds, and each row carries the
     // host fingerprint.
     {
-      const auto runtime = obs::runtime_info();
       for (const char* name : {"square", "des3"}) {
         const auto design = circuits::get_design(name, setup.scale);
         const auto masked = masking::apply_masking(
@@ -158,26 +221,15 @@ int main() {
         const power::SamplePlan plan(*compiled_masked, power);
         tvla::TvlaConfig masked_config = config;
         masked_config.threads = 1;
-        double best_seconds = 0.0;
-        std::string hash;
-        for (int run = 0; run < 3; ++run) {
-          util::Timer timer;
-          const auto masked_report = tvla::run({.compiled = compiled_masked,
-                                                .lib = &setup.lib,
-                                                .config = masked_config});
-          const double seconds = timer.seconds();
-          if (run == 0 || seconds < best_seconds) best_seconds = seconds;
-          const auto& t = masked_report.t_values();
-          hash = bench::fnv1a_hex(t.data(), t.size() * sizeof(double));
-        }
+        const ProbeRun run =
+            best_of_three(compiled_masked, setup.lib, masked_config);
         const double traces_per_sec =
-            best_seconds > 0.0
-                ? static_cast<double>(setup.traces) / best_seconds
-                : 0.0;
+            run.seconds > 0.0 ? static_cast<double>(setup.traces) / run.seconds
+                              : 0.0;
         std::printf("masked probe: %s, %zu gates masked (%zu multi groups), "
                     "%zu traces in %.3fs on 1 thread, t-series fnv1a %s\n\n",
                     name, masked.masked_gates, plan.multi_group_count(),
-                    setup.traces, best_seconds, hash.c_str());
+                    setup.traces, run.seconds, run.t_fnv1a.c_str());
         bench::JsonLine("fig4_tvla_masked_kernel")
             .field("design", name)
             .field("scale", setup.scale, 2)
@@ -186,9 +238,9 @@ int main() {
             .field("traces", setup.traces)
             .field("threads", std::size_t{1})
             .field("lane_words", lane_words)
-            .field("campaign_seconds", best_seconds)
+            .field("campaign_seconds", run.seconds)
             .field("traces_per_sec", traces_per_sec, 1)
-            .field("t_fnv1a", hash)
+            .field("t_fnv1a", run.t_fnv1a)
             .field("nproc", std::thread::hardware_concurrency())
             .field("cpu", bench::cpu_model())
             .field("build_type", runtime.build_type)

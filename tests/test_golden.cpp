@@ -196,6 +196,31 @@ TEST(Golden, TvlaMaskedMemctrlSequential) {
   check_series("tvla_masked_memctrl.csv", "gate,t", report.t_values());
 }
 
+// Lane-block coverage. At 1024 traces the ShardPlan cuts 16 one-batch
+// shards, so every combinational block above samples 1 word of 4. At 3072
+// traces every shard holds 3 batches (each block a 3-word tail); at 4096,
+// 4 batches (each block full).
+
+void check_square_blocks(std::size_t traces, bool masked) {
+  const auto design = circuits::get_design("square", 0.4);
+  auto config = tvla_golden_config();
+  config.traces = traces;
+  const auto report =
+      masked ? tvla::run_fixed_vs_random(
+                   masked_design(design.netlist, 60,
+                                 masking::Scheme::kTrichina),
+                   lib(), config)
+             : tvla::run_fixed_vs_random(design.netlist, lib(), config);
+  check_series(std::string(masked ? "tvla_masked_square_" : "tvla_square_") +
+                   std::to_string(traces) + ".csv",
+               "gate,t", report.t_values());
+}
+
+TEST(Golden, TvlaSquareTailBlocks) { check_square_blocks(3072, false); }
+TEST(Golden, TvlaSquareFullBlocks) { check_square_blocks(4096, false); }
+TEST(Golden, TvlaMaskedSquareTailBlocks) { check_square_blocks(3072, true); }
+TEST(Golden, TvlaMaskedSquareFullBlocks) { check_square_blocks(4096, true); }
+
 // --- score_gates through a fixed-seed trained model --------------------------
 
 /// Small but real: Algorithm 1 on two training designs, AdaBoost fit, rule
