@@ -5,7 +5,11 @@
 // every active gate (nonzero switching energy) to its compiled toggle slot
 // and pre-buckets the set by TVLA group:
 //  * singles - groups with exactly one active member: the binary-counting
-//    fast path (per-trace sample is 0 or the member's energy);
+//    fast path (per-trace sample is 0 or the member's energy). Nothing
+//    here reads their toggle words: the simulator's counting eval
+//    (sim::Simulator::eval_counting) counts every written slot's toggles
+//    by class in its write step, and the campaign adds each single's slot
+//    counts into its moments once per shard (tvla.cpp);
 //  * multis  - members of groups with >= 2 active cells (masked composite
 //    gates, and readers charged a demask XOR), sorted by group: one
 //    contiguous run of (toggle slot, multi index, energy) per group.
@@ -25,7 +29,8 @@
 //     updates over the tile's structure-of-arrays mean/S2 state.
 // The two classes' states never meet before finalize, so pushing a word's
 // fixed lanes before its random ones changes nothing either class sees.
-// Integer single counters are order-free.
+// Integer single counters are order-free, which is why they can be counted
+// at write time and flushed per shard.
 //
 // Two kernels implement the readout (sample_plan_kernels.hpp), chosen per
 // block by the sim::simd policy (sim::avx2_enabled()): a portable one
@@ -41,7 +46,9 @@
 // one-word-at-a-time path produced, so every block width gives the same
 // bits. Tail contract: only the first `active_words` words of a block are
 // sampled; trailing words (trace counts not divisible by 64*K) are
-// evaluated but never read.
+// evaluated but never read. Each campaign compiles its design once (a
+// batch of audits compiles its designs on the lanes: core::submit_audits,
+// server::WorkerPool::audit) and builds this plan once in its ShardRunner.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +75,7 @@ class SamplePlan {
   /// `compiled` must be a plan for the same netlist `power` was built on.
   SamplePlan(const sim::CompiledDesign& compiled, const PowerModel& power);
 
-  /// One lone-member group: read one toggle word, count set lanes.
+  /// One lone-member group: its toggle slot's counts are its samples.
   struct SingleOp {
     std::uint32_t toggle_slot;
     netlist::GateId group;
@@ -118,7 +125,7 @@ class SamplePlan {
     return single_energy_[group];
   }
 
-  /// Fused toggle/energy readout of one K-word lane block.
+  /// Multi-group readout of one K-word lane block, and its class counts.
   ///   toggle_words - blocked array (slot s owns words [s*K, (s+1)*K))
   ///   lane_words   - K, the simulator's block width
   ///   active_words - words actually carrying sampled batches (tail: < K)
@@ -127,30 +134,13 @@ class SamplePlan {
   ///                  call; each call leaves it ready for the next
   ///   moments      - tvla::CampaignMoments-shaped sink (template keeps the
   ///                  power module independent of the tvla module)
-  /// Singles feed exact integer counters; multi groups go through
-  /// read_multis() - the accumulation-order contract above.
+  /// Multi groups go through read_multis() - the accumulation-order
+  /// contract above. Singles are not read here (see the file comment).
   template <class Moments>
   void sample(const std::uint64_t* toggle_words, std::size_t lane_words,
               std::size_t active_words, const std::uint64_t* class_masks,
               double* scratch, Moments& moments) const {
     constexpr std::size_t kLanesPerWord = 64;
-    for (const SingleOp& op : singles_) {
-      const std::uint64_t* block =
-          toggle_words + static_cast<std::size_t>(op.toggle_slot) * lane_words;
-      std::uint64_t fixed_ones = 0;
-      std::uint64_t random_ones = 0;
-      bool any = false;
-      for (std::size_t w = 0; w < active_words; ++w) {
-        const std::uint64_t toggles = block[w];
-        if (toggles == 0) continue;
-        any = true;
-        fixed_ones += static_cast<std::uint64_t>(
-            __builtin_popcountll(toggles & class_masks[w]));
-        random_ones += static_cast<std::uint64_t>(
-            __builtin_popcountll(toggles & ~class_masks[w]));
-      }
-      if (any) moments.add_single_ones(op.group, fixed_ones, random_ones);
-    }
     // The multi readout reads the class counts from before the block.
     if (!multi_group_ids_.empty()) {
       read_multis(toggle_words, lane_words, active_words, class_masks,

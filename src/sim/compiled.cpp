@@ -222,24 +222,69 @@ CompiledDesign::CompiledDesign(const netlist::Netlist& netlist)
 }
 
 void CompiledDesign::eval_comb(std::uint64_t* values, std::uint64_t* toggles,
-                               std::size_t lane_words,
-                               bool record_toggles) const {
-  detail::resolve_eval_fn(lane_words, record_toggles)(*this, values, toggles);
+                               std::size_t lane_words, detail::ToggleMode mode,
+                               const ToggleCounter* counter) const {
+  detail::resolve_eval_fn(lane_words, mode)(*this, values, toggles, counter);
 }
 
 namespace detail {
+
+namespace {
+
+// The portable counting entries. The library targets baseline x86-64,
+// where __builtin_popcountll compiles to a multi-op bit-twiddling
+// sequence, and a counting eval takes two popcounts per written word.
+// target_clones emits a second clone of each entry (kernel body inlined by
+// `flatten`) compiled with the hardware popcnt instruction, and the
+// loader's ifunc resolver picks it on CPUs that have it: the same integer
+// counts, no per-call dispatch cost. The AVX2 unit needs no clone: it
+// counts with vector instructions. ThreadSanitizer builds keep only the
+// default clone: the instrumented ifunc resolver runs during relocation,
+// before the TSan runtime is up, and crashes the binary at start-up.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
+#define POLARIS_POPCNT_CLONES \
+  __attribute__((target_clones("popcnt", "default"), flatten))
+#else
+#define POLARIS_POPCNT_CLONES
+#endif
+
+POLARIS_POPCNT_CLONES
+void count_eval_1(const CompiledDesign& plan, std::uint64_t* values,
+                  std::uint64_t* toggles, const ToggleCounter* counter) {
+  KernelAccess::eval<U64Block<1>, ToggleMode::kCount>(plan, values, toggles,
+                                                      counter);
+}
+
+POLARIS_POPCNT_CLONES
+void count_eval_4(const CompiledDesign& plan, std::uint64_t* values,
+                  std::uint64_t* toggles, const ToggleCounter* counter) {
+  KernelAccess::eval<U64Block<4>, ToggleMode::kCount>(plan, values, toggles,
+                                                      counter);
+}
+
+#undef POLARIS_POPCNT_CLONES
+
+template <std::size_t W>
+EvalFn portable_entry(ToggleMode mode) noexcept {
+  switch (mode) {
+    case ToggleMode::kSkip:
+      return &KernelAccess::eval<U64Block<W>, ToggleMode::kSkip>;
+    case ToggleMode::kRecord:
+      return &KernelAccess::eval<U64Block<W>, ToggleMode::kRecord>;
+    case ToggleMode::kCount:
+      return W == 1 ? &count_eval_1 : &count_eval_4;
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 // Portable kernel table: the shared template (compiled_kernels.hpp) over
 // unrolled-uint64 blocks, one instantiation per valid width (1 and 4
 // words) and toggle mode. The AVX2 entries live in compiled_avx2.cpp, the
 // only TU built with -mavx2.
-EvalFn portable_kernel(std::size_t lane_words, bool record_toggles) noexcept {
-  if (lane_words == 1) {
-    return record_toggles ? &KernelAccess::eval<U64Block<1>, true>
-                          : &KernelAccess::eval<U64Block<1>, false>;
-  }
-  return record_toggles ? &KernelAccess::eval<U64Block<4>, true>
-                        : &KernelAccess::eval<U64Block<4>, false>;
+EvalFn portable_kernel(std::size_t lane_words, ToggleMode mode) noexcept {
+  return lane_words == 1 ? portable_entry<1>(mode) : portable_entry<4>(mode);
 }
 
 }  // namespace detail

@@ -42,6 +42,12 @@
 // exactly matching the reference snapshot semantics. sim::ReferenceSimulator
 // (reference.hpp) keeps the old gate-by-gate evaluator as the oracle the
 // property tests compare against.
+//
+// Counting form: while `old ^ new` is still in a register, a counting eval
+// also adds each written slot's class-split toggle counts into a
+// caller-owned ToggleCount per slot (ToggleCounter below). TVLA campaigns
+// count their single-member groups this way instead of re-reading the
+// stored toggle words after the eval.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +62,13 @@ class Simulator;
 
 namespace detail {
 struct KernelAccess;
+
+/// What the combinational wave does with each write's toggle word: kSkip
+/// elides the toggle stores for evals whose transition nothing reads (the
+/// values wave is unchanged; the toggle array then holds stale data until
+/// the next recording eval rewrites it), kRecord stores it, and kCount
+/// stores it and adds its counts into a ToggleCounter.
+enum class ToggleMode : std::uint8_t { kSkip, kRecord, kCount };
 }  // namespace detail
 
 /// Write-time toggle update - THE invariant behind every bit-identity
@@ -67,6 +80,25 @@ inline void write_slot(std::uint64_t* values, std::uint64_t* toggles,
   toggles[slot] = values[slot] ^ value;
   values[slot] = value;
 }
+
+/// One slot's toggle counts, summed over the evals that counted it: over
+/// each eval's lane words w, `fixed` adds popcount(toggle_w & fixed_w) and
+/// `total` adds popcount(toggle_w & active_w).
+struct ToggleCount {
+  std::uint64_t fixed = 0;
+  std::uint64_t total = 0;
+};
+
+/// Where a counting eval adds its counts: `counts` holds one ToggleCount
+/// per slot (slot_count() entries, owned by the caller), and each mask
+/// array one word per lane word - the fixed-class lanes, and the lanes that
+/// are sampled at all (all ones for a sampled word, zero for a block's
+/// unsampled tail words, whose fixed mask must then be zero too).
+struct ToggleCounter {
+  ToggleCount* counts;
+  const std::uint64_t* fixed_masks;
+  const std::uint64_t* active_masks;
+};
 
 class CompiledDesign {
  public:
@@ -131,15 +163,14 @@ class CompiledDesign {
   /// std::invalid_argument for cells the combinational wave cannot evaluate.
   static OpKernel select_kernel(netlist::CellType type, std::size_t fan_in);
 
-  /// Runs the full combinational wave over blocked `values`, recording
-  /// write-time toggles into `toggles` (both sized slot_count() *
-  /// lane_words, slot-major). Dispatches once per eval to the kernel the
-  /// current SIMD policy selects for this width (sim/simd.hpp).
-  /// `record_toggles = false` elides the toggle stores for evals whose
-  /// transition nothing reads (the values wave is unchanged); `toggles`
-  /// then holds stale data until the next recording eval rewrites it.
+  /// Runs the full combinational wave over blocked `values`, with
+  /// write-time toggles in `toggles` (both sized slot_count() *
+  /// lane_words, slot-major) handled as `mode` says; `counter` is read
+  /// only by kCount. Dispatches once per eval to the kernel the current
+  /// SIMD policy selects for this width (sim/simd.hpp).
   void eval_comb(std::uint64_t* values, std::uint64_t* toggles,
-                 std::size_t lane_words, bool record_toggles = true) const;
+                 std::size_t lane_words, detail::ToggleMode mode,
+                 const ToggleCounter* counter) const;
 
   const netlist::Netlist* netlist_;
   std::vector<std::uint32_t> slot_of_net_;      // NetId -> slot

@@ -4,12 +4,15 @@
 // type and instantiated per (width, instruction set): compiled.cpp stamps
 // out the portable U64Block entries for both valid widths (1 and 4
 // words), and compiled_avx2.cpp (built with -mavx2) stamps out the
-// __m256i entry for the 4-word width. A block type provides
-//   kWords, load/store, zeros/ones, and the bitwise operators & | ^ ~
-// and nothing else - the kernel bodies, the prelude execution, and the
-// write-time toggle update are identical across instantiations, which is
-// what makes "forced portable vs forced AVX2 produce identical words" a
-// property of construction rather than of testing luck.
+// __m256i entry for the 4-word width, each in three toggle modes
+// (ToggleMode, compiled.hpp). A block type provides
+//   kWords, load/store, zeros/ones, the bitwise operators & | ^ ~, and
+//   count() (a written slot's two toggle counts, ToggleCounter)
+// and nothing else - the kernel bodies, the prelude execution, the
+// write-time toggle update and its counts are identical across
+// instantiations, which is what makes "forced portable vs forced AVX2
+// produce identical words and counts" a property of construction rather
+// than of testing luck.
 //
 // This header is internal to src/sim: nothing outside the kernel
 // translation units should include it.
@@ -23,8 +26,10 @@
 namespace polaris::sim::detail {
 
 /// One fully-specialized evaluator: runs the whole combinational wave over
-/// blocked values/toggles arrays (slot i owns words [i*W, (i+1)*W)).
-using EvalFn = void (*)(const CompiledDesign&, std::uint64_t*, std::uint64_t*);
+/// blocked values/toggles arrays (slot i owns words [i*W, (i+1)*W)); only
+/// the counting instantiations read the ToggleCounter.
+using EvalFn = void (*)(const CompiledDesign&, std::uint64_t*, std::uint64_t*,
+                        const ToggleCounter*);
 
 /// Portable lane block: W unrolled uint64 words. The compiler's
 /// autovectorizer may still widen these loops, but correctness never
@@ -68,32 +73,58 @@ struct U64Block {
     for (std::size_t i = 0; i < W; ++i) a.w[i] = ~a.w[i];
     return a;
   }
+  /// Adds popcount(toggle & fixed) and popcount(toggle & active), summed
+  /// over the words, into `count`.
+  static void count(ToggleCount& count, U64Block toggle, U64Block fixed,
+                    U64Block active) noexcept {
+    for (std::size_t i = 0; i < W; ++i) {
+      count.fixed += static_cast<std::uint64_t>(
+          __builtin_popcountll(toggle.w[i] & fixed.w[i]));
+      count.total += static_cast<std::uint64_t>(
+          __builtin_popcountll(toggle.w[i] & active.w[i]));
+    }
+  }
 };
 
 /// Friend gateway into CompiledDesign's private plan arrays: the kernel
 /// template needs the run list and slot tables but nothing else does.
 ///
-/// WithToggles=false skips the toggle computation and store entirely - the
+/// ToggleMode::kSkip skips the toggle computation and store entirely - the
 /// value wave is identical, only the side channel recording is elided.
 /// Used for "scaffolding" evals whose toggles nothing ever reads (e.g. the
 /// base-state pass of a fixed-vs-random trace pair, where only the
 /// base->target transition is sampled and the target pass recomputes every
 /// toggle from the values array). Each elided write saves a load, an XOR,
-/// and a store per op output.
+/// and a store per op output. ToggleMode::kCount also adds every written
+/// slot's two counts (ToggleCounter) while the toggle block is in
+/// registers.
 struct KernelAccess {
-  template <class Block, bool WithToggles = true>
+  template <class Block, ToggleMode Mode>
   static void eval(const CompiledDesign& plan, std::uint64_t* values,
-                   [[maybe_unused]] std::uint64_t* toggles) {
+                   [[maybe_unused]] std::uint64_t* toggles,
+                   [[maybe_unused]] const ToggleCounter* counter) {
     constexpr std::size_t W = Block::kWords;
     const auto load = [&](std::uint32_t slot) {
       return Block::load(values + static_cast<std::size_t>(slot) * W);
     };
+    [[maybe_unused]] Block fixed = Block::zeros();
+    [[maybe_unused]] Block active = Block::zeros();
+    [[maybe_unused]] ToggleCount* counts = nullptr;
+    if constexpr (Mode == ToggleMode::kCount) {
+      fixed = Block::load(counter->fixed_masks);
+      active = Block::load(counter->active_masks);
+      counts = counter->counts;
+    }
     // Blocked form of write_slot: each slot is written at most once per
     // eval, so old XOR new is the per-word toggle.
     const auto write = [&](std::uint32_t slot, Block v) {
       const std::size_t off = static_cast<std::size_t>(slot) * W;
-      if constexpr (WithToggles) {
-        (Block::load(values + off) ^ v).store(toggles + off);
+      if constexpr (Mode != ToggleMode::kSkip) {
+        const Block toggle = Block::load(values + off) ^ v;
+        toggle.store(toggles + off);
+        if constexpr (Mode == ToggleMode::kCount) {
+          Block::count(counts[slot], toggle, fixed, active);
+        }
       }
       v.store(values + off);
     };
@@ -196,17 +227,16 @@ struct KernelAccess {
   }
 };
 
-/// Portable evaluator for a valid width (1 or 4 words).
-/// `record_toggles=false` selects the toggle-eliding instantiation.
+/// Portable evaluator for a valid width (1 or 4 words) and toggle mode.
 [[nodiscard]] EvalFn portable_kernel(std::size_t lane_words,
-                                     bool record_toggles) noexcept;
+                                     ToggleMode mode) noexcept;
 /// AVX2 evaluator for the 4-word block; nullptr when the build lacks the
 /// -mavx2 unit.
-[[nodiscard]] EvalFn avx2_kernel(bool record_toggles) noexcept;
+[[nodiscard]] EvalFn avx2_kernel(ToggleMode mode) noexcept;
 [[nodiscard]] bool avx2_built_impl() noexcept;
 /// Applies the SimdMode / CPUID policy (simd.hpp) to pick the evaluator
 /// for a dispatch at a valid width. Never returns nullptr.
 [[nodiscard]] EvalFn resolve_eval_fn(std::size_t lane_words,
-                                     bool record_toggles) noexcept;
+                                     ToggleMode mode) noexcept;
 
 }  // namespace polaris::sim::detail

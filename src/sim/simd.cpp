@@ -71,11 +71,11 @@ const char* simd_name(std::size_t lane_words) noexcept {
 
 namespace detail {
 
-EvalFn resolve_eval_fn(std::size_t lane_words, bool record_toggles) noexcept {
+EvalFn resolve_eval_fn(std::size_t lane_words, ToggleMode mode) noexcept {
   // simd_active() implies the AVX2 unit is built: kAuto asks avx2_built()
   // and set_simd_mode refuses kAvx2 without it.
-  if (simd_active(lane_words)) return avx2_kernel(record_toggles);
-  return portable_kernel(lane_words, record_toggles);
+  if (simd_active(lane_words)) return avx2_kernel(mode);
+  return portable_kernel(lane_words, mode);
 }
 
 }  // namespace detail

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -58,35 +59,57 @@ void Simulator::set_inputs_random() {
 }
 
 void Simulator::eval(bool record_toggles) {
-  // Source refresh, then the compiled combinational wave over the full
-  // lane block. Toggles are recorded as each word is written;
+  refresh_sources(nullptr);
+  compiled_->eval_comb(values_.data(), toggles_.data(), lane_words_,
+                       record_toggles ? detail::ToggleMode::kRecord
+                                      : detail::ToggleMode::kSkip,
+                       nullptr);
+}
+
+void Simulator::eval_counting(const ToggleCounter& counter) {
+  refresh_sources(&counter);
+  compiled_->eval_comb(values_.data(), toggles_.data(), lane_words_,
+                       detail::ToggleMode::kCount, &counter);
+}
+
+void Simulator::refresh_sources(const ToggleCounter* counter) {
+  // Source refresh ahead of the compiled combinational wave. Toggles are
+  // recorded as each word is written (the blocked write_slot);
   // primary-input slots were staged by set_input* outside eval(), so
   // their toggles stay 0 (PI pad power is excluded by the tech library
   // anyway). kRand refresh draws slot-ascending per word stream - the
   // same per-stream order the reference simulator's source sweep uses.
   const CompiledDesign& plan = *compiled_;
   const std::size_t K = lane_words_;
+  const auto write = [&](std::uint32_t slot, std::size_t w,
+                         std::uint64_t value) {
+    const std::size_t offset = static_cast<std::size_t>(slot) * K + w;
+    const std::uint64_t toggle = values_[offset] ^ value;
+    toggles_[offset] = toggle;
+    values_[offset] = value;
+    if (counter != nullptr) {
+      ToggleCount& count = counter->counts[slot];
+      count.fixed += static_cast<std::uint64_t>(
+          std::popcount(toggle & counter->fixed_masks[w]));
+      count.total += static_cast<std::uint64_t>(
+          std::popcount(toggle & counter->active_masks[w]));
+    }
+  };
 
   for (const std::uint32_t slot : plan.const0_slots_) {
-    const std::size_t base = static_cast<std::size_t>(slot) * K;
-    for (std::size_t w = 0; w < K; ++w) write_word(base + w, 0);
+    for (std::size_t w = 0; w < K; ++w) write(slot, w, 0);
   }
   for (const std::uint32_t slot : plan.const1_slots_) {
-    const std::size_t base = static_cast<std::size_t>(slot) * K;
-    for (std::size_t w = 0; w < K; ++w) write_word(base + w, ~0ULL);
+    for (std::size_t w = 0; w < K; ++w) write(slot, w, ~0ULL);
   }
   for (const std::uint32_t slot : plan.rand_slots_) {
-    const std::size_t base = static_cast<std::size_t>(slot) * K;
-    for (std::size_t w = 0; w < K; ++w) write_word(base + w, rngs_[w]());
+    for (std::size_t w = 0; w < K; ++w) write(slot, w, rngs_[w]());
   }
   for (std::size_t i = 0; i < plan.dff_qd_slots_.size(); ++i) {
-    const std::size_t base =
-        static_cast<std::size_t>(plan.dff_qd_slots_[i].first) * K;
     for (std::size_t w = 0; w < K; ++w) {
-      write_word(base + w, dff_state_[i * K + w]);
+      write(plan.dff_qd_slots_[i].first, w, dff_state_[i * K + w]);
     }
   }
-  plan.eval_comb(values_.data(), toggles_.data(), K, record_toggles);
 }
 
 void Simulator::latch() {

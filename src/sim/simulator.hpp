@@ -33,6 +33,9 @@
 // input to the Hamming-distance power model (power module) and to TVLA
 // accumulation. They are maintained at write time by the kernel - slots not
 // written by eval(), i.e. primary inputs staged via set_input*, read as 0.
+// eval_counting() also counts each written slot's toggles by class as it
+// writes them (sim::ToggleCounter): TVLA campaigns read their
+// single-member groups from those counts.
 //
 // Model notes (documented substitutions, see DESIGN.md):
 //  * zero-delay evaluation - no glitch power;
@@ -95,6 +98,11 @@ class Simulator {
   /// a TVLA trace pair; the next recording eval rewrites every gate's
   /// toggle from the values array, so sampled toggles are unaffected.
   void eval(bool record_toggles = true);
+  /// eval() that also adds every written slot's toggle counts into
+  /// `counter` (compiled.hpp): sources in the refresh, the rest in the
+  /// combinational wave's write step. Slots eval() does not write add
+  /// nothing. Values, toggle words and RNG consumption match eval().
+  void eval_counting(const ToggleCounter& counter);
   /// Commits DFF next state (q <= d) for every lane word. No-op for purely
   /// combinational designs.
   void latch();
@@ -145,11 +153,9 @@ class Simulator {
   [[nodiscard]] std::vector<bool> eval_single(const std::vector<bool>& bits);
 
  private:
-  /// Per-word staged write with write-time toggle (blocked write_slot).
-  void write_word(std::size_t offset, std::uint64_t value) {
-    toggles_[offset] = values_[offset] ^ value;
-    values_[offset] = value;
-  }
+  /// Source refresh (constants, fresh mask randomness, DFF state) with
+  /// write-time toggles, counted into `counter` when it is non-null.
+  void refresh_sources(const ToggleCounter* counter);
 
   CompiledDesignPtr compiled_;
   std::size_t lane_words_;

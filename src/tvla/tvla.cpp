@@ -81,30 +81,6 @@ std::vector<bool> derive_fixed_vector(std::size_t n, std::uint64_t seed) {
   return bits;
 }
 
-/// Out-of-line instantiation point for the blocked readout. The library
-/// targets baseline x86-64, where __builtin_popcountll compiles to a
-/// multi-op bit-twiddling sequence - and two popcounts per (single op,
-/// lane word) dominate the single-group loop. target_clones emits a second
-/// clone of this function (template body inlined) compiled with the
-/// hardware popcnt instruction and picks it via the loader's ifunc
-/// resolver on CPUs that have it: same integer results, no portability
-/// loss, no per-call dispatch cost. The multi-group readout is an
-/// out-of-line call whose kernel the sim::simd policy picks instead
-/// (power/sample_plan.hpp), so POLARIS_SIMD=off reaches it.
-/// ThreadSanitizer builds keep only the default clone: the instrumented
-/// ifunc resolver runs during relocation, before the TSan runtime is up,
-/// and crashes the binary at start-up.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
-__attribute__((target_clones("popcnt", "default")))
-#endif
-void sample_block(const power::SamplePlan& plan,
-                  const std::uint64_t* toggle_words, std::size_t lane_words,
-                  std::size_t active_words, const std::uint64_t* class_masks,
-                  double* scratch, CampaignMoments& moments) {
-  plan.sample(toggle_words, lane_words, active_words, class_masks, scratch,
-              moments);
-}
-
 }  // namespace
 
 /// Thin protocol layer: owns the campaign-wide, read-only context (the
@@ -205,18 +181,22 @@ struct ShardRunner::Impl {
   /// Runs shard `shard` of the campaign's ShardPlan into a fresh moments
   /// block: blocks of up to lane_words_ batches, re-anchored at the shard
   /// begin, so the result is the shard state any scheduler, thread count,
-  /// or host produces. The simulator and readout scratch die with the
-  /// call; only the moments travel on to the merge.
+  /// or host produces. The simulator, toggle counts and readout scratch
+  /// die with the call; only the moments travel on to the merge.
   [[nodiscard]] CampaignMoments run_shard(std::size_t shard) const {
     ShardState state{
         sim::Simulator(compiled_, /*seed=*/0, lane_words_),
         std::vector<util::Xoshiro256>(lane_words_, util::Xoshiro256(0)),
-        std::vector<std::uint64_t>(lane_words_, 0), empty_moments(),
+        std::vector<std::uint64_t>(lane_words_, 0),
+        std::vector<std::uint64_t>(lane_words_, 0),
+        std::vector<sim::ToggleCount>(compiled_->slot_count()),
+        empty_moments(),
         std::vector<double>(power::SamplePlan::kScratchDoubles, 0.0)};
     const std::size_t end = shards_.end(shard);
     for (std::size_t b = shards_.begin(shard); b < end; b += lane_words_) {
       run_block(state, b, std::min(lane_words_, end - b));
     }
+    flush_singles(state);
     return std::move(state.moments);
   }
 
@@ -226,15 +206,23 @@ struct ShardRunner::Impl {
   }
 
   /// Everything one shard mutates: its own K-word simulator, one
-  /// per-batch stimulus stream and class mask per lane word, the mergeable
-  /// statistics, and one tile of multi-group lane sums (the fused power
-  /// accumulation - no per-lane power vector is ever materialized).
+  /// per-batch stimulus stream, class mask and sampled-lane mask per lane
+  /// word, the toggle counts of every slot (sim::ToggleCounter; only the
+  /// single groups' slots are ever read), the mergeable statistics, and
+  /// one tile of multi-group lane sums (the fused power accumulation - no
+  /// per-lane power vector is ever materialized).
   struct ShardState {
     sim::Simulator simulator;
     std::vector<util::Xoshiro256> stimulus;   // one stream per lane word
     std::vector<std::uint64_t> class_masks;   // per-word fixed-class mask
+    std::vector<std::uint64_t> active_masks;  // ~0 sampled, 0 tail word
+    std::vector<sim::ToggleCount> counts;     // per slot, since the flush
     CampaignMoments moments;
     std::vector<double> scratch;  // power::SamplePlan::kScratchDoubles
+
+    [[nodiscard]] sim::ToggleCounter counter() {
+      return {counts.data(), class_masks.data(), active_masks.data()};
+    }
   };
 
   /// Fixed trace milestones (min_traces, 2x, 4x, ... strictly below the
@@ -373,7 +361,8 @@ struct ShardRunner::Impl {
   /// consumed when it ran alone, so any block width, shard, or thread
   /// reproduces it bit-identically. Tail blocks (words < lane_words_)
   /// evaluate the full simulator width but only seed and sample the
-  /// leading `words` lane words.
+  /// leading `words` lane words: the tail words' class and sampled-lane
+  /// masks are zero, so the counting eval adds nothing for them.
   void run_block(ShardState& state, std::size_t batch_begin,
                  std::size_t words) const {
     // One relaxed add per lane block (~64*words traces), NOT per trace:
@@ -388,6 +377,11 @@ struct ShardRunner::Impl {
           engine::stream_seed(config_.seed, index, kTagStimulus));
       state.class_masks[w] =
           engine::stream_seed(config_.seed, index, kTagClassMask);
+      state.active_masks[w] = ~0ULL;
+    }
+    for (std::size_t w = words; w < lane_words_; ++w) {
+      state.class_masks[w] = 0;
+      state.active_masks[w] = 0;
     }
 
     if (sequential_) {  // lane_words_ == 1: one batch per block
@@ -396,8 +390,12 @@ struct ShardRunner::Impl {
       for (std::size_t cycle = 0;
            cycle < config_.warmup_cycles + config_.cycles_per_batch; ++cycle) {
         apply_target_inputs(state, words);
-        state.simulator.eval();
-        if (cycle >= config_.warmup_cycles) sample(state, words);
+        if (cycle >= config_.warmup_cycles) {
+          state.simulator.eval_counting(state.counter());
+          sample(state, words);
+        } else {
+          state.simulator.eval();
+        }
         state.simulator.latch();
       }
       return;
@@ -414,20 +412,32 @@ struct ShardRunner::Impl {
     // eval recomputes every gate's toggle (base -> target) from values.
     state.simulator.eval(/*record_toggles=*/false);
     apply_target_inputs(state, words);
-    state.simulator.eval();
+    state.simulator.eval_counting(state.counter());
     sample(state, words);
   }
 
-  /// Fused toggle/energy readout of the block via the compiled sampling
-  /// plan (power::SamplePlan::sample): singles feed the binary counters,
-  /// multi groups are read out a tile at a time, each group's samples
-  /// summed in ascending-GateId order and pushed word-major - the
-  /// accumulation-order contract that keeps every t-stat bit-identical to
-  /// the one-word path.
+  /// Multi-group readout of the block via the compiled sampling plan
+  /// (power::SamplePlan::sample): multi groups are read out a tile at a
+  /// time, each group's samples summed in ascending-GateId order and
+  /// pushed word-major - the accumulation-order contract that keeps every
+  /// t-stat bit-identical to the one-word path. Single groups were counted
+  /// by the eval's write step; flush_singles() adds them once per shard.
   void sample(ShardState& state, std::size_t words) const {
-    sample_block(plan_, state.simulator.toggle_words(), lane_words_, words,
+    plan_.sample(state.simulator.toggle_words(), lane_words_, words,
                  state.class_masks.data(), state.scratch.data(),
                  state.moments);
+  }
+
+  /// Adds each single group's toggle counts, by class, into the shard's
+  /// moments, and clears them. Exact integers: counting at write time and
+  /// adding once per shard gives the counts a per-block readout gave.
+  void flush_singles(ShardState& state) const {
+    for (const power::SamplePlan::SingleOp& op : plan_.singles()) {
+      sim::ToggleCount& count = state.counts[op.toggle_slot];
+      state.moments.add_single_ones(op.group, count.fixed,
+                                    count.total - count.fixed);
+      count = {};
+    }
   }
 
   /// Per-group Welch t from (possibly partial) campaign moments - the one

@@ -4,7 +4,9 @@
 // and toggle words at 1- and 4-word lane blocks (per-lane energy is a
 // function of the toggle words); TVLA campaigns over the kernel are
 // checked bit-identical across 1/2/8 threads, across lane widths, and
-// against a campaign over a pre-compiled plan. tests/test_golden.cpp
+// against a campaign over a pre-compiled plan. The counting eval's
+// per-slot toggle counts are checked against the popcounts of the stored
+// toggle words. tests/test_golden.cpp
 // remains the end-to-end determinism lock (committed CSVs, byte-stable).
 #include <gtest/gtest.h>
 
@@ -518,6 +520,107 @@ TEST(CompiledKernel, ForcedPortableMatchesForcedAvx2) {
     EXPECT_EQ(portable_values, avx2_values) << "lane_words=" << lane_words;
     EXPECT_EQ(portable_toggles, avx2_toggles) << "lane_words=" << lane_words;
   }
+}
+
+/// Drives a counting simulator and a plain one in lockstep and checks, after
+/// every eval, that the counting eval left the same values and toggle
+/// words, and that each slot's counts equal the popcounts of its own stored
+/// toggle words over the sampled words: fixed-class lanes into `fixed`,
+/// every sampled lane into `total`. The sampled word count cycles through
+/// full blocks and tails; tail words carry zero masks.
+void expect_counts_match_toggles(const netlist::Netlist& design,
+                                 std::size_t lane_words, bool latch) {
+  const auto compiled = sim::compile(design);
+  sim::Simulator counting(compiled, 21, lane_words);
+  sim::Simulator plain(compiled, 21, lane_words);
+  std::vector<sim::ToggleCount> counts(compiled->slot_count());
+  std::vector<sim::ToggleCount> expected(compiled->slot_count());
+  std::vector<std::uint64_t> fixed(lane_words), active(lane_words);
+  util::Xoshiro256 stimulus(0xc0417ull);
+  const std::size_t sampled_words[] = {lane_words, lane_words == 4 ? 3u : 1u,
+                                       lane_words, 1u};
+  for (std::size_t c = 0; c < 8; ++c) {
+    const std::size_t sampled = sampled_words[c % 4];
+    for (std::size_t w = 0; w < lane_words; ++w) {
+      fixed[w] = w < sampled ? stimulus() : 0;
+      active[w] = w < sampled ? ~0ULL : 0;
+    }
+    for (std::size_t i = 0; i < design.primary_inputs().size(); ++i) {
+      for (std::size_t w = 0; w < lane_words; ++w) {
+        const std::uint64_t word = stimulus();
+        counting.set_input_word(i, w, word);
+        plain.set_input_word(i, w, word);
+      }
+    }
+    counting.eval_counting({counts.data(), fixed.data(), active.data()});
+    plain.eval();
+
+    const std::uint64_t* toggles = counting.toggle_words();
+    for (std::size_t slot = 0; slot < compiled->slot_count(); ++slot) {
+      for (std::size_t w = 0; w < sampled; ++w) {
+        const std::uint64_t t = toggles[slot * lane_words + w];
+        expected[slot].fixed +=
+            static_cast<std::uint64_t>(std::popcount(t & fixed[w]));
+        expected[slot].total += static_cast<std::uint64_t>(std::popcount(t));
+      }
+      ASSERT_EQ(counts[slot].fixed, expected[slot].fixed)
+          << "slot " << slot << " cycle " << c;
+      ASSERT_EQ(counts[slot].total, expected[slot].total)
+          << "slot " << slot << " cycle " << c;
+    }
+    for (NetId n = 0; n < design.net_count(); ++n) {
+      for (std::size_t w = 0; w < lane_words; ++w) {
+        ASSERT_EQ(counting.value_word(n, w), plain.value_word(n, w));
+      }
+    }
+    for (GateId g = 0; g < design.gate_count(); ++g) {
+      for (std::size_t w = 0; w < lane_words; ++w) {
+        ASSERT_EQ(counting.toggles_word(g, w), plain.toggles_word(g, w));
+      }
+    }
+    if (latch) {
+      counting.latch();
+      plain.latch();
+    }
+  }
+  std::uint64_t total = 0;
+  for (const auto& count : counts) total += count.total;
+  EXPECT_GT(total, 0u);
+}
+
+TEST(CompiledKernel, CountingEvalMatchesStoredToggles) {
+  // kRand sources are counted in the source refresh, op outputs in the
+  // kernel's write step; the sequential design adds DFF q sources.
+  circuits::RandomLogicConfig config;
+  config.inputs = 16;
+  config.gates = 220;
+  config.seed = 47;
+  const auto original = circuits::make_random_logic(config);
+  std::vector<GateId> targets;
+  for (GateId g = 0; g < original.gate_count(); ++g) {
+    if (netlist::is_maskable(original.gate(g).type) && g % 3 == 0) {
+      targets.push_back(g);
+    }
+  }
+  const auto masked = masking::apply_masking(original, targets);
+  ASSERT_GT(masked.added_rand_bits, 0u);
+  const auto sequential = circuits::get_design("memctrl", 0.25);
+
+  std::vector<sim::SimdMode> modes = {sim::SimdMode::kPortable};
+  if (sim::avx2_built() && sim::avx2_supported()) {
+    modes.push_back(sim::SimdMode::kAvx2);
+  }
+  for (const sim::SimdMode mode : modes) {
+    sim::set_simd_mode(mode);
+    for (const std::size_t lane_words : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "lane_words=" << lane_words << " avx2="
+                   << (mode == sim::SimdMode::kAvx2));
+      expect_counts_match_toggles(masked.design, lane_words, false);
+      expect_counts_match_toggles(sequential.netlist, lane_words, true);
+    }
+  }
+  sim::set_simd_mode(sim::SimdMode::kAuto);
 }
 
 TEST(CompiledKernel, MaskedCampaignForcedPortableMatchesForcedAvx2) {

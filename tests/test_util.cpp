@@ -167,11 +167,18 @@ TEST(Csv, EscapesSpecialCharacters) {
   EXPECT_NE(out.find("\"quote\"\"inside\""), std::string::npos);
 }
 
+/// Removes a file when the scope ends, on every exit path.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
 TEST(Csv, WriteFileRoundTrip) {
   CsvWriter csv({"h"});
   csv.add_row({"v"});
   const std::string path = testing::TempDir() + "/polaris_csv_test_" +
                            std::to_string(::getpid()) + ".csv";
+  const RemoveOnExit cleanup{path};
   csv.write_file(path);
   FILE* f = fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);

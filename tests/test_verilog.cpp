@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <string>
 
 #include "circuits/arith.hpp"
@@ -145,10 +146,17 @@ TEST(Verilog, DedupSuffixSkipsNamesAlreadyTaken) {
   }
 }
 
+/// Removes a file when the scope ends, on every exit path.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
 TEST(Verilog, FileRoundTrip) {
   const Netlist nl = polaris::circuits::make_adder(4);
   const std::string path = testing::TempDir() + "/polaris_adder4_" +
                            std::to_string(::getpid()) + ".v";
+  const RemoveOnExit cleanup{path};
   write_verilog_file(nl, path);
   const Netlist back = read_verilog_file(path);
   EXPECT_EQ(back.primary_outputs().size(), nl.primary_outputs().size());

@@ -525,19 +525,23 @@ std::vector<Format> formats() {
   return all;
 }
 
+/// Removes a file when the scope ends, on every exit path: a refused
+/// mutant throws out of load_bundle and must not leave its file behind.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
 /// Loads a bundle image through a file, then saves it again (with the
 /// dataset exactly when the image had one) and returns the saved bytes.
 Bytes resave_bundle(const Bytes& image) {
-  const std::string in_path = temp_path("polaris_golden_in.plb");
-  const std::string out_path = temp_path("polaris_golden_out.plb");
-  write_bytes(in_path, image);
+  const RemoveOnExit in{temp_path("polaris_golden_in.plb")};
+  const RemoveOnExit out{temp_path("polaris_golden_out.plb")};
+  write_bytes(in.path, image);
   core::BundleInfo info;
-  const auto loaded = core::Polaris::load_bundle(in_path, &info);
-  std::remove(in_path.c_str());
-  loaded.save_bundle(out_path, info.has_dataset);
-  const Bytes saved = read_bytes(out_path);
-  std::remove(out_path.c_str());
-  return saved;
+  const auto loaded = core::Polaris::load_bundle(in.path, &info);
+  loaded.save_bundle(out.path, info.has_dataset);
+  return read_bytes(out.path);
 }
 
 // --- golden CSV -------------------------------------------------------------

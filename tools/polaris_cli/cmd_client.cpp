@@ -160,15 +160,22 @@ std::string render_status_json(const server::StatusReply& reply) {
 
 void render_status_tables(const server::StatusReply& reply) {
   std::printf("=== polaris daemon: %s ===\n", reply.model_name.c_str());
+  // A daemon started without --metrics-file runs no sampler and reports
+  // interval 0.
+  std::string sampler = "metrics sampler off";
+  if (reply.sample_interval_ms != 0) {
+    sampler.clear();
+    util::appendf(sampler, "%llu metric samples (every %llums)",
+                  static_cast<unsigned long long>(reply.samples),
+                  static_cast<unsigned long long>(reply.sample_interval_ms));
+  }
   std::printf(
-      "uptime %.1fs, %llu requests, %llu/%llu connections active, "
-      "%llu metric samples (every %llums)\n",
+      "uptime %.1fs, %llu requests, %llu/%llu connections active, %s\n",
       static_cast<double>(reply.uptime_ms) / 1000.0,
       static_cast<unsigned long long>(reply.requests_served),
       static_cast<unsigned long long>(reply.connections_active),
       static_cast<unsigned long long>(reply.connections_total),
-      static_cast<unsigned long long>(reply.samples),
-      static_cast<unsigned long long>(reply.sample_interval_ms));
+      sampler.c_str());
   std::printf("\nin-flight requests (%zu):\n", reply.inflight.size());
   if (!reply.inflight.empty()) {
     util::Table table({"Kind", "Bytes", "Age (ms)"});
