@@ -86,9 +86,12 @@ std::vector<bool> derive_fixed_vector(std::size_t n, std::uint64_t seed) {
 /// Thin protocol layer: owns the campaign-wide, read-only context (the
 /// compiled design plan, power model, sampling plan, fixed vector) and
 /// defines how one shard of traces is stimulated and sampled. The design
-/// is compiled ONCE here; every shard's Simulator shares the plan, so
-/// per-shard setup never re-runs topological_order() or rebuilds a
-/// schedule. Placement and merging belong to engine::Scheduler; all
+/// is compiled ONCE per campaign - by the ShardRunner constructor, or by
+/// the caller that passes CampaignSpec::compiled (a batch of audits
+/// compiles its designs on the lanes: core::submit_audits,
+/// server::WorkerPool::audit) - and every shard's Simulator shares the
+/// plan, so per-shard setup never re-runs topological_order() or rebuilds
+/// a schedule. Placement and merging belong to engine::Scheduler; all
 /// mutable per-shard state lives in ShardState for the length of one
 /// run_shard call.
 struct ShardRunner::Impl {
