@@ -346,18 +346,12 @@ std::vector<std::future<tvla::LeakageReport>> submit_audits(
     engine::Scheduler& scheduler, std::span<const circuits::Design> designs,
     const techlib::TechLibrary& lib, const PolarisConfig& config,
     tvla::ProgressFn progress) {
-  // The designs compile side by side on the config's lanes, so the first
-  // shard does not wait for every plan to compile in turn.
-  std::vector<sim::CompiledDesignPtr> compiled(designs.size());
-  engine::ThreadPool::shared().parallel_for(
-      designs.size(), engine::ThreadPool::resolve_threads(config.threads),
-      [&](std::size_t i) { compiled[i] = tvla::compile(designs[i].netlist); });
   std::vector<std::future<tvla::LeakageReport>> pending;
   pending.reserve(designs.size());
-  for (std::size_t i = 0; i < designs.size(); ++i) {
-    auto spec = audit_spec(designs[i], lib, config, progress);
-    spec.compiled = std::move(compiled[i]);
-    pending.push_back(tvla::submit(scheduler, std::move(spec)).future());
+  for (const auto& design : designs) {
+    pending.push_back(
+        tvla::submit(scheduler, audit_spec(design, lib, config, progress))
+            .future());
   }
   return pending;
 }

@@ -130,10 +130,8 @@ class Polaris {
 
 /// Queues every design's audit_spec on an EXISTING scheduler and returns
 /// the results' futures (design order), for callers that wait on them
-/// from other threads while they drain. The designs are compiled first,
-/// side by side on up to config.threads lanes of the shared pool, and
-/// each campaign takes its plan through CampaignSpec::compiled. Designs
-/// and lib must outlive the campaigns.
+/// from other threads while they drain. Designs and lib must outlive the
+/// campaigns.
 [[nodiscard]] std::vector<std::future<tvla::LeakageReport>> submit_audits(
     engine::Scheduler& scheduler, std::span<const circuits::Design> designs,
     const techlib::TechLibrary& lib, const PolarisConfig& config,

@@ -7,7 +7,7 @@
 //  * singles - groups with exactly one active member: the binary-counting
 //    fast path (per-trace sample is 0 or the member's energy). Nothing
 //    here reads their toggle words: the simulator's counting eval
-//    (sim::Simulator::eval_counting) counts every written slot's toggles
+//    (sim::Simulator::eval_counting) counts the singles' slots' toggles
 //    by class in its write step, and the campaign adds each single's slot
 //    counts into its moments once per shard (tvla.cpp);
 //  * multis  - members of groups with >= 2 active cells (masked composite
@@ -47,8 +47,8 @@
 // bits. Tail contract: only the first `active_words` words of a block are
 // sampled; trailing words (trace counts not divisible by 64*K) are
 // evaluated but never read. Each campaign compiles its design once (a
-// batch of audits compiles its designs on the lanes: core::submit_audits,
-// server::WorkerPool::audit) and builds this plan once in its ShardRunner.
+// batch of audits compiles its designs one by one on the submitting
+// thread, in tvla::submit) and builds this plan once in its ShardRunner.
 #pragma once
 
 #include <cstdint>

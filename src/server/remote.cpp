@@ -8,7 +8,6 @@
 #include <optional>
 #include <thread>
 
-#include "engine/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "util/strings.hpp"
 
@@ -119,21 +118,11 @@ std::vector<tvla::LeakageReport> WorkerPool::audit(
     tvla::ProgressFn progress) {
   core::validate(config);
   Batch batch{scheduler, designs, config, {}, {}, {}};
-  // Each design's plan and fingerprint come off the serial path: they are
-  // computed side by side on the config's lanes before any campaign runs.
-  std::vector<sim::CompiledDesignPtr> compiled(designs.size());
-  batch.fingerprints.resize(designs.size());
-  engine::ThreadPool::shared().parallel_for(
-      designs.size(), engine::ThreadPool::resolve_threads(config.threads),
-      [&](std::size_t i) {
-        compiled[i] = tvla::compile(designs[i].netlist);
-        batch.fingerprints[i] = core::design_fingerprint(designs[i]);
-      });
-  for (std::size_t i = 0; i < designs.size(); ++i) {
-    auto spec = core::audit_spec(designs[i], lib, config, progress);
-    spec.compiled = std::move(compiled[i]);
-    batch.campaigns.push_back(tvla::submit(scheduler, std::move(spec)));
+  for (const auto& design : designs) {
+    batch.campaigns.push_back(tvla::submit(
+        scheduler, core::audit_spec(design, lib, config, progress)));
     batch.ids.push_back(batch.campaigns.back().id());
+    batch.fingerprints.push_back(core::design_fingerprint(design));
   }
 
   // Declared after what they use, so they join first - on an exception

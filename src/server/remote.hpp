@@ -82,8 +82,6 @@ class WorkerPool {
   /// whatever else is queued there. `progress` mirrors the scheduler path:
   /// it fires at each early-stop checkpoint as the merged prefix reaches
   /// it, on the local lane or feeder thread that landed the prefix.
-  /// Before the first submit, the designs are compiled and fingerprinted
-  /// side by side on up to config.threads lanes of the shared pool.
   [[nodiscard]] std::vector<tvla::LeakageReport> audit(
       engine::Scheduler& scheduler, std::span<const circuits::Design> designs,
       const techlib::TechLibrary& lib, const core::PolarisConfig& config,

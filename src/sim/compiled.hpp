@@ -44,10 +44,12 @@
 // property tests compare against.
 //
 // Counting form: while `old ^ new` is still in a register, a counting eval
-// also adds each written slot's class-split toggle counts into a
-// caller-owned ToggleCount per slot (ToggleCounter below). TVLA campaigns
-// count their single-member groups this way instead of re-reading the
-// stored toggle words after the eval.
+// also adds the class-split toggle counts of each written slot the caller
+// flags into a caller-owned ToggleCount per slot (ToggleCounter below).
+// TVLA campaigns count their single-member groups this way instead of
+// re-reading the stored toggle words after the eval, and flag only those
+// slots: on a masked design most written slots belong to multi-member
+// groups, whose toggle words the campaign reads anyway.
 #pragma once
 
 #include <cstdint>
@@ -71,31 +73,33 @@ struct KernelAccess;
 enum class ToggleMode : std::uint8_t { kSkip, kRecord, kCount };
 }  // namespace detail
 
-/// Write-time toggle update - THE invariant behind every bit-identity
-/// guarantee, shared by the compiled combinational wave and the
-/// simulator's source refresh: each slot is written at most once per
-/// eval(), so old XOR new equals the value change since the previous eval.
-inline void write_slot(std::uint64_t* values, std::uint64_t* toggles,
-                       std::uint32_t slot, std::uint64_t value) noexcept {
-  toggles[slot] = values[slot] ^ value;
-  values[slot] = value;
-}
-
 /// One slot's toggle counts, summed over the evals that counted it: over
 /// each eval's lane words w, `fixed` adds popcount(toggle_w & fixed_w) and
 /// `total` adds popcount(toggle_w & active_w).
 struct ToggleCount {
   std::uint64_t fixed = 0;
   std::uint64_t total = 0;
+
+  /// Adds one lane word's counts. The portable kernels and the source
+  /// refresh count through this; the AVX2 block counts four words at once.
+  void add(std::uint64_t toggle, std::uint64_t fixed_mask,
+           std::uint64_t active_mask) noexcept {
+    fixed += static_cast<std::uint64_t>(
+        __builtin_popcountll(toggle & fixed_mask));
+    total += static_cast<std::uint64_t>(
+        __builtin_popcountll(toggle & active_mask));
+  }
 };
 
-/// Where a counting eval adds its counts: `counts` holds one ToggleCount
-/// per slot (slot_count() entries, owned by the caller), and each mask
-/// array one word per lane word - the fixed-class lanes, and the lanes that
-/// are sampled at all (all ones for a sampled word, zero for a block's
+/// Where a counting eval adds its counts. Per slot (slot_count() entries,
+/// owned by the caller): `counted` is nonzero for the slots to count, and
+/// `counts` holds their ToggleCounts; other slots' entries are never
+/// touched. Per lane word: the fixed-class lanes, and the lanes that are
+/// sampled at all (all ones for a sampled word, zero for a block's
 /// unsampled tail words, whose fixed mask must then be zero too).
 struct ToggleCounter {
   ToggleCount* counts;
+  const std::uint8_t* counted;
   const std::uint64_t* fixed_masks;
   const std::uint64_t* active_masks;
 };

@@ -78,10 +78,7 @@ struct U64Block {
   static void count(ToggleCount& count, U64Block toggle, U64Block fixed,
                     U64Block active) noexcept {
     for (std::size_t i = 0; i < W; ++i) {
-      count.fixed += static_cast<std::uint64_t>(
-          __builtin_popcountll(toggle.w[i] & fixed.w[i]));
-      count.total += static_cast<std::uint64_t>(
-          __builtin_popcountll(toggle.w[i] & active.w[i]));
+      count.add(toggle.w[i], fixed.w[i], active.w[i]);
     }
   }
 };
@@ -95,8 +92,8 @@ struct U64Block {
 /// base-state pass of a fixed-vs-random trace pair, where only the
 /// base->target transition is sampled and the target pass recomputes every
 /// toggle from the values array). Each elided write saves a load, an XOR,
-/// and a store per op output. ToggleMode::kCount also adds every written
-/// slot's two counts (ToggleCounter) while the toggle block is in
+/// and a store per op output. ToggleMode::kCount also adds each flagged
+/// written slot's two counts (ToggleCounter) while the toggle block is in
 /// registers.
 struct KernelAccess {
   template <class Block, ToggleMode Mode>
@@ -110,20 +107,26 @@ struct KernelAccess {
     [[maybe_unused]] Block fixed = Block::zeros();
     [[maybe_unused]] Block active = Block::zeros();
     [[maybe_unused]] ToggleCount* counts = nullptr;
+    [[maybe_unused]] const std::uint8_t* counted = nullptr;
     if constexpr (Mode == ToggleMode::kCount) {
       fixed = Block::load(counter->fixed_masks);
       active = Block::load(counter->active_masks);
       counts = counter->counts;
+      counted = counter->counted;
     }
-    // Blocked form of write_slot: each slot is written at most once per
-    // eval, so old XOR new is the per-word toggle.
+    // Write-time toggle update, the invariant behind every bit-identity
+    // guarantee (the simulator's source refresh follows it word by word):
+    // each slot is written at most once per eval, so old XOR new is the
+    // per-word toggle.
     const auto write = [&](std::uint32_t slot, Block v) {
       const std::size_t off = static_cast<std::size_t>(slot) * W;
       if constexpr (Mode != ToggleMode::kSkip) {
         const Block toggle = Block::load(values + off) ^ v;
         toggle.store(toggles + off);
         if constexpr (Mode == ToggleMode::kCount) {
-          Block::count(counts[slot], toggle, fixed, active);
+          if (counted[slot] != 0) {
+            Block::count(counts[slot], toggle, fixed, active);
+          }
         }
       }
       v.store(values + off);

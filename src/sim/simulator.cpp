@@ -1,7 +1,6 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -74,7 +73,8 @@ void Simulator::eval_counting(const ToggleCounter& counter) {
 
 void Simulator::refresh_sources(const ToggleCounter* counter) {
   // Source refresh ahead of the compiled combinational wave. Toggles are
-  // recorded as each word is written (the blocked write_slot);
+  // recorded as each word is written (the kernel's write-time rule, one
+  // word at a time);
   // primary-input slots were staged by set_input* outside eval(), so
   // their toggles stay 0 (PI pad power is excluded by the tech library
   // anyway). kRand refresh draws slot-ascending per word stream - the
@@ -87,12 +87,9 @@ void Simulator::refresh_sources(const ToggleCounter* counter) {
     const std::uint64_t toggle = values_[offset] ^ value;
     toggles_[offset] = toggle;
     values_[offset] = value;
-    if (counter != nullptr) {
-      ToggleCount& count = counter->counts[slot];
-      count.fixed += static_cast<std::uint64_t>(
-          std::popcount(toggle & counter->fixed_masks[w]));
-      count.total += static_cast<std::uint64_t>(
-          std::popcount(toggle & counter->active_masks[w]));
+    if (counter != nullptr && counter->counted[slot] != 0) {
+      counter->counts[slot].add(toggle, counter->fixed_masks[w],
+                                counter->active_masks[w]);
     }
   };
 

@@ -33,9 +33,9 @@
 // input to the Hamming-distance power model (power module) and to TVLA
 // accumulation. They are maintained at write time by the kernel - slots not
 // written by eval(), i.e. primary inputs staged via set_input*, read as 0.
-// eval_counting() also counts each written slot's toggles by class as it
-// writes them (sim::ToggleCounter): TVLA campaigns read their
-// single-member groups from those counts.
+// eval_counting() also counts the toggles of each written slot the caller
+// flags, by class, as it writes them (sim::ToggleCounter): TVLA campaigns
+// read their single-member groups from those counts.
 //
 // Model notes (documented substitutions, see DESIGN.md):
 //  * zero-delay evaluation - no glitch power;
@@ -98,9 +98,9 @@ class Simulator {
   /// a TVLA trace pair; the next recording eval rewrites every gate's
   /// toggle from the values array, so sampled toggles are unaffected.
   void eval(bool record_toggles = true);
-  /// eval() that also adds every written slot's toggle counts into
-  /// `counter` (compiled.hpp): sources in the refresh, the rest in the
-  /// combinational wave's write step. Slots eval() does not write add
+  /// eval() that also adds the toggle counts of every written slot that
+  /// `counter` flags (compiled.hpp): sources in the refresh, the rest in
+  /// the combinational wave's write step. Slots eval() does not write add
   /// nothing. Values, toggle words and RNG consumption match eval().
   void eval_counting(const ToggleCounter& counter);
   /// Commits DFF next state (q <= d) for every lane word. No-op for purely

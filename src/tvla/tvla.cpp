@@ -87,11 +87,10 @@ std::vector<bool> derive_fixed_vector(std::size_t n, std::uint64_t seed) {
 /// compiled design plan, power model, sampling plan, fixed vector) and
 /// defines how one shard of traces is stimulated and sampled. The design
 /// is compiled ONCE per campaign - by the ShardRunner constructor, or by
-/// the caller that passes CampaignSpec::compiled (a batch of audits
-/// compiles its designs on the lanes: core::submit_audits,
-/// server::WorkerPool::audit) - and every shard's Simulator shares the
-/// plan, so per-shard setup never re-runs topological_order() or rebuilds
-/// a schedule. Placement and merging belong to engine::Scheduler; all
+/// the caller that passes CampaignSpec::compiled; a batch of audits
+/// compiles serially on the submitting thread, inside tvla::submit - and
+/// every shard's Simulator shares the plan, so per-shard setup never
+/// re-runs topological_order() or rebuilds a schedule. Placement and merging belong to engine::Scheduler; all
 /// mutable per-shard state lives in ShardState for the length of one
 /// run_shard call.
 struct ShardRunner::Impl {
@@ -101,7 +100,11 @@ struct ShardRunner::Impl {
         config_(config),
         compiled_(std::move(compiled)),
         power_(design_, lib),
-        plan_(*compiled_, power_) {
+        plan_(*compiled_, power_),
+        single_slots_(compiled_->slot_count(), 0) {
+    for (const power::SamplePlan::SingleOp& op : plan_.singles()) {
+      single_slots_[op.toggle_slot] = 1;
+    }
     const std::size_t n_inputs = design_.primary_inputs().size();
     fixed_ = config.fixed_input.empty()
                  ? derive_fixed_vector(n_inputs, config.seed ^ 0xf1e1dcafeULL)
@@ -210,8 +213,8 @@ struct ShardRunner::Impl {
 
   /// Everything one shard mutates: its own K-word simulator, one
   /// per-batch stimulus stream, class mask and sampled-lane mask per lane
-  /// word, the toggle counts of every slot (sim::ToggleCounter; only the
-  /// single groups' slots are ever read), the mergeable statistics, and
+  /// word, the toggle counts of the single groups' slots
+  /// (sim::ToggleCounter, indexed by slot), the mergeable statistics, and
   /// one tile of multi-group lane sums (the fused power accumulation - no
   /// per-lane power vector is ever materialized).
   struct ShardState {
@@ -219,14 +222,17 @@ struct ShardRunner::Impl {
     std::vector<util::Xoshiro256> stimulus;   // one stream per lane word
     std::vector<std::uint64_t> class_masks;   // per-word fixed-class mask
     std::vector<std::uint64_t> active_masks;  // ~0 sampled, 0 tail word
-    std::vector<sim::ToggleCount> counts;     // per slot, since the flush
+    std::vector<sim::ToggleCount> counts;     // per slot, for the shard
     CampaignMoments moments;
     std::vector<double> scratch;  // power::SamplePlan::kScratchDoubles
-
-    [[nodiscard]] sim::ToggleCounter counter() {
-      return {counts.data(), class_masks.data(), active_masks.data()};
-    }
   };
+
+  /// The counting eval's view of a shard: its counts and masks, and the
+  /// campaign's single-group slots as the only slots to count.
+  [[nodiscard]] sim::ToggleCounter counter(ShardState& state) const {
+    return {state.counts.data(), single_slots_.data(),
+            state.class_masks.data(), state.active_masks.data()};
+  }
 
   /// Fixed trace milestones (min_traces, 2x, 4x, ... strictly below the
   /// full budget), each rounded UP to the next shard boundary of the same
@@ -394,7 +400,7 @@ struct ShardRunner::Impl {
            cycle < config_.warmup_cycles + config_.cycles_per_batch; ++cycle) {
         apply_target_inputs(state, words);
         if (cycle >= config_.warmup_cycles) {
-          state.simulator.eval_counting(state.counter());
+          state.simulator.eval_counting(counter(state));
           sample(state, words);
         } else {
           state.simulator.eval();
@@ -415,7 +421,7 @@ struct ShardRunner::Impl {
     // eval recomputes every gate's toggle (base -> target) from values.
     state.simulator.eval(/*record_toggles=*/false);
     apply_target_inputs(state, words);
-    state.simulator.eval_counting(state.counter());
+    state.simulator.eval_counting(counter(state));
     sample(state, words);
   }
 
@@ -432,14 +438,13 @@ struct ShardRunner::Impl {
   }
 
   /// Adds each single group's toggle counts, by class, into the shard's
-  /// moments, and clears them. Exact integers: counting at write time and
-  /// adding once per shard gives the counts a per-block readout gave.
+  /// moments. Exact integers: counting at write time and adding once per
+  /// shard gives the counts a per-block readout gave.
   void flush_singles(ShardState& state) const {
     for (const power::SamplePlan::SingleOp& op : plan_.singles()) {
-      sim::ToggleCount& count = state.counts[op.toggle_slot];
+      const sim::ToggleCount& count = state.counts[op.toggle_slot];
       state.moments.add_single_ones(op.group, count.fixed,
                                     count.total - count.fixed);
-      count = {};
     }
   }
 
@@ -497,6 +502,7 @@ struct ShardRunner::Impl {
   sim::CompiledDesignPtr compiled_;
   power::PowerModel power_;
   power::SamplePlan plan_;
+  std::vector<std::uint8_t> single_slots_;  // per slot: 1 = a single's slot
   bool sequential_ = false;
   std::size_t lane_words_ = 1;
   engine::ShardPlan shards_;  // pure function of batch_count()
