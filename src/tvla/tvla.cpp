@@ -90,9 +90,9 @@ std::vector<bool> derive_fixed_vector(std::size_t n, std::uint64_t seed) {
 /// the caller that passes CampaignSpec::compiled; a batch of audits
 /// compiles serially on the submitting thread, inside tvla::submit - and
 /// every shard's Simulator shares the plan, so per-shard setup never
-/// re-runs topological_order() or rebuilds a schedule. Placement and merging belong to engine::Scheduler; all
-/// mutable per-shard state lives in ShardState for the length of one
-/// run_shard call.
+/// re-runs topological_order() or rebuilds a schedule. Placement and
+/// merging belong to engine::Scheduler; all mutable per-shard state lives
+/// in ShardState for the length of one run_shard call.
 struct ShardRunner::Impl {
   Impl(sim::CompiledDesignPtr compiled, const techlib::TechLibrary& lib,
        const TvlaConfig& config)

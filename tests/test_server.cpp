@@ -1382,13 +1382,15 @@ class HeldWorker {
 };
 
 /// The status-test audit: long enough that the daemon's single local lane
-/// is still busy when the feeder takes its first chunk.
+/// is still busy when the feeder takes its first chunk, also on a loaded
+/// host (if the lane drains every shard first, no shard reaches the held
+/// worker and the tests time out waiting for it).
 server::AuditRequest held_audit_request() {
   server::AuditRequest request;
   request.design = "des3";
   request.scale = 0.3;
   request.config = audit_config();
-  request.config.tvla.traces = 16384;
+  request.config.tvla.traces = 65536;
   return request;
 }
 
